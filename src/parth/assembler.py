@@ -112,5 +112,8 @@ def assemble(
 
 
 def reuse_ratio(state: AssemblyState, n_nodes: int) -> float:
-    """Fraction of graph nodes whose local ordering was reused this call."""
-    return state.reused_nodes / n_nodes
+    """Fraction of graph nodes whose local ordering was reused this call.
+
+    An empty graph needs no reordering, so its ratio is 1.0.
+    """
+    return state.reused_nodes / n_nodes if n_nodes else 1.0

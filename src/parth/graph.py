@@ -96,15 +96,34 @@ class SparsityPattern:
         return cls(n_rows, _counts_to_starts(counts), keys % n_rows)
 
 
+def _is_symmetric_coo(rows: np.ndarray, cols: np.ndarray, n: int) -> bool:
+    # entries of a validated pattern come out row-major with strictly
+    # increasing keys, so only the transposed keys need sorting
+    keys = rows * np.int64(n)
+    keys += cols
+    tkeys = cols * np.int64(n)
+    tkeys += rows
+    tkeys.sort()
+    return np.array_equal(keys, tkeys)
+
+
 def is_structurally_symmetric(pattern: SparsityPattern) -> bool:
     rows, cols = pattern.to_coo()
-    n = pattern.n_rows
-    return np.array_equal(np.sort(rows * n + cols), np.sort(cols * n + rows))
+    return _is_symmetric_coo(rows, cols, pattern.n_rows)
 
 
-def require_symmetric(pattern: SparsityPattern) -> None:
-    if not is_structurally_symmetric(pattern):
+def require_symmetric(pattern: SparsityPattern) -> tuple[np.ndarray, np.ndarray]:
+    """Off-diagonal entries as row-major (rows, cols); raises unless symmetric.
+
+    The diagonal is symmetric by itself, so only the off-diagonal part is
+    checked.
+    """
+    rows, cols = pattern.to_coo()
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    if not _is_symmetric_coo(rows, cols, pattern.n_rows):
         raise AsymmetricPattern("pattern is not structurally symmetric")
+    return rows, cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +184,21 @@ class SymGraph:
         return pos < nb.size and nb[pos] == v
 
     @classmethod
+    def _trusted(cls, n_nodes: int, adj_starts: np.ndarray, adj: np.ndarray) -> "SymGraph":
+        """Wrap int64 arrays that already satisfy every invariant, unchecked.
+
+        Only for graphs this module derives from validated input; the public
+        constructor keeps the full checks.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n_nodes", int(n_nodes))
+        object.__setattr__(g, "adj_starts", adj_starts)
+        object.__setattr__(g, "adj", adj)
+        adj_starts.setflags(write=False)
+        adj.setflags(write=False)
+        return g
+
+    @classmethod
     def empty(cls, n_nodes: int) -> "SymGraph":
         return cls(n_nodes, np.zeros(n_nodes + 1, np.int64), _EMPTY)
 
@@ -176,11 +210,13 @@ class SymGraph:
             raise IndexOutOfBounds("edge endpoint outside [0, n_nodes)")
         keep = u != v
         u, v = u[keep], v[keep]
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        keys = np.unique(src * np.int64(n_nodes) + dst)
-        counts = np.bincount(keys // n_nodes, minlength=n_nodes) if keys.size else np.zeros(n_nodes, np.int64)
-        return cls(n_nodes, _counts_to_starts(counts), keys % n_nodes)
+        # both directions as row-major keys, deduplicated by sorting
+        keys = np.sort(np.concatenate([u * np.int64(n_nodes) + v, v * np.int64(n_nodes) + u]))
+        if keys.size:
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        rows, adj = np.divmod(keys, max(n_nodes, 1))
+        counts = np.bincount(rows, minlength=n_nodes)
+        return cls._trusted(n_nodes, _counts_to_starts(counts), adj)
 
 
 def gather_neighbors(g: SymGraph, nodes: np.ndarray) -> np.ndarray:
@@ -229,11 +265,9 @@ def connected_components(g: SymGraph, mask: np.ndarray | None = None) -> list[np
 
 def build_dual(pattern: SparsityPattern) -> SymGraph:
     """Undirected graph sharing the pattern's off-diagonal structure."""
-    require_symmetric(pattern)
-    rows, cols = pattern.to_coo()
-    off = rows != cols
-    counts = np.bincount(rows[off], minlength=pattern.n_rows)
-    return SymGraph(pattern.n_rows, _counts_to_starts(counts), cols[off])
+    rows, cols = require_symmetric(pattern)
+    counts = np.bincount(rows, minlength=pattern.n_rows)
+    return SymGraph._trusted(pattern.n_rows, _counts_to_starts(counts), cols)
 
 
 def compress_by_dim(pattern: SparsityPattern, dim: int) -> SymGraph:
@@ -244,11 +278,11 @@ def compress_by_dim(pattern: SparsityPattern, dim: int) -> SymGraph:
     """
     if dim < 1 or pattern.n_rows % dim != 0:
         raise DimMismatch(f"n_rows={pattern.n_rows} not divisible by dim={dim}")
-    require_symmetric(pattern)
-    rows, cols = pattern.to_coo()
+    rows, cols = require_symmetric(pattern)
     rb, cb = rows // dim, cols // dim
-    off = rb != cb
-    return SymGraph.from_edges(pattern.n_rows // dim, rb[off], cb[off])
+    # the pattern is symmetric, so the upper half names every block edge
+    upper = rb < cb
+    return SymGraph.from_edges(pattern.n_rows // dim, rb[upper], cb[upper])
 
 
 def induced_subgraph(g: SymGraph, nodes) -> tuple[SymGraph, np.ndarray]:
@@ -265,7 +299,7 @@ def induced_subgraph(g: SymGraph, nodes) -> tuple[SymGraph, np.ndarray]:
     flat_rows, flat_cols = flat_rows[keep], pos[flat_cols[keep]]
     # pos is monotone on sorted nodes, so per-row sortedness is preserved
     sub_counts = np.bincount(flat_rows, minlength=nodes.size) if flat_rows.size else np.zeros(nodes.size, np.int64)
-    return SymGraph(nodes.size, _counts_to_starts(sub_counts), flat_cols), nodes
+    return SymGraph._trusted(nodes.size, _counts_to_starts(sub_counts), flat_cols), nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +333,7 @@ class NodeMap:
         if present.size:
             if present.max() >= n_old:
                 raise InvalidMap("map entry outside previous graph")
-            if np.unique(present).size != present.size:
+            if np.bincount(present, minlength=n_old).max() > 1:
                 raise InvalidMap("duplicate previous-graph index in map")
 
     def old_to_new(self, n_old: int) -> np.ndarray:
@@ -310,6 +344,38 @@ class NodeMap:
         o2n[self.entries[new_ids]] = new_ids
         return o2n
 
+    def checked(self, n_old: int) -> "CheckedNodeMap":
+        """This map validated against n_old once, with its inverse attached."""
+        return CheckedNodeMap(self.entries, n_old, self.old_to_new(n_old))
+
+
+class CheckedNodeMap(NodeMap):
+    """A NodeMap already validated against one previous-graph size.
+
+    Built by `NodeMap.checked` so that the functions of one update step
+    share a single validation and inverse instead of repeating them.
+    """
+
+    def __init__(self, entries: np.ndarray, n_old: int, o2n: np.ndarray):
+        super().__init__(entries)
+        o2n.setflags(write=False)
+        object.__setattr__(self, "n_old", n_old)
+        object.__setattr__(self, "o2n", o2n)
+        is_identity = self.n_new == n_old and np.array_equal(entries, np.arange(n_old))
+        object.__setattr__(self, "is_identity", is_identity)
+
+    def checked(self, n_old: int) -> "CheckedNodeMap":
+        return self if n_old == self.n_old else super().checked(n_old)
+
+
+def _is_member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """queries[i] in sorted_keys, by binary search (no hashing)."""
+    if sorted_keys.size == 0:
+        return np.zeros(queries.size, dtype=bool)
+    pos = np.searchsorted(sorted_keys, queries)
+    np.minimum(pos, sorted_keys.size - 1, out=pos)
+    return sorted_keys[pos] == queries
+
 
 def edge_set_diff(
     g_old: SymGraph, g_new: SymGraph, node_map: NodeMap
@@ -317,32 +383,41 @@ def edge_set_diff(
     """Exact edge delta between consecutive graphs.
 
     Returns (added, removed) as (k, 2) arrays of unordered pairs. Added
-    edges use new-graph indices; removed edges use old-graph indices. Edges
-    incident to removed nodes are excluded from the removed set; every edge
-    incident to an added node shows up in the added set.
+    edges use new-graph indices, in new-graph edge order; removed edges use
+    old-graph indices, sorted lexicographically. Edges incident to removed
+    nodes are excluded from the removed set; every edge incident to an added
+    node shows up in the added set.
     """
     if node_map.n_new != g_new.n_nodes:
         raise InvalidMap(f"map has {node_map.n_new} entries, graph has {g_new.n_nodes} nodes")
-    o2n = node_map.old_to_new(g_old.n_nodes)
+    node_map = node_map.checked(g_old.n_nodes)
+    if (
+        node_map.is_identity
+        and np.array_equal(g_old.adj_starts, g_new.adj_starts)
+        and np.array_equal(g_old.adj, g_new.adj)
+    ):
+        return np.empty((0, 2), np.int64), np.empty((0, 2), np.int64)
+    o2n = node_map.o2n
 
+    # old edges come out row-major, so the survivors (and with them the
+    # removed set) are already in lexicographic old-index order
     ou, ov = g_old.edges()
-    tu, tv = (o2n[ou], o2n[ov]) if ou.size else (ou, ov)
+    tu, tv = o2n[ou], o2n[ov]
     survive = (tu >= 0) & (tv >= 0)
-    tlo = np.minimum(tu[survive], tv[survive])
-    thi = np.maximum(tu[survive], tv[survive])
+    su, sv, tu, tv = ou[survive], ov[survive], tu[survive], tv[survive]
     n = np.int64(max(g_new.n_nodes, 1))
-    old_keys = tlo * n + thi
+    old_keys = np.minimum(tu, tv) * n + np.maximum(tu, tv)
 
     nu, nv = g_new.edges()
-    new_keys = nu * n + nv
+    new_keys = nu * n + nv  # row-major: strictly increasing
 
-    added_mask = ~np.isin(new_keys, old_keys)
+    # a map that keeps the survivors in their old relative order keeps the
+    # translated keys sorted too; any other map needs one sort
+    kept = o2n[o2n >= 0]
+    order_preserving = bool(np.all(kept[1:] > kept[:-1]))
+    sorted_old = old_keys if order_preserving else np.sort(old_keys)
+    added_mask = ~_is_member(sorted_old, new_keys)
+    removed_mask = ~_is_member(new_keys, old_keys)
     added = np.column_stack([nu[added_mask], nv[added_mask]])
-
-    removed_mask = ~np.isin(old_keys, new_keys)
-    su, sv = ou[survive], ov[survive]
     removed = np.column_stack([su[removed_mask], sv[removed_mask]])
-    if removed.size:
-        order = np.lexsort((removed[:, 1], removed[:, 0]))
-        removed = removed[order]
-    return added.astype(np.int64), removed.astype(np.int64)
+    return added, removed

@@ -99,17 +99,19 @@ class HgdTree:
 
     def node_to_tree(self, n_nodes: int) -> np.ndarray:
         """Graph node -> tree index lookup; raises StaleTree on bad coverage."""
-        lookup = np.full(n_nodes, -1, dtype=np.int64)
-        for idx, tn in enumerate(self.nodes):
-            if tn.nodes.size == 0:
-                continue
-            if tn.nodes.min() < 0 or tn.nodes.max() >= n_nodes:
-                raise StaleTree(f"tree node {idx} references a graph node outside [0, {n_nodes})")
-            if np.any(lookup[tn.nodes] >= 0):
-                raise StaleTree("tree node sets overlap")
-            lookup[tn.nodes] = idx
-        if np.any(lookup < 0):
+        sets = [tn.nodes for tn in self.nodes]
+        flat = np.concatenate(sets)
+        owner = np.repeat(np.arange(self.size, dtype=np.int64), [s.size for s in sets])
+        if flat.size and (flat.min() < 0 or flat.max() >= n_nodes):
+            idx = int(owner[np.argmax((flat < 0) | (flat >= n_nodes))])
+            raise StaleTree(f"tree node {idx} references a graph node outside [0, {n_nodes})")
+        counts = np.bincount(flat, minlength=n_nodes)
+        if flat.size and counts.max() > 1:
+            raise StaleTree("tree node sets overlap")
+        if flat.size != n_nodes:
             raise StaleTree("tree node sets do not cover the graph")
+        lookup = np.empty(n_nodes, dtype=np.int64)
+        lookup[flat] = owner
         return lookup
 
     def validate_partition(self, n_nodes: int) -> None:

@@ -8,7 +8,7 @@ from statistics import median
 
 import numpy as np
 
-from .assembler import AssemblyState
+from .assembler import AssemblyState, reuse_ratio
 from .graph import SparsityPattern
 from .oracle import fill_deviation
 from .synchronizer import DirtyState
@@ -69,7 +69,7 @@ def step_metrics(
         label=label,
         n=pattern.n_rows,
         nnz=pattern.nnz,
-        reuse_ratio=state.reused_nodes / n_graph,
+        reuse_ratio=reuse_ratio(state, n_graph),
         fill_dev=dev,
         recomp_tree=int(np.count_nonzero(~dirty.reuse_mask)),
         recomp_nodes=n_graph - state.reused_nodes,

@@ -200,7 +200,10 @@ def numeric_cholesky_solve(
 def fill_deviation(
     perm_candidate: np.ndarray, perm_baseline: np.ndarray, pattern: SparsityPattern
 ) -> float:
-    """Signed relative nnz(L) difference of a candidate vs a baseline ordering."""
+    """Signed relative nnz(L) difference of a candidate vs a baseline ordering.
+
+    An empty pattern has no factor to compare, so its deviation is 0.0.
+    """
     a = symbolic_analyze(pattern, perm_candidate).nnz_l
     b = symbolic_analyze(pattern, perm_baseline).nnz_l
-    return (a - b) / b
+    return (a - b) / b if b else 0.0

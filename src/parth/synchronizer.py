@@ -7,9 +7,10 @@ redundant entries, and rebuild the remaining coarse regions. The result is a
 reuse mask over tree nodes: True means the stored local ordering is still
 valid.
 
-Classification rules per changed edge with tree endpoints (a, b):
-  * a == b: the edge lies inside one sub-graph, whose local ordering must be
-    recomputed; nothing structural changed.
+An edge whose endpoints share one tree node lies inside one sub-graph: its
+local ordering must be recomputed, nothing structural changed. Such edges
+become fine marks as soon as they are mapped to the tree (map_edges_to_tree,
+aggressive_reuse), so classification only ever sees pairs with a != b:
   * a and b on one root-to-leaf path: no separator can be broken by an edge
     between a separator and its own subtree, so the change is dismissed.
   * disjoint subtrees, edge added: the lowest common ancestor's separator no
@@ -84,11 +85,12 @@ def node_change_synchronizer(
     back to the root when isolated. Returns the tree indices whose
     membership changed.
     """
-    n_old = tree.total_nodes()
-    node_map.validate(n_old)
     if node_map.n_new != n_new:
         raise InvalidMap(f"map has {node_map.n_new} entries, expected {n_new}")
-    o2n = node_map.old_to_new(n_old)
+    node_map = node_map.checked(tree.total_nodes())
+    if node_map.is_identity:
+        return set()
+    o2n = node_map.o2n
 
     touched: set[int] = set()
     for idx, tn in enumerate(tree.nodes):
@@ -156,11 +158,9 @@ def dirty_subgraph_detection(
     fine: set[int] = set()
     coarse: set[int] = set()
     for ch in changes:
-        if ch.a == ch.b:
-            fine.add(ch.a)
-        elif _related(ch.a, ch.b):
+        if _related(ch.a, ch.b):
             continue
-        elif ch.kind == ADDED:
+        if ch.kind == ADDED:
             coarse.add(lca_of(ch.a, ch.b))
         else:
             fine.update((ch.a, ch.b))
@@ -186,17 +186,16 @@ def aggressive_reuse(
     separator set, turning the change into an ancestor-related one that
     needs no re-decomposition. The move is reverted, falling back to coarse
     dirt, if any edge incident to the moved node would still cross disjoint
-    subtrees. Returns the remaining changes (tree pairs refreshed) plus the
-    extra fine-dirty tree nodes produced by the moves.
+    subtrees. Every change must carry its graph endpoints (u, v), as
+    map_edges_to_tree records them. Returns the remaining changes (tree
+    pairs refreshed) plus the extra fine-dirty tree nodes produced by the
+    moves.
     """
     n = tree.total_nodes()
     lookup = tree.node_to_tree(n)
     extra: set[int] = set()
     out: list[TreeEdgeChange] = []
     for ch in changes:
-        if ch.u < 0 or ch.v < 0:  # no graph endpoints recorded, nothing to move
-            out.append(ch)
-            continue
         a, b = int(lookup[ch.u]), int(lookup[ch.v])
         if a == b:
             extra.add(a)
@@ -268,10 +267,11 @@ def synchronize(
     separator holds on g_new; the returned mask tells the assembler which
     local orderings survived.
     """
+    node_map = node_map.checked(g_old.n_nodes)
     touched = node_change_synchronizer(tree, node_map, g_new.n_nodes, g_new)
     added, removed = edge_set_diff(g_old, g_new, node_map)
     if removed.size:
-        removed = node_map.old_to_new(g_old.n_nodes)[removed]
+        removed = node_map.o2n[removed]
     changes, fine_marks = map_edges_to_tree(tree, added, removed)
     extra: set[int] = set()
     if aggressive:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,14 @@ from parth import (
     InvalidMap,
     Parth,
     ParthConfig,
+    ParthError,
+    SparsityPattern,
     grid_laplacian,
     inject_contacts,
     is_permutation,
     patch_remesh,
     reuse_ratio,
+    step_metrics,
 )
 
 
@@ -29,6 +34,40 @@ def test_step_before_start_raises():
     pattern, _ = grid_laplacian(4, 4)
     with pytest.raises(StateError):
         Parth().step(pattern)
+
+
+def test_step_before_start_is_a_parth_error():
+    pattern, _ = grid_laplacian(4, 4)
+    with pytest.raises(ParthError):
+        Parth().step(pattern)
+
+
+def test_empty_pattern():
+    pattern = SparsityPattern(0, np.zeros(1, np.int64), np.empty(0, np.int64))
+    parth = Parth()
+    first = parth.start(pattern)
+    assert first.matrix_perm.size == 0 and reuse_ratio(first, 0) == 1.0
+    dirty, state = parth.step(pattern)
+    assert state.matrix_perm.size == 0
+    row = step_metrics(state, dirty, pattern, first.matrix_perm)
+    assert row.n == 0 and row.reuse_ratio == 1.0 and row.recomp_nodes == 0 and row.fill_dev == 0.0
+
+
+def test_start_times_tree_build_as_assembly(monkeypatch):
+    import parth.driver
+
+    real_build = parth.driver.hgd_build
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.05)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(parth.driver, "hgd_build", slow_build)
+    pattern, _ = grid_laplacian(6, 6)
+    engine = Parth(ParthConfig(max_level=1))
+    engine.start(pattern)
+    assert engine.last_sync_us == 0
+    assert engine.last_assemble_us >= 50_000
 
 
 def test_dimension_change_requires_map():

@@ -1,0 +1,108 @@
+"""Bit-identity guard: permutations of a fixed 48x48 step sequence.
+
+The digests below were recorded from the implementation before the
+per-step fast paths (sorted edge diff, single node-map validation, trusted
+internal graph construction) went in. Any change to them means the
+ordering output moved, which those optimisations must never do.
+"""
+
+import hashlib
+
+import numpy as np
+
+from parth import NodeMap, Parth, ParthConfig, SparsityPattern, grid_laplacian, inject_contacts, patch_remesh
+from parth.synthetic import radius_for_fraction
+
+GRID = 48
+
+
+def _digest(perm: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(perm, dtype="<i8").tobytes()).hexdigest()
+
+
+def _expand(pattern: SparsityPattern, dim: int) -> SparsityPattern:
+    rows, cols = pattern.to_coo()
+    offs = np.arange(dim, dtype=np.int64)
+    big_rows = (rows[:, None, None] * dim + offs[None, :, None]).repeat(dim, axis=2)
+    big_cols = (cols[:, None, None] * dim + offs[None, None, :]).repeat(dim, axis=1)
+    return SparsityPattern.from_coo(pattern.n_rows * dim, big_rows.ravel(), big_cols.ravel())
+
+
+def _relabel(pattern: SparsityPattern, rng) -> tuple[SparsityPattern, NodeMap]:
+    n = pattern.n_rows
+    new_of_old = rng.permutation(n)
+    rows, cols = pattern.to_coo()
+    entries = np.empty(n, dtype=np.int64)
+    entries[new_of_old] = np.arange(n)
+    return SparsityPattern.from_coo(n, new_of_old[rows], new_of_old[cols]), NodeMap(entries)
+
+
+def _remesh(pattern: SparsityPattern, rng) -> tuple[SparsityPattern, NodeMap]:
+    center = int(rng.integers(pattern.n_rows))
+    radius = radius_for_fraction(pattern, center, 0.02)
+    return patch_remesh(pattern, center, radius, 1.2, int(rng.integers(2**31)))
+
+
+def _contacts(pattern: SparsityPattern, rng) -> SparsityPattern:
+    return inject_contacts(pattern, int(rng.integers(pattern.n_rows)), 5, 16, int(rng.integers(2**31)))
+
+
+def golden_digests() -> list[str]:
+    rng = np.random.default_rng(2024)
+    base, _ = grid_laplacian(GRID, GRID)
+    out = []
+
+    # aggressive reuse over accumulating contacts, a no-op, then a rollback
+    parth = Parth(ParthConfig(aggressive=True, theta=0.4))
+    parth.start(base)
+    pattern = base
+    history = []
+    for _ in range(5):
+        history.append(pattern)
+        pattern = _contacts(pattern, rng)
+        out.append(_digest(parth.step(pattern)[1].matrix_perm))
+    out.append(_digest(parth.step(pattern)[1].matrix_perm))
+    out.append(_digest(parth.step(history[2])[1].matrix_perm))
+
+    # size-changing remesh steps with node maps, then a full relabel
+    parth = Parth(ParthConfig())
+    parth.start(base)
+    pattern = base
+    for _ in range(3):
+        pattern, node_map = _remesh(pattern, rng)
+        out.append(_digest(parth.step(pattern, node_map)[1].matrix_perm))
+    pattern, node_map = _relabel(pattern, rng)
+    out.append(_digest(parth.step(pattern, node_map)[1].matrix_perm))
+
+    # 3x3 blocks: contacts, remesh with a node map, no-op
+    parth = Parth(ParthConfig(dim=3))
+    parth.start(_expand(base, 3))
+    pattern = _contacts(base, rng)
+    out.append(_digest(parth.step(_expand(pattern, 3))[1].matrix_perm))
+    pattern, node_map = _remesh(pattern, rng)
+    expanded = _expand(pattern, 3)
+    out.append(_digest(parth.step(expanded, node_map)[1].matrix_perm))
+    out.append(_digest(parth.step(expanded)[1].matrix_perm))
+    return out
+
+
+GOLDEN = [
+    "0ddff9da449872952887fd7d4e55ade62410e6629c160d556f547266978db274",
+    "2cc74011d8d7218daf87b7bd5b67cd66126b93f016bd8353b8cbecfc8cb6b906",
+    "58d99a2da7854a196e9df6f1a2b7250f155a23763b850be46051fe6ae12e6488",
+    "6a176b127e1bd7b06e1b613089ca9102962c7a9d9812a5073608383ff4cbc99c",
+    "0a4918600164df9d5a118436879de06225f1200e993f85bfbf17aedb2590e445",
+    "0a4918600164df9d5a118436879de06225f1200e993f85bfbf17aedb2590e445",
+    "268726a783c56f57764d27735c0557f59757813175dd8547114066eb8c855010",
+    "ff9bfb20f814dcf53ef52b1430bbd08cd85008c402c7f5f2bd3509de15dce281",
+    "758bba534cc997c972f4f3eb60f3ec498c95620fc69a718299c5f19caf90580b",
+    "45526a607df38c9a31c6dd39641a2dab7203482964dd7d24b551e51a938fc1d2",
+    "297e09dacc62cdd91b7d2e4fe14f4770c5535a5a335a1be52d33db28318673a4",
+    "2d6c210ce1a1c068e42a5da44aa66f393641bb52467075d0623d0cedd73f7bee",
+    "1d54245c7c3133f090e3e1892c5f59624ade0e2200cc71e38fab655db5c8bb87",
+    "1d54245c7c3133f090e3e1892c5f59624ade0e2200cc71e38fab655db5c8bb87",
+]
+
+
+def test_golden_sequence_is_bit_identical():
+    assert golden_digests() == GOLDEN

@@ -136,22 +136,69 @@ class TestEdgeSetDiff:
         with pytest.raises(InvalidMap):
             edge_set_diff(g, g, NodeMap(np.array([0] * 9)))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
     def test_exact_delta_property(self, seed):
-        # applying removed then added to g_old (under the map) gives g_new
+        # exact sets and exact order, against a brute-force reference, under
+        # identity, permuted, shrinking, growing and mixed node maps (n may be 0)
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 200))
-        p_old = random_pattern(rng, n)
-        p_new = random_pattern(rng, n, avg_degree=2.5)
-        g_old, g_new = build_dual(p_old), build_dual(p_new)
-        added, removed = edge_set_diff(g_old, g_new, NodeMap.identity(n))
-        result = edge_pairs(g_old)
-        for u, v in removed.tolist():
-            result.discard((min(u, v), max(u, v)))
-        for u, v in added.tolist():
-            result.add((min(u, v), max(u, v)))
-        assert result == edge_pairs(g_new)
+        n_old = int(rng.integers(0, 60))
+        g_old = random_graph(rng, n_old)
+        entries = random_node_map(rng, n_old)
+        g_new = perturbed_graph(rng, g_old, entries)
+        added, removed = edge_set_diff(g_old, g_new, NodeMap(entries))
+        ref_added, ref_removed = reference_edge_diff(g_old, g_new, entries)
+        assert added.shape == (len(ref_added), 2) and removed.shape == (len(ref_removed), 2)
+        assert added.tolist() == ref_added
+        assert removed.tolist() == ref_removed
+
+
+def random_graph(rng: np.random.Generator, n: int) -> SymGraph:
+    m = int(rng.integers(0, 3 * n + 1)) if n else 0
+    return SymGraph.from_edges(n, rng.integers(0, max(n, 1), m), rng.integers(0, max(n, 1), m))
+
+
+def random_node_map(rng: np.random.Generator, n_old: int) -> np.ndarray:
+    """entries[new] = old or ABSENT, in one of four shapes."""
+    kind = int(rng.integers(4))
+    if kind == 0:  # identity
+        return np.arange(n_old)
+    if kind == 1:  # pure relabel
+        return rng.permutation(n_old)
+    kept = rng.permutation(n_old)[: int(rng.integers(0, n_old + 1))]
+    absent = np.full(int(rng.integers(0, 6)), -1)
+    if kind == 2:  # order-preserving removals, additions appended
+        return np.concatenate([np.sort(kept), absent])
+    return rng.permutation(np.concatenate([kept, absent]))  # anything goes
+
+
+def perturbed_graph(rng: np.random.Generator, g_old: SymGraph, entries: np.ndarray) -> SymGraph:
+    """The old graph carried through the map, with some edges dropped and some added."""
+    n_new = entries.size
+    o2n = {int(old): new for new, old in enumerate(entries) if old >= 0}
+    u, v = [], []
+    for a, b in edge_pairs(g_old):
+        if a in o2n and b in o2n and rng.random() < 0.8:
+            u.append(o2n[a])
+            v.append(o2n[b])
+    if n_new:
+        extra = int(rng.integers(0, n_new + 1))
+        u += rng.integers(0, n_new, extra).tolist()
+        v += rng.integers(0, n_new, extra).tolist()
+    return SymGraph.from_edges(n_new, u, v)
+
+
+def reference_edge_diff(g_old, g_new, entries):
+    """Added pairs in new-graph edge order; removed old pairs sorted lexicographically."""
+    o2n = {int(old): new for new, old in enumerate(entries) if old >= 0}
+    translated = {}
+    for a, b in edge_pairs(g_old):
+        if a in o2n and b in o2n:
+            translated[tuple(sorted((o2n[a], o2n[b])))] = [a, b]
+    new = edge_pairs(g_new)
+    added = [list(e) for e in sorted(new) if e not in translated]
+    removed = sorted(old for key, old in translated.items() if key not in new)
+    return added, removed
 
 
 class TestInducedSubgraph:
@@ -184,6 +231,16 @@ class TestNodeMap:
         m.validate(4)
         assert m.old_to_new(4).tolist() == [0, 1, 2, 3]
 
+    def test_checked_carries_inverse(self):
+        m = NodeMap(np.array([2, -1, 0])).checked(3)
+        assert m.old_to_new(3).tolist() == [2, -1, 0]
+        assert not m.is_identity and NodeMap.identity(3).checked(3).is_identity
+        assert not NodeMap.identity(3).checked(4).is_identity  # node 3 removed
+        with pytest.raises(InvalidMap):
+            m.checked(2)  # other sizes are still checked in full
+        with pytest.raises(InvalidMap):
+            NodeMap(np.array([1, 1])).checked(3)
+
     def test_duplicates_rejected(self):
         with pytest.raises(InvalidMap):
             NodeMap(np.array([0, 0])).validate(3)
@@ -191,3 +248,44 @@ class TestNodeMap:
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidMap):
             NodeMap(np.array([0, 7])).validate(3)
+
+
+class TestTrustedGraphs:
+    """Graphs the library builds unchecked must pass the public validation."""
+
+    @staticmethod
+    def assert_valid(g: SymGraph) -> None:
+        again = SymGraph(g.n_nodes, g.adj_starts.copy(), g.adj.copy())
+        assert np.array_equal(again.adj_starts, g.adj_starts) and np.array_equal(again.adj, g.adj)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_library_built_graphs_validate(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 40))
+        m = int(rng.integers(0, 4 * n + 1)) if n else 0
+        u, v = rng.integers(0, max(n, 1), m), rng.integers(0, max(n, 1), m)
+        g = SymGraph.from_edges(n, u, v)
+        self.assert_valid(g)
+        assert edge_pairs(g) == {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist()) if a != b}
+
+        diagonal = np.flatnonzero(rng.random(n) < 0.5)
+        rows = np.concatenate([u, v, diagonal])
+        cols = np.concatenate([v, u, diagonal])
+        pattern = SparsityPattern.from_coo(n, rows, cols)
+        dual = build_dual(pattern)
+        self.assert_valid(dual)
+        assert edge_pairs(dual) == edge_pairs(g)
+
+        dim = int(rng.integers(1, 4))
+        blocks = SparsityPattern.from_coo(n * dim, rows * dim + rng.integers(0, dim, rows.size),
+                                          cols * dim + rng.integers(0, dim, cols.size))
+        sym = SparsityPattern.from_coo(n * dim, *np.concatenate([blocks.to_coo(), blocks.to_coo()[::-1]], axis=1))
+        compressed = compress_by_dim(sym, dim)
+        self.assert_valid(compressed)
+        assert edge_pairs(compressed) == edge_pairs(g)
+
+        sub, nodes = induced_subgraph(g, rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+        self.assert_valid(sub)
+        inside = {int(x): i for i, x in enumerate(nodes)}
+        assert edge_pairs(sub) == {(inside[a], inside[b]) for a, b in edge_pairs(g) if a in inside and b in inside}
