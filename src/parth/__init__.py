@@ -66,7 +66,6 @@ from .separator import (
     LevelSetEngine,
     SeparatorEngine,
     SeparatorResult,
-    compute_min_separator,
     make_engine,
     verify_separator,
 )

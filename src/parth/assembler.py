@@ -8,7 +8,6 @@ graph-level permutation; block expansion then yields the matrix-level one.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +55,7 @@ def compute_offsets(tree: HgdTree, post_order: np.ndarray) -> None:
 
 
 def assemble(
-    tree: HgdTree,
-    g: SymGraph,
-    reuse_mask: np.ndarray,
-    engine: OrderingEngine,
-    seed: int = 0,
-    dim: int = 1,
-    threads: int = 1,
+    tree: HgdTree, g: SymGraph, reuse_mask: np.ndarray, engine: OrderingEngine, dim: int = 1
 ) -> AssemblyState:
     """Produce graph- and matrix-level permutations from the tree.
 
@@ -77,20 +70,6 @@ def assemble(
     post = post_order_indices(tree.max_level)
     compute_offsets(tree, post)
 
-    todo = [int(i) for i in post if not reuse_mask[i] and tree.nodes[i].nodes.size]
-
-    def compute(i: int) -> tuple[int, np.ndarray]:
-        sub, _ = induced_subgraph(g, tree.nodes[i].nodes)
-        return i, order_subgraph(sub, engine, seed)
-
-    if threads > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(compute, todo))
-    else:
-        results = [compute(i) for i in todo]
-    for i, perm in results:
-        tree.nodes[i].local_perm = perm
-
     graph_perm = np.empty(g.n_nodes, dtype=np.int64)
     reused = 0
     for i in post:
@@ -102,6 +81,9 @@ def assemble(
             if tn.local_perm is None or tn.local_perm.size != k:
                 raise StaleTree(f"tree node {i} marked reusable without a matching stored ordering")
             reused += k
+        else:
+            sub, _ = induced_subgraph(g, tn.nodes)
+            tn.local_perm = order_subgraph(sub, engine)
         graph_perm[tn.offset : tn.offset + k] = tn.nodes[tn.local_perm]
 
     if dim == 1:

@@ -16,15 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembler import assemble
 from .driver import Parth, ParthConfig
 from .errors import ParthError
-from .graph import build_dual, compress_by_dim
-from .hgd import default_max_level, hgd_build
 from .metrics import CSV_HEADER, RESET_RECOMMENDED, degradation_monitor, step_metrics
 from .oracle import symbolic_analyze
-from .ordering import is_permutation, make_ordering_engine
-from .separator import make_engine
+from .ordering import is_permutation
 from .sequence_io import (
     SequenceStep,
     read_manifest,
@@ -57,12 +53,9 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         metavar="THETA",
         help="defuse large coarse regions by moving one endpoint into the separator",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _config_from_args(args) -> ParthConfig:
-    seed = int(os.environ.get("PARTH_SEED", args.seed))
     max_level = None if args.max_level == "auto" else int(args.max_level)
     return ParthConfig(
         dim=args.dim,
@@ -72,8 +65,6 @@ def _config_from_args(args) -> ParthConfig:
         local_ordering=args.local_ordering,
         aggressive=args.aggressive_reuse is not None,
         theta=args.aggressive_reuse if args.aggressive_reuse is not None else 0.5,
-        seed=seed,
-        threads=args.threads,
     )
 
 
@@ -142,26 +133,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = _config_from_args(args)
-    failures = []
+    parth = Parth(_config_from_args(args))
     try:
         pattern, _ = read_matrix_market(args.matrix)
-        g = build_dual(pattern) if config.dim == 1 else compress_by_dim(pattern, config.dim)
-        max_level = (
-            config.max_level
-            if config.max_level is not None
-            else default_max_level(max(g.n_nodes, 1), config.target_leaf)
-        )
-        sep_engine = make_engine(config.separator)
-        ord_engine = make_ordering_engine(config.local_ordering)
-        tree = hgd_build(g, max_level, sep_engine, config.seed)
-        state = assemble(
-            tree, g, np.zeros(tree.size, dtype=bool), ord_engine, config.seed, config.dim
-        )
-    except ParthError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
+        state = parth.start(pattern)
+    except (ParthError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    tree, g = parth.tree, parth.graph
+    failures = []
     try:
         tree.validate_partition(g.n_nodes)
     except ParthError as exc:
@@ -176,7 +157,7 @@ def cmd_check(args) -> int:
 
     natural = symbolic_analyze(pattern, np.arange(pattern.n_rows, dtype=np.int64)).nnz_l
     produced = symbolic_analyze(pattern, state.matrix_perm).nnz_l
-    print(f"n={pattern.n_rows} nnz={pattern.nnz} max_level={max_level}")
+    print(f"n={pattern.n_rows} nnz={pattern.nnz} max_level={tree.max_level}")
     print(f"nnz(L) natural ordering:  {natural}")
     print(f"nnz(L) produced ordering: {produced}")
     for f in failures:
@@ -244,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--patch-frac", type=float, default=0.02)
     p_gen.add_argument("--contacts", type=int, default=16)
     p_gen.add_argument("--densify", type=float, default=1.0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=0, help="overridden by the PARTH_SEED variable")
     p_gen.set_defaults(func=cmd_gen)
 
     p_check = sub.add_parser("check", help="audit all invariants on one matrix")

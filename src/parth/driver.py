@@ -25,8 +25,6 @@ class ParthConfig:
     local_ordering: str = "mindeg"
     aggressive: bool = False
     theta: float = 0.5
-    seed: int = 0
-    threads: int = 1
 
 
 class StateError(ParthError, RuntimeError):
@@ -69,11 +67,9 @@ class Parth:
             else default_max_level(max(g.n_nodes, 1), cfg.target_leaf)
         )
         t0 = time.perf_counter_ns()
-        self.tree = hgd_build(g, max_level, self.separator_engine, cfg.seed)
+        self.tree = hgd_build(g, max_level, self.separator_engine)
         fresh_mask = np.zeros(self.tree.size, dtype=bool)
-        self.state = assemble(
-            self.tree, g, fresh_mask, self.ordering_engine, cfg.seed, cfg.dim, cfg.threads
-        )
+        self.state = assemble(self.tree, g, fresh_mask, self.ordering_engine, cfg.dim)
         # nothing is synchronized on a start: the tree build counts as assembly
         self.last_sync_us = 0
         self.last_assemble_us = (time.perf_counter_ns() - t0) // 1000
@@ -100,14 +96,11 @@ class Parth:
             g_new,
             node_map,
             self.separator_engine,
-            cfg.seed,
             aggressive=cfg.aggressive,
             theta=cfg.theta,
         )
         t1 = time.perf_counter_ns()
-        self.state = assemble(
-            self.tree, g_new, dirty.reuse_mask, self.ordering_engine, cfg.seed, cfg.dim, cfg.threads
-        )
+        self.state = assemble(self.tree, g_new, dirty.reuse_mask, self.ordering_engine, cfg.dim)
         self.last_sync_us = (t1 - t0) // 1000
         self.last_assemble_us = (time.perf_counter_ns() - t1) // 1000
         self.graph = g_new

@@ -91,9 +91,26 @@ class SparsityPattern:
             raise IndexOutOfBounds("row index outside [0, n_rows)")
         if cols.size and (cols.min() < 0 or cols.max() >= n_rows):
             raise IndexOutOfBounds("column index outside [0, n_rows)")
-        keys = np.unique(rows * np.int64(n_rows) + cols)
-        counts = np.bincount(keys // n_rows, minlength=n_rows) if keys.size else np.zeros(n_rows, np.int64)
-        return cls(n_rows, _counts_to_starts(counts), keys % n_rows)
+        return sum_duplicates(n_rows, rows, cols)[0]
+
+
+def sum_duplicates(n: int, rows, cols, vals=None) -> tuple[SparsityPattern, np.ndarray | None]:
+    """Pattern of in-range COO entries with repeated (row, col) pairs merged.
+
+    Values, when given, are summed over repeats and returned in the
+    pattern's row-major entry order; otherwise the second item is None.
+    """
+    keys = _index_array(rows) * np.int64(n) + _index_array(cols)
+    summed = None
+    if vals is None:
+        keys = np.unique(keys)
+    else:
+        keys, inverse = np.unique(keys, return_inverse=True)
+        summed = np.zeros(keys.size, dtype=np.float64)
+        np.add.at(summed, inverse, np.asarray(vals, dtype=np.float64))
+    width = max(n, 1)
+    starts = _counts_to_starts(np.bincount(keys // width, minlength=n))
+    return SparsityPattern(n, starts, keys % width), summed
 
 
 def _is_symmetric_coo(rows: np.ndarray, cols: np.ndarray, n: int) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import RegionMismatch, StaleTree
 from .graph import SymGraph, induced_subgraph
-from .separator import SeparatorEngine, compute_min_separator
+from .separator import SeparatorEngine
 
 # Sub-graphs smaller than this stop recursing and are stored whole; splitting
 # fewer than 3 nodes cannot produce a separator worth keeping.
@@ -165,7 +165,6 @@ def _build_into(
     level: int,
     idx: int,
     engine: SeparatorEngine,
-    seed: int,
 ) -> None:
     node = tree.nodes[idx]
     node.local_perm = None
@@ -173,18 +172,18 @@ def _build_into(
     if level == tree.max_level or sub.n_nodes < MIN_SPLIT:
         node.nodes = to_global
         return
-    res = compute_min_separator(sub, engine, seed)
+    res = engine.split(sub)
     node.nodes = to_global[res.sep]
     left_sub, lsel = induced_subgraph(sub, res.left)
-    _build_into(tree, left_sub, to_global[lsel], level + 1, 2 * idx + 1, engine, seed)
+    _build_into(tree, left_sub, to_global[lsel], level + 1, 2 * idx + 1, engine)
     right_sub, rsel = induced_subgraph(sub, res.right)
-    _build_into(tree, right_sub, to_global[rsel], level + 1, 2 * idx + 2, engine, seed)
+    _build_into(tree, right_sub, to_global[rsel], level + 1, 2 * idx + 2, engine)
 
 
-def hgd_build(g: SymGraph, max_level: int, engine: SeparatorEngine, seed: int = 0) -> HgdTree:
+def hgd_build(g: SymGraph, max_level: int, engine: SeparatorEngine) -> HgdTree:
     """Recursive separator decomposition of g down to max_level."""
     tree = HgdTree(max_level)
-    _build_into(tree, g, np.arange(g.n_nodes, dtype=np.int64), 0, 0, engine, seed)
+    _build_into(tree, g, np.arange(g.n_nodes, dtype=np.int64), 0, 0, engine)
     return tree
 
 
@@ -194,7 +193,6 @@ def hgd_redecompose(
     g: SymGraph,
     region,
     engine: SeparatorEngine,
-    seed: int = 0,
 ) -> None:
     """Rebuild the subtree at root_index over `region`, in place.
 
@@ -209,7 +207,7 @@ def hgd_redecompose(
         )
     depth = tree.max_level - level_of(root_index)
     sub, to_global = induced_subgraph(g, region)
-    temp = hgd_build(sub, depth, engine, seed)
+    temp = hgd_build(sub, depth, engine)
     stack = [(0, root_index)]
     while stack:
         loc, glob = stack.pop()

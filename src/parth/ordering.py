@@ -12,9 +12,6 @@ import numpy as np
 from .errors import InvalidPermutation
 from .graph import SymGraph
 
-# Above this size the dense elimination bitmap would get heavy; fall back to sets.
-_DENSE_LIMIT = 2048
-
 
 def is_permutation(perm: np.ndarray, n: int) -> bool:
     perm = np.asarray(perm)
@@ -38,77 +35,44 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _min_degree_dense(g: SymGraph) -> np.ndarray:
-    """Exact minimum degree on a dense boolean elimination graph."""
-    n = g.n_nodes
-    adj = np.zeros((n, n), dtype=bool)
-    u, v = g.edges()
-    adj[u, v] = True
-    adj[v, u] = True
-    deg = adj.sum(axis=1).astype(np.int64)
-    gone = n + 1  # sentinel larger than any live degree
-    perm = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        pivot = int(np.argmin(deg))  # first minimum = lowest index
-        perm[k] = pivot
-        nbrs = np.flatnonzero(adj[pivot])
-        adj[pivot, :] = False
-        adj[:, pivot] = False
-        if nbrs.size:
-            adj[np.ix_(nbrs, nbrs)] = True
-            adj[nbrs, nbrs] = False
-            deg[nbrs] = adj[nbrs].sum(axis=1)
-        deg[pivot] = gone
-    return perm
-
-
-def _min_degree_sets(g: SymGraph) -> np.ndarray:
-    """Set-based variant of the same elimination; used for large sub-graphs."""
-    n = g.n_nodes
-    adj = [set(map(int, g.neighbors(i))) for i in range(n)]
-    deg = np.array([len(s) for s in adj], dtype=np.int64)
-    gone = n + 1
-    perm = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        pivot = int(np.argmin(deg))
-        perm[k] = pivot
-        nbrs = adj[pivot]
-        for w in nbrs:
-            s = adj[w]
-            s.discard(pivot)
-            s.update(nbrs)
-            s.discard(w)
-            deg[w] = len(s)
-        adj[pivot] = set()
-        deg[pivot] = gone
-    return perm
-
-
 class OrderingEngine:
-    """Strategy interface: deterministic for a fixed (graph, seed)."""
+    """Strategy interface: deterministic for a fixed graph."""
 
     name = "abstract"
 
-    def order(self, g: SymGraph, seed: int = 0) -> np.ndarray:
+    def order(self, g: SymGraph) -> np.ndarray:
         raise NotImplementedError
 
 
 class NaturalEngine(OrderingEngine):
     name = "natural"
 
-    def order(self, g: SymGraph, seed: int = 0) -> np.ndarray:
+    def order(self, g: SymGraph) -> np.ndarray:
         return np.arange(g.n_nodes, dtype=np.int64)
 
 
 class MinDegreeEngine(OrderingEngine):
     name = "mindeg"
 
-    def order(self, g: SymGraph, seed: int = 0) -> np.ndarray:
-        if g.n_nodes == 0:
-            return np.empty(0, dtype=np.int64)
-        if g.n_nodes <= _DENSE_LIMIT:
-            return _min_degree_dense(g)
-        return _min_degree_sets(g)
+    def order(self, g: SymGraph) -> np.ndarray:
+        n = g.n_nodes
+        adj = [set(map(int, g.neighbors(i))) for i in range(n)]
+        deg = np.array([len(s) for s in adj], dtype=np.int64)
+        gone = n + 1  # sentinel larger than any live degree
+        perm = np.empty(n, dtype=np.int64)
+        for k in range(n):
+            pivot = int(np.argmin(deg))  # first minimum = lowest index
+            perm[k] = pivot
+            nbrs = adj[pivot]
+            for w in nbrs:
+                s = adj[w]
+                s.discard(pivot)
+                s.update(nbrs)
+                s.discard(w)
+                deg[w] = len(s)
+            adj[pivot] = set()
+            deg[pivot] = gone
+        return perm
 
 
 ORDERINGS = {NaturalEngine.name: NaturalEngine, MinDegreeEngine.name: MinDegreeEngine}
@@ -121,8 +85,8 @@ def make_ordering_engine(name: str, **kwargs) -> OrderingEngine:
         raise ValueError(f"unknown ordering engine {name!r} (available: {sorted(ORDERINGS)})") from None
 
 
-def order_subgraph(g: SymGraph, engine: OrderingEngine, seed: int = 0) -> np.ndarray:
-    perm = engine.order(g, seed)
+def order_subgraph(g: SymGraph, engine: OrderingEngine) -> np.ndarray:
+    perm = engine.order(g)
     if not is_permutation(perm, g.n_nodes):
         raise InvalidPermutation(f"engine {engine.name!r} returned a non-bijective ordering")
     return perm

@@ -32,11 +32,12 @@ class SeparatorResult:
 
 
 class SeparatorEngine:
-    """Strategy interface: deterministic for a fixed (graph, seed)."""
+    """Strategy interface: deterministic for a fixed graph."""
 
     name = "abstract"
 
-    def split(self, g: SymGraph, seed: int = 0) -> SeparatorResult:
+    def split(self, g: SymGraph) -> SeparatorResult:
+        """Split g into (sep, left, right); total function, never raises."""
         raise NotImplementedError
 
 
@@ -58,7 +59,7 @@ class LevelSetEngine(SeparatorEngine):
     def __init__(self, balance: float = 0.7):
         self.balance = balance
 
-    def split(self, g: SymGraph, seed: int = 0) -> SeparatorResult:
+    def split(self, g: SymGraph) -> SeparatorResult:
         n = g.n_nodes
         ids = np.arange(n, dtype=np.int64)
         if n <= 1:
@@ -150,11 +151,6 @@ def make_engine(name: str, **kwargs) -> SeparatorEngine:
         return ENGINES[name](**kwargs)
     except KeyError:
         raise ValueError(f"unknown separator engine {name!r} (available: {sorted(ENGINES)})") from None
-
-
-def compute_min_separator(g: SymGraph, engine: SeparatorEngine, seed: int = 0) -> SeparatorResult:
-    """Split g into (sep, left, right); total function, never raises."""
-    return engine.split(g, seed)
 
 
 def verify_separator(g: SymGraph, result: SeparatorResult) -> bool:

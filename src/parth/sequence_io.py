@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AsymmetricPattern, InvalidMap, ParseError
-from .graph import NodeMap, SparsityPattern, is_structurally_symmetric
+from .graph import NodeMap, SparsityPattern, is_structurally_symmetric, sum_duplicates
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,7 @@ def read_matrix_market(path) -> tuple[SparsityPattern, np.ndarray | None]:
         if has_values:
             vals = np.concatenate([vals, vals[off]])
 
-    keys = rows * np.int64(n) + cols
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    out_vals = None
-    if has_values:
-        out_vals = np.zeros(uniq.size, dtype=np.float64)
-        np.add.at(out_vals, inverse, vals)
-    counts = np.bincount(uniq // n, minlength=n) if uniq.size else np.zeros(n, np.int64)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    pattern = SparsityPattern(n, starts, uniq % n)
+    pattern, out_vals = sum_duplicates(n, rows, cols, vals)
 
     if symmetry == "general" and not is_structurally_symmetric(pattern):
         raise AsymmetricPattern(f"{path}: general matrix is not structurally symmetric")

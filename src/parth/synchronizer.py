@@ -41,8 +41,8 @@ class TreeEdgeChange:
     a: int
     b: int
     kind: str
-    u: int = -1
-    v: int = -1
+    u: int
+    v: int
 
 
 @dataclass
@@ -186,10 +186,8 @@ def aggressive_reuse(
     separator set, turning the change into an ancestor-related one that
     needs no re-decomposition. The move is reverted, falling back to coarse
     dirt, if any edge incident to the moved node would still cross disjoint
-    subtrees. Every change must carry its graph endpoints (u, v), as
-    map_edges_to_tree records them. Returns the remaining changes (tree
-    pairs refreshed) plus the extra fine-dirty tree nodes produced by the
-    moves.
+    subtrees. Returns the remaining changes (tree pairs refreshed) plus the
+    extra fine-dirty tree nodes produced by the moves.
     """
     n = tree.total_nodes()
     lookup = tree.node_to_tree(n)
@@ -235,7 +233,6 @@ def mark_and_decompose(
     fine: set[int],
     coarse: set[int],
     engine: SeparatorEngine,
-    seed: int = 0,
 ) -> DirtyState:
     """Rebuild coarse regions and emit the reuse mask."""
     reuse_mask = np.ones(tree.size, dtype=bool)
@@ -243,7 +240,7 @@ def mark_and_decompose(
     for root in sorted(coarse):
         region = tree.subtree_union(root)
         total += int(region.size)
-        hgd_redecompose(tree, root, g_new, region, engine, seed)
+        hgd_redecompose(tree, root, g_new, region, engine)
         reuse_mask[tree.subtree_indices(root)] = False
     for f in sorted(fine):
         reuse_mask[f] = False
@@ -257,7 +254,6 @@ def synchronize(
     g_new: SymGraph,
     node_map: NodeMap,
     engine: SeparatorEngine,
-    seed: int = 0,
     aggressive: bool = False,
     theta: float = 0.5,
 ) -> DirtyState:
@@ -279,4 +275,4 @@ def synchronize(
     fine, coarse = dirty_subgraph_detection(tree, changes)
     fine |= fine_marks | touched | extra
     fine, coarse = filter_redundant_subgraphs(fine, coarse)
-    return mark_and_decompose(tree, g_new, fine, coarse, engine, seed)
+    return mark_and_decompose(tree, g_new, fine, coarse, engine)

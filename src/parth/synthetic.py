@@ -13,21 +13,7 @@ import math
 import numpy as np
 
 from .errors import BallTooSmall, IndexOutOfBounds
-from .graph import NodeMap, SparsityPattern, bfs_distances, build_dual
-
-
-def _pattern_with_values(n, rows, cols, vals):
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    keys = rows * np.int64(n) + cols
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    out = np.zeros(uniq.size, dtype=np.float64)
-    np.add.at(out, inverse, vals)
-    counts = np.bincount(uniq // n, minlength=n) if uniq.size else np.zeros(n, np.int64)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    return SparsityPattern(n, starts, uniq % n), out
+from .graph import NodeMap, SparsityPattern, bfs_distances, build_dual, sum_duplicates
 
 
 def grid_laplacian(nx: int, ny: int) -> tuple[SparsityPattern, np.ndarray]:
@@ -44,7 +30,7 @@ def grid_laplacian(nx: int, ny: int) -> tuple[SparsityPattern, np.ndarray]:
     rows = np.concatenate([eu, ev, np.arange(n, dtype=np.int64)])
     cols = np.concatenate([ev, eu, np.arange(n, dtype=np.int64)])
     vals = np.concatenate([-np.ones(eu.size), -np.ones(eu.size), deg + 1e-3])
-    return _pattern_with_values(n, rows, cols, vals)
+    return sum_duplicates(n, rows, cols, vals)
 
 
 def hop_ball(pattern: SparsityPattern, center: int, radius: int) -> np.ndarray:

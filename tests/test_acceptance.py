@@ -65,7 +65,7 @@ def test_criterion_01_correctness_oracle():
     for trial in range(trials):
         n = int(rng.integers(16, 201))
         pattern = random_pattern(rng, n)
-        config = ParthConfig(max_level=4, aggressive=bool(trial % 3 == 0), theta=0.4, seed=0)
+        config = ParthConfig(max_level=4, aggressive=bool(trial % 3 == 0), theta=0.4)
         parth = Parth(config)
         first = parth.start(pattern)
         assert is_permutation(first.matrix_perm, n)
@@ -97,7 +97,7 @@ def test_criterion_02_fixed_point_reuse():
     g1_pattern, _ = _nine_node_patterns()
     cases.append(g1_pattern)
     for pattern in cases:
-        parth = Parth(ParthConfig(max_level=3, seed=1))
+        parth = Parth(ParthConfig(max_level=3))
         first = parth.start(pattern)
         dirty, again = parth.step(pattern)
         assert reuse_ratio(again, parth.graph.n_nodes) == 1.0
@@ -123,7 +123,7 @@ def grid_suite():
     """
     started = time.perf_counter()
     base, _ = grid_laplacian(64, 64)
-    config = ParthConfig(aggressive=True, theta=0.4, seed=0)  # max_level auto
+    config = ParthConfig(aggressive=True, theta=0.4)  # max_level auto
     reuses, deviations = [], []
     for seed in range(50):
         rng = np.random.default_rng(seed)
@@ -195,7 +195,7 @@ def test_criterion_06_ordering_quality_sanity():
 def test_criterion_07_end_to_end_numeric():
     """Produced ordering drives a numeric solve to 1e-10 of the dense oracle."""
     pattern, values = grid_laplacian(16, 16)
-    parth = Parth(ParthConfig(seed=0))
+    parth = Parth(ParthConfig())
     state = parth.start(pattern)
     rng = np.random.default_rng(99)
     b = rng.standard_normal(pattern.n_rows)
@@ -216,7 +216,7 @@ def test_criterion_08_dirty_set_completeness():
         n = int(rng.integers(20, 201))
         pattern = random_pattern(rng, n)
         g_old = build_dual(pattern)
-        parth = Parth(ParthConfig(max_level=4, seed=0))
+        parth = Parth(ParthConfig(max_level=4))
         parth.start(pattern)
         k = int(rng.integers(1, 6))
         add = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(k)]
@@ -236,7 +236,7 @@ def test_criterion_09_aggressive_reuse():
     started = time.perf_counter()
     pattern, _ = grid_laplacian(64, 64)
 
-    on = Parth(ParthConfig(aggressive=True, theta=0.5, seed=0))
+    on = Parth(ParthConfig(aggressive=True, theta=0.5))
     on.start(pattern)
     left, right = on.tree.subtree_union(1), on.tree.subtree_union(2)
     u = next(int(a) for a in left if not on.graph.has_edge(int(a), int(right[0])))
@@ -248,7 +248,7 @@ def test_criterion_09_aggressive_reuse():
     violations = on.tree.separator_violations(on.graph)
     _record(dirty_on, state_on, on.graph.n_nodes)
 
-    off = Parth(ParthConfig(aggressive=False, seed=0))
+    off = Parth(ParthConfig(aggressive=False))
     off.start(pattern)
     dirty_off, state_off = off.step(new_pattern)
     r_off = reuse_ratio(state_off, off.graph.n_nodes)

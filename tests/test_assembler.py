@@ -127,16 +127,6 @@ class TestAssemble:
                     if cn.nodes.size and tn.nodes.size:
                         assert cn.offset + cn.nodes.size <= tn.offset
 
-    def test_threads_match_sequential(self, engines):
-        sep_eng, ord_eng = engines
-        rng = np.random.default_rng(31)
-        g = build_dual(random_pattern(rng, 150))
-        t1 = hgd_build(g, 3, sep_eng)
-        t2 = hgd_build(g, 3, sep_eng)
-        a = assemble(t1, g, np.zeros(t1.size, bool), ord_eng, threads=1)
-        b = assemble(t2, g, np.zeros(t2.size, bool), ord_eng, threads=4)
-        assert np.array_equal(a.matrix_perm, b.matrix_perm)
-
     def test_stale_tree_detected(self, engines):
         _, ord_eng = engines
         g1, _ = nine_node_graphs()

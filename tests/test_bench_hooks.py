@@ -1,0 +1,66 @@
+"""The benchmark's span tracer patches parth attributes by name; keep them there.
+
+perfbench/spans.py wraps module attributes (parth.driver.assemble, ...) and
+reads some call arguments by position. A rename or a reordered signature in
+src/ would silently drop spans or counts, so this checks the hooks against
+the live package on a tiny grid.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import parth.cli
+import parth.driver
+from parth import Parth, ParthConfig, grid_laplacian, inject_contacts
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hook_resolves(spans):
+    for module, attr, _, _ in spans._MODULE_HOOKS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} is gone"
+
+
+def test_instrumented_installs_and_restores(spans):
+    originals = [(m, a, getattr(m, a)) for m, a, _, _ in spans._MODULE_HOOKS]
+    real_step, real_parth = parth.driver.Parth.step, parth.cli.Parth
+    with spans.instrumented(spans.Tracer()):
+        for module, attr, original in originals:
+            assert getattr(module, attr).__wrapped__ is original, f"{module.__name__}.{attr}"
+        assert parth.driver.Parth.step.__wrapped__ is real_step
+        assert parth.cli.Parth is not real_parth
+    for module, attr, original in originals:
+        assert getattr(module, attr) is original, f"{module.__name__}.{attr} not restored"
+    assert parth.driver.Parth.step is real_step
+    assert parth.cli.Parth is real_parth
+
+
+def test_traced_step_records_counts(spans):
+    # contacts across the 8x8 grid break a separator: every hooked layer runs
+    pattern, _ = grid_laplacian(8, 8)
+    changed = inject_contacts(pattern, 27, 3, 12, seed=1)
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer):
+        engine = spans.instrument_engines(tracer, Parth(ParthConfig(max_level=2)))
+        with tracer.op_scope(0):
+            engine.start(pattern)
+        with tracer.op_scope(1):
+            engine.step(changed)
+    by_op = tracer.self_ms_by_op()
+    assert {"hgd.build", "separator.split", "ordering.order", "assembler.assemble"} <= set(by_op[0])
+    assert {"driver.step", "graph.edge_diff", "synchronizer.synchronize"} <= set(by_op[1])
+    counts = tracer.counts
+    assert counts["separator.calls"] > 0 and counts["ordering.calls"] > 0
+    assert counts["graph.edges_added"] == 12
+    assert counts["hgd.redecompose.calls"] > 0
+    assert counts["hgd.region_nodes"] > 0

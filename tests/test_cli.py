@@ -57,20 +57,13 @@ class TestRun:
         assert main(["run", str(manifest)]) == 1
         assert "step 2" in capsys.readouterr().err
 
-    def test_env_seed_override(self, tmp_path, grid_file, capsys, monkeypatch):
-        manifest = tmp_path / "seq.txt"
-        write_manifest_lines(manifest, ["matrix=grid.mtx"])
-        monkeypatch.setenv("PARTH_SEED", "123")
-        assert main(["run", str(manifest), "--seed", "7"]) == 0
-        capsys.readouterr()  # engines ignore the seed today; the override must parse
-
     def test_csv_output_deterministic(self, tmp_path, grid_file):
         manifest = tmp_path / "seq.txt"
         write_manifest_lines(manifest, ["matrix=grid.mtx", "matrix=grid.mtx"])
         outs = []
         for i in range(2):
             out_csv = tmp_path / f"out{i}.csv"
-            assert main(["run", str(manifest), "--out-csv", str(out_csv), "--seed", "7"]) == 0
+            assert main(["run", str(manifest), "--out-csv", str(out_csv)]) == 0
             # timing columns (8..10) vary run to run; everything else must not
             rows = [r.split(",") for r in out_csv.read_text().strip().splitlines()]
             outs.append([r[:8] + [r[11]] for r in rows])
@@ -102,8 +95,31 @@ class TestCheck:
         produced = int(out.split("produced ordering:")[1].splitlines()[0])
         assert natural == produced == 4
 
+    def test_missing_file_is_an_error(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / "missing.mtx")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestGen:
+    @staticmethod
+    def _gen_files(out_dir, seed):
+        argv = ["gen", "--out", str(out_dir), "--nx", "12", "--ny", "12", "--steps", "2",
+                "--patch-frac", "0.1", "--seed", str(seed)]
+        assert main(argv) == 0
+        return {f.name: f.read_bytes() for f in out_dir.iterdir()}
+
+    def test_env_seed_override(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PARTH_SEED", raising=False)
+        plain_123 = self._gen_files(tmp_path / "plain123", 123)
+        plain_7 = self._gen_files(tmp_path / "plain7", 7)
+        assert plain_123 != plain_7  # the seed reaches the generator
+        monkeypatch.setenv("PARTH_SEED", "123")
+        env_7 = self._gen_files(tmp_path / "env7", 7)
+        env_8 = self._gen_files(tmp_path / "env8", 8)
+        assert env_7 == env_8 == plain_123
+
     def test_generate_then_run(self, tmp_path, capsys):
         out_dir = tmp_path / "seq"
         assert main(

@@ -20,7 +20,7 @@ from parth import (
 
 def test_start_then_fixed_point():
     pattern, _ = grid_laplacian(10, 10)
-    parth = Parth(ParthConfig(max_level=3, seed=2))
+    parth = Parth(ParthConfig(max_level=3))
     first = parth.start(pattern)
     assert is_permutation(first.matrix_perm, 100)
     dirty, again = parth.step(pattern)
@@ -81,7 +81,7 @@ def test_dimension_change_requires_map():
 
 def test_remesh_sequence_stays_consistent():
     pattern, _ = grid_laplacian(16, 16)
-    parth = Parth(ParthConfig(max_level=3, aggressive=True, theta=0.4, seed=1))
+    parth = Parth(ParthConfig(max_level=3, aggressive=True, theta=0.4))
     parth.start(pattern)
     rng = np.random.default_rng(3)
     for k in range(5):

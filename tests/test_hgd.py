@@ -66,8 +66,8 @@ class TestBuild:
     def test_determinism(self, engine):
         rng = np.random.default_rng(11)
         g = build_dual(random_pattern(rng, 120))
-        t1 = hgd_build(g, 3, engine, seed=4)
-        t2 = hgd_build(g, 3, engine, seed=4)
+        t1 = hgd_build(g, 3, engine)
+        t2 = hgd_build(g, 3, engine)
         for a, b in zip(t1.nodes, t2.nodes):
             assert np.array_equal(a.nodes, b.nodes)
 

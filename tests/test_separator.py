@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from parth import (
     SymGraph,
     build_dual,
-    compute_min_separator,
     make_engine,
     verify_separator,
 )
@@ -20,14 +19,14 @@ def engine():
 
 def test_path_of_three(engine):
     g = SymGraph.from_edges(3, [0, 1], [1, 2])
-    res = compute_min_separator(g, engine)
+    res = engine.split(g)
     assert res.sep.tolist() == [1]
     assert {tuple(res.left.tolist()), tuple(res.right.tolist())} == {(0,), (2,)}
 
 
 def test_edgeless_four(engine):
     g = SymGraph.empty(4)
-    res = compute_min_separator(g, engine)
+    res = engine.split(g)
     assert res.sep.size == 0
     assert res.left.size == 2 and res.right.size == 2
     assert verify_separator(g, res)
@@ -37,7 +36,7 @@ def test_nine_node_graph_quality(engine):
     # a hand-built layout of this graph uses a 3-node separator; the default
     # engine must find a valid one of equal or smaller size
     g, _ = nine_node_graphs()
-    res = compute_min_separator(g, engine)
+    res = engine.split(g)
     assert verify_separator(g, res)
     assert 0 < res.sep.size <= 3
     assert res.left.size > 0 and res.right.size > 0
@@ -46,13 +45,13 @@ def test_nine_node_graph_quality(engine):
 def test_two_connected_nodes(engine):
     # an edge cannot be split without a separator; both nodes land on one side
     g = SymGraph.from_edges(2, [0], [1])
-    res = compute_min_separator(g, engine)
+    res = engine.split(g)
     assert res.sep.size == 0
     assert verify_separator(g, res)
 
 
 def test_empty_graph(engine):
-    res = compute_min_separator(SymGraph.empty(0), engine)
+    res = engine.split(SymGraph.empty(0))
     assert res.sep.size == res.left.size == res.right.size == 0
 
 
@@ -60,8 +59,8 @@ def test_determinism(engine):
     rng = np.random.default_rng(5)
     p = random_pattern(rng, 80)
     g = build_dual(p)
-    a = compute_min_separator(g, engine, seed=1)
-    b = compute_min_separator(g, engine, seed=1)
+    a = engine.split(g)
+    b = engine.split(g)
     for x, y in ((a.sep, b.sep), (a.left, b.left), (a.right, b.right)):
         assert np.array_equal(x, y)
 
@@ -72,7 +71,7 @@ def test_grid_balance(engine):
 
     p, _ = grid_laplacian(16, 16)
     g = build_dual(p)
-    res = compute_min_separator(g, engine)
+    res = engine.split(g)
     assert verify_separator(g, res)
     assert max(res.left.size, res.right.size) <= 0.7 * (res.left.size + res.right.size)
     assert res.sep.size <= 20
@@ -86,6 +85,6 @@ def test_partition_and_separator_property(seed):
     n = int(rng.integers(1, 200))
     p = random_pattern(rng, max(n, 2))
     g = build_dual(p)
-    res = compute_min_separator(g, engine)
+    res = engine.split(g)
     assert res.sep.size + res.left.size + res.right.size == g.n_nodes
     assert verify_separator(g, res)

@@ -118,9 +118,9 @@ class TestDirtyDetection:
     def test_nine_node_changes(self):
         tree = nine_tree()
         changes = [
-            TreeEdgeChange(0, 1, ADDED),
-            TreeEdgeChange(2, 6, ADDED),
-            TreeEdgeChange(5, 6, ADDED),
+            TreeEdgeChange(0, 1, ADDED, 0, 6),
+            TreeEdgeChange(2, 6, ADDED, 2, 8),
+            TreeEdgeChange(5, 6, ADDED, 3, 8),
         ]
         fine, coarse = dirty_subgraph_detection(tree, changes)
         assert coarse == {2}
@@ -129,12 +129,17 @@ class TestDirtyDetection:
 
     def test_removed_cross_edge_marks_endpoints(self):
         tree = nine_tree()
-        fine, coarse = dirty_subgraph_detection(tree, [TreeEdgeChange(3, 4, REMOVED)])
+        fine, coarse = dirty_subgraph_detection(tree, [TreeEdgeChange(3, 4, REMOVED, 5, 7)])
         assert coarse == set() and fine == {3, 4}
 
     def test_no_changes(self):
         tree = nine_tree()
         assert dirty_subgraph_detection(tree, []) == (set(), set())
+
+    def test_change_requires_endpoints(self):
+        # aggressive_reuse looks the endpoints up; there is no placeholder for them
+        with pytest.raises(TypeError):
+            TreeEdgeChange(3, 4, ADDED)
 
 
 class TestFilter:
