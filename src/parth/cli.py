@@ -167,6 +167,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    try:
+        manifest = _generate(args)
+    except (ParthError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(manifest)
+    return 0
+
+
+def _generate(args) -> Path:
+    """Write the base grid and every step of a synthetic sequence; return the manifest."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(int(os.environ.get("PARTH_SEED", args.seed)))
@@ -198,8 +209,7 @@ def cmd_gen(args) -> int:
 
     manifest = out_dir / "manifest.txt"
     write_manifest(manifest, steps)
-    print(manifest)
-    return 0
+    return manifest
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,8 @@ from .errors import AsymmetricPattern, DimMismatch, IndexOutOfBounds, InvalidMap
 
 ABSENT = -1
 
+_MASKED = -2  # bfs_distances sentinel for nodes outside the mask
+
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
@@ -244,40 +246,71 @@ def gather_neighbors(g: SymGraph, nodes: np.ndarray) -> np.ndarray:
 
 
 def bfs_distances(g: SymGraph, root: int, mask: np.ndarray | None = None) -> np.ndarray:
-    """Hop distances from root; -1 for unreachable or masked-out nodes."""
+    """Hop distances from root; -1 for unreachable or masked-out nodes.
+
+    Level-synchronous BFS. Masked-out nodes are marked once with a sentinel
+    in the distance array, so each level only keeps the neighbors still at
+    -1. Each new frontier is deduplicated by scattering its candidates'
+    positions into one reusable n-length slot array and keeping the
+    candidate whose position survived, one per node, with no sort.
+    """
     dist = np.full(g.n_nodes, -1, dtype=np.int64)
-    if mask is not None and not mask[root]:
-        return dist
+    if mask is not None:
+        if not mask[root]:
+            return dist
+        dist[~mask] = _MASKED
     dist[root] = 0
+    slot = np.empty(g.n_nodes, dtype=np.int64)
     frontier = np.array([root], dtype=np.int64)
     d = 0
     while frontier.size:
         nb = gather_neighbors(g, frontier)
-        if mask is not None:
-            nb = nb[mask[nb]]
-        nb = nb[dist[nb] < 0]
+        nb = nb[dist[nb] == -1]
         if nb.size == 0:
             break
-        frontier = np.unique(nb)
+        pos = np.arange(nb.size, dtype=np.int64)
+        slot[nb] = pos
+        frontier = nb[slot[nb] == pos]
         d += 1
         dist[frontier] = d
+    if mask is not None:
+        dist[dist == _MASKED] = -1
     return dist
 
 
 def connected_components(g: SymGraph, mask: np.ndarray | None = None) -> list[np.ndarray]:
-    """Components as sorted node arrays, ordered by smallest contained node."""
-    visited = np.zeros(g.n_nodes, dtype=bool)
+    """Components as sorted node arrays, ordered by smallest contained node.
+
+    Labels start as the node indices. Each round hooks, over every edge
+    whose endpoints disagree, the larger label onto the smaller one, then
+    jumps pointers until every label is its own root. Labels only decrease
+    and stay inside their component, so at the fixed point each node is
+    labelled with its component's smallest node. One stable argsort of the
+    labels then yields the components already sorted and in order.
+    """
+    u, v = g.edges()
+    nodes = np.arange(g.n_nodes, dtype=np.int64)
     if mask is not None:
-        visited[~mask] = True
-    comps = []
-    for seed in range(g.n_nodes):
-        if visited[seed]:
-            continue
-        dist = bfs_distances(g, seed, mask=~visited)
-        comp = np.flatnonzero(dist >= 0)
-        visited[comp] = True
-        comps.append(comp)
-    return comps
+        keep = mask[u] & mask[v]
+        u, v = u[keep], v[keep]
+        nodes = nodes[mask]
+    label = np.arange(g.n_nodes, dtype=np.int64)
+    while True:
+        lu, lv = label[u], label[v]
+        differ = lu != lv
+        if not differ.any():
+            break
+        lu, lv = lu[differ], lv[differ]
+        low = np.minimum(lu, lv)
+        np.minimum.at(label, np.maximum(lu, lv), low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    order = nodes[np.argsort(label[nodes], kind="stable")]
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return np.split(order, cuts) if order.size else []
 
 
 def build_dual(pattern: SparsityPattern) -> SymGraph:
@@ -299,7 +332,12 @@ def compress_by_dim(pattern: SparsityPattern, dim: int) -> SymGraph:
     rb, cb = rows // dim, cols // dim
     # the pattern is symmetric, so the upper half names every block edge
     upper = rb < cb
-    return SymGraph.from_edges(pattern.n_rows // dim, rb[upper], cb[upper])
+    rb, cb = rb[upper], cb[upper]
+    # entries come out row-major, so a row's repeats of one block pair are
+    # adjacent; dropping them here shrinks the sort inside from_edges
+    first = np.ones(rb.size, dtype=bool)
+    first[1:] = (rb[1:] != rb[:-1]) | (cb[1:] != cb[:-1])
+    return SymGraph.from_edges(pattern.n_rows // dim, rb[first], cb[first])
 
 
 def induced_subgraph(g: SymGraph, nodes) -> tuple[SymGraph, np.ndarray]:

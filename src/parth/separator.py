@@ -89,30 +89,29 @@ class LevelSetEngine(SeparatorEngine):
         )
 
     def _level_separator(self, g: SymGraph, comp: np.ndarray) -> np.ndarray:
+        """Nodes of the best-balanced BFS level that touch the next level.
+
+        All levels are scored in one pass over the component: level t's
+        separator is its nodes with a neighbor at level t+1, and its score
+        is how far the nodes before it (the rest of level t included)
+        differ in number from the nodes after it. The first level with the
+        lowest score wins. `comp` is sorted, and so is the result.
+        """
         root = _pseudo_peripheral(g, comp)
         dist = bfs_distances(g, root)
-        depth = int(dist[comp].max())
-        level_nodes = [comp[dist[comp] == t] for t in range(depth + 1)]
-        level_sizes = np.array([ln.size for ln in level_nodes], dtype=np.int64)
-        before_cum = np.concatenate([[0], np.cumsum(level_sizes)[:-1]])
-        total = int(comp.size)
-
-        best_t, best_score, best_sep = 0, None, _EMPTY
-        for t in range(depth + 1):
-            ln = level_nodes[t]
-            if t < depth:
-                nb = gather_neighbors(g, ln)
-                counts = g.adj_starts[ln + 1] - g.adj_starts[ln]
-                touches = np.repeat(np.arange(ln.size), counts)[dist[nb] == t + 1]
-                sep_t = ln[np.unique(touches)]
-            else:
-                sep_t = _EMPTY
-            before = int(before_cum[t]) + ln.size - sep_t.size
-            after = total - int(before_cum[t]) - ln.size
-            score = abs(before - after)
-            if best_score is None or score < best_score:
-                best_t, best_score, best_sep = t, score, sep_t
-        return np.sort(best_sep)
+        level = dist[comp]
+        sizes = np.bincount(level)
+        # one gathered neighbor list: which component nodes touch level t+1
+        counts = g.adj_starts[comp + 1] - g.adj_starts[comp]
+        local = np.repeat(np.arange(comp.size), counts)
+        touches = np.zeros(comp.size, dtype=bool)
+        touches[local[dist[gather_neighbors(g, comp)] == level[local] + 1]] = True
+        sep_sizes = np.bincount(level[touches], minlength=sizes.size)
+        before_cum = np.cumsum(sizes) - sizes
+        before = before_cum + sizes - sep_sizes
+        after = comp.size - before_cum - sizes
+        best_t = int(np.argmin(np.abs(before - after)))
+        return comp[touches & (level == best_t)]
 
     def _shrink(self, g: SymGraph, side: np.ndarray, sizes: list[int], sep: np.ndarray) -> None:
         """Move separator nodes touching only one side into that side."""

@@ -135,6 +135,14 @@ class TestGen:
         for row in rows[2:]:
             assert float(row.split(",")[4]) > 0.0  # some reuse on every later step
 
+    def test_generator_error_is_one_line(self, tmp_path, capsys):
+        # the default 2% patch of a 12x12 grid is a 2-node ball, too small for 16 contacts
+        argv = ["gen", "--out", str(tmp_path / "seq"), "--nx", "12", "--ny", "12", "--steps", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_dim_flag(self, tmp_path, capsys):
         # a 2-rows-per-node pattern: expand an 8x8 grid by duplicating blocks
         pattern, values = grid_laplacian(4, 4)

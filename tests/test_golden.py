@@ -106,3 +106,54 @@ GOLDEN = [
 
 def test_golden_sequence_is_bit_identical():
     assert golden_digests() == GOLDEN
+
+
+def _striped_with_isolated(grid: int, n_isolated: int) -> SparsityPattern:
+    """Grid with stripes of removed edges, plus isolated nodes, relabelled.
+
+    Every 8th row of vertical edges is cut, fully in one half of the stripes
+    and with a gap every 16 columns in the other, so the graph splits into
+    several components of different sizes; the isolated nodes and a seeded
+    relabelling spread those components over the whole index range.
+    """
+    base, _ = grid_laplacian(grid, grid)
+    rows, cols = base.to_coo()
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    vertical = hi - lo == grid
+    stripe = (lo // grid) % 8 == 7
+    gap = ((lo // grid) % 16 == 15) & (lo % grid % 16 == 0)
+    keep = ~(vertical & stripe & ~gap)
+    n = grid * grid + n_isolated
+    perm = np.random.default_rng(4096).permutation(n)
+    diag = np.arange(n, dtype=np.int64)
+    return SparsityPattern.from_coo(
+        n,
+        perm[np.concatenate([rows[keep], diag])],
+        perm[np.concatenate([cols[keep], diag])],
+    )
+
+
+def start_digests() -> list[str]:
+    grid, _ = grid_laplacian(64, 64)
+    striped = _striped_with_isolated(64, 500)
+    blocks, _ = grid_laplacian(32, 32)
+    return [
+        _digest(Parth().start(grid).matrix_perm),
+        _digest(Parth().start(striped).matrix_perm),
+        _digest(Parth(ParthConfig(target_leaf=32)).start(striped).matrix_perm),
+        _digest(Parth(ParthConfig(dim=3)).start(_expand(blocks, 3)).matrix_perm),
+    ]
+
+
+# recorded before the vectorized BFS, component labelling and level scoring
+# of the separator went in; `start` must reproduce them bit for bit
+START_GOLDEN = [
+    "d01288773fd7b3ecda2f4da4bd288bff1f71927a5bd5524456490e20023a6f72",
+    "13b87ef27d717895fd876afd540f45f837c9539e2a01ada87007fb65d6ae63c8",
+    "6ce92deb4a2b866d1066cc0a280941cff99c55424c3e4054bf51787730a959d6",
+    "d1b0a30331f977e9e8d38711e7c64c50a2519f1fea71bac5b2beeba740e83fc4",
+]
+
+
+def test_start_is_bit_identical():
+    assert start_digests() == START_GOLDEN

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,10 @@ from parth import (
     NodeMap,
     SparsityPattern,
     SymGraph,
+    bfs_distances,
     build_dual,
     compress_by_dim,
+    connected_components,
     edge_set_diff,
     induced_subgraph,
 )
@@ -289,3 +293,126 @@ class TestTrustedGraphs:
         self.assert_valid(sub)
         inside = {int(x): i for i, x in enumerate(nodes)}
         assert edge_pairs(sub) == {(inside[a], inside[b]) for a, b in edge_pairs(g) if a in inside and b in inside}
+
+
+def reference_bfs(g: SymGraph, root: int, mask) -> list[int]:
+    """Queue-based BFS over the nodes the mask allows (all when it is None)."""
+    allowed = [True] * g.n_nodes if mask is None else [bool(x) for x in mask]
+    dist = [-1] * g.n_nodes
+    if not allowed[root]:
+        return dist
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x).tolist():
+            if allowed[y] and dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def reference_components(g: SymGraph, mask) -> list[list[int]]:
+    """Union-find over the edges inside the mask; sorted lists by smallest node."""
+    allowed = [True] * g.n_nodes if mask is None else [bool(x) for x in mask]
+    parent = list(range(g.n_nodes))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edge_pairs(g):
+        if allowed[a] and allowed[b]:
+            parent[find(a)] = find(b)
+    groups: dict[int, list[int]] = {}
+    for x in range(g.n_nodes):
+        if allowed[x]:
+            groups.setdefault(find(x), []).append(x)
+    return sorted(groups.values(), key=lambda c: c[0])
+
+
+def shuffled_path(rng: np.random.Generator, n: int) -> SymGraph:
+    """A path visiting the nodes in random order: n-1 hops, labels far apart."""
+    order = rng.permutation(n)
+    return SymGraph.from_edges(n, order[:-1], order[1:])
+
+
+def traversal_graph(rng: np.random.Generator, n: int) -> SymGraph:
+    """Sparse random graph, often with isolated nodes, or a shuffled path plus chords."""
+    if n and rng.random() < 0.3:
+        path = shuffled_path(rng, n)
+        u, v = path.edges()
+        extra = int(rng.integers(0, 3))
+        u = np.concatenate([u, rng.integers(0, n, extra)])
+        v = np.concatenate([v, rng.integers(0, n, extra)])
+        return SymGraph.from_edges(n, u, v)
+    m = int(rng.integers(0, 2 * n + 1)) if n else 0
+    return SymGraph.from_edges(n, rng.integers(0, max(n, 1), m), rng.integers(0, max(n, 1), m))
+
+
+def random_mask(rng: np.random.Generator, n: int):
+    return None if rng.random() < 0.4 else rng.random(n) < rng.uniform(0.2, 1.0)
+
+
+class TestTraversal:
+    """bfs_distances and connected_components against plain-Python references."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_bfs_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 70))
+        g = traversal_graph(rng, n)
+        mask = random_mask(rng, n)
+        for root in rng.choice(n, size=min(n, 3), replace=False).tolist():
+            assert bfs_distances(g, root, mask).tolist() == reference_bfs(g, root, mask)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_components_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 70))
+        g = traversal_graph(rng, n)
+        mask = random_mask(rng, n)
+        comps = connected_components(g, mask)
+        assert [c.tolist() for c in comps] == reference_components(g, mask)
+        assert all(c.dtype == np.int64 for c in comps)
+
+    def test_masked_out_root(self):
+        g = SymGraph.from_edges(4, [0, 1, 2], [1, 2, 3])
+        mask = np.array([True, False, True, True])
+        assert bfs_distances(g, 1, mask).tolist() == [-1, -1, -1, -1]
+        assert bfs_distances(g, 0, mask).tolist() == [0, -1, -1, -1]
+        assert bfs_distances(g, 3, mask).tolist() == [-1, -1, 1, 0]
+
+    def test_isolated_nodes(self):
+        g = SymGraph.from_edges(6, [1], [4])
+        assert bfs_distances(g, 0).tolist() == [0, -1, -1, -1, -1, -1]
+        assert [c.tolist() for c in connected_components(g)] == [[0], [1, 4], [2], [3], [5]]
+        mask = np.array([True, False, True, False, True, True])
+        assert [c.tolist() for c in connected_components(g, mask)] == [[0], [2], [4], [5]]
+
+    def test_tiny_graphs(self):
+        assert connected_components(SymGraph.empty(0)) == []
+        assert connected_components(SymGraph.empty(0), np.zeros(0, dtype=bool)) == []
+        one = SymGraph.empty(1)
+        assert bfs_distances(one, 0).tolist() == [0]
+        assert bfs_distances(one, 0, np.array([False])).tolist() == [-1]
+        assert [c.tolist() for c in connected_components(one)] == [[0]]
+        assert connected_components(one, np.array([False])) == []
+
+    def test_shuffled_long_path(self):
+        # label propagation along a path needs as many rounds as the path is
+        # long unless labels jump; shuffled labels defeat any index locality
+        rng = np.random.default_rng(11)
+        n = 3000
+        g = shuffled_path(rng, n)
+        comps = connected_components(g)
+        assert len(comps) == 1 and comps[0].tolist() == list(range(n))
+        end = int(np.flatnonzero(g.degrees() == 1)[0])
+        assert bfs_distances(g, end).tolist() == reference_bfs(g, end, None)
+        mask = rng.random(n) < 0.9
+        assert [c.tolist() for c in connected_components(g, mask)] == reference_components(g, mask)
+        assert bfs_distances(g, end, mask).tolist() == reference_bfs(g, end, mask)
