@@ -13,6 +13,7 @@ from .errors import (
     BallTooSmall,
     DimMismatch,
     IndexOutOfBounds,
+    InvalidArgument,
     InvalidMap,
     InvalidPermutation,
     NotPositiveDefinite,
@@ -53,22 +54,8 @@ from .oracle import (
     numeric_cholesky_solve,
     symbolic_analyze,
 )
-from .ordering import (
-    MinDegreeEngine,
-    NaturalEngine,
-    OrderingEngine,
-    invert_permutation,
-    is_permutation,
-    make_ordering_engine,
-    order_subgraph,
-)
-from .separator import (
-    LevelSetEngine,
-    SeparatorEngine,
-    SeparatorResult,
-    make_engine,
-    verify_separator,
-)
+from .ordering import MinDegreeEngine, invert_permutation, is_permutation, order_subgraph
+from .separator import LevelSetEngine, SeparatorResult, verify_separator
 from .sequence_io import (
     SequenceStep,
     read_manifest,

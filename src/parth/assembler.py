@@ -15,7 +15,7 @@ import numpy as np
 from .errors import StaleTree
 from .graph import SymGraph, induced_subgraph
 from .hgd import HgdTree
-from .ordering import OrderingEngine, order_subgraph
+from .ordering import MinDegreeEngine, order_subgraph
 
 
 @dataclass
@@ -55,7 +55,7 @@ def compute_offsets(tree: HgdTree, post_order: np.ndarray) -> None:
 
 
 def assemble(
-    tree: HgdTree, g: SymGraph, reuse_mask: np.ndarray, engine: OrderingEngine, dim: int = 1
+    tree: HgdTree, g: SymGraph, reuse_mask: np.ndarray, engine: MinDegreeEngine, dim: int = 1
 ) -> AssemblyState:
     """Produce graph- and matrix-level permutations from the tree.
 

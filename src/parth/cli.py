@@ -38,12 +38,18 @@ def _now_us() -> int:
     return time.perf_counter_ns() // 1000
 
 
+def _max_level(text: str) -> int | None:
+    """argparse type of --max-level: 'auto' (None) or an int."""
+    try:
+        return None if text == "auto" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, got {text!r}") from None
+
+
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=1, help="matrix rows per graph node")
-    p.add_argument("--max-level", default="auto", help="tree depth, or 'auto'")
+    p.add_argument("--max-level", type=_max_level, default=None, help="tree depth, or 'auto'")
     p.add_argument("--target-leaf", type=int, default=256, help="target graph nodes per leaf")
-    p.add_argument("--separator", default="level_set", help="separator engine name")
-    p.add_argument("--local-ordering", default="mindeg", choices=("mindeg", "natural"))
     p.add_argument(
         "--aggressive-reuse",
         nargs="?",
@@ -56,21 +62,18 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ParthConfig:
-    max_level = None if args.max_level == "auto" else int(args.max_level)
     return ParthConfig(
         dim=args.dim,
-        max_level=max_level,
+        max_level=args.max_level,
         target_leaf=args.target_leaf,
-        separator=args.separator,
-        local_ordering=args.local_ordering,
         aggressive=args.aggressive_reuse is not None,
         theta=args.aggressive_reuse if args.aggressive_reuse is not None else 0.5,
     )
 
 
 def cmd_run(args) -> int:
-    config = _config_from_args(args)
     try:
+        config = _config_from_args(args)
         steps = read_manifest(args.manifest)
     except (ParthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -133,8 +136,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    parth = Parth(_config_from_args(args))
     try:
+        parth = Parth(_config_from_args(args))
         pattern, _ = read_matrix_market(args.matrix)
         state = parth.start(pattern)
     except (ParthError, OSError) as exc:

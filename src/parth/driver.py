@@ -8,11 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembler import AssemblyState, assemble
-from .errors import InvalidMap, ParthError
+from .errors import InvalidArgument, InvalidMap, ParthError
 from .graph import NodeMap, SparsityPattern, SymGraph, build_dual, compress_by_dim
-from .hgd import HgdTree, default_max_level, hgd_build
-from .ordering import make_ordering_engine
-from .separator import make_engine
+from .hgd import MAX_LEVEL, HgdTree, default_max_level, hgd_build
+from .ordering import MinDegreeEngine
+from .separator import LevelSetEngine
 from .synchronizer import DirtyState, synchronize
 
 
@@ -21,10 +21,14 @@ class ParthConfig:
     dim: int = 1
     max_level: int | None = None  # None = derive from graph size
     target_leaf: int = 256
-    separator: str = "level_set"
-    local_ordering: str = "mindeg"
     aggressive: bool = False
     theta: float = 0.5
+
+    def __post_init__(self):
+        if self.max_level is not None and not 0 <= self.max_level <= MAX_LEVEL:
+            raise InvalidArgument(f"max_level must be in [0, {MAX_LEVEL}] or None, got {self.max_level}")
+        if self.target_leaf < 1:
+            raise InvalidArgument(f"target_leaf must be >= 1, got {self.target_leaf}")
 
 
 class StateError(ParthError, RuntimeError):
@@ -41,8 +45,9 @@ class Parth:
 
     def __init__(self, config: ParthConfig | None = None):
         self.config = config or ParthConfig()
-        self.separator_engine = make_engine(self.config.separator)
-        self.ordering_engine = make_ordering_engine(self.config.local_ordering)
+        # one pair per instance: tracing tools patch these methods in place
+        self.separator_engine = LevelSetEngine()
+        self.ordering_engine = MinDegreeEngine()
         self.graph: SymGraph | None = None
         self.tree: HgdTree | None = None
         self.state: AssemblyState | None = None

@@ -5,6 +5,10 @@ class ParthError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidArgument(ParthError, ValueError):
+    """An argument is outside the range the function accepts."""
+
+
 class AsymmetricPattern(ParthError):
     """Sparsity pattern is not structurally symmetric."""
 

@@ -41,6 +41,25 @@ def _gather_slices(data: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> 
     return data[idx]
 
 
+def _check_csr(n: int, starts: np.ndarray, idx: np.ndarray, starts_name: str, item: str) -> np.ndarray:
+    """Raise IndexOutOfBounds unless (starts, idx) is CSR over [0, n).
+
+    That is: valid nondecreasing offsets, indices in range and strictly
+    increasing within each row. Returns the row of every entry.
+    """
+    if starts.shape != (n + 1,) or starts[0] != 0 or starts[-1] != idx.size:
+        raise IndexOutOfBounds(f"{starts_name} is not a valid offset array")
+    if np.any(np.diff(starts) < 0):
+        raise IndexOutOfBounds(f"{starts_name} must be nondecreasing")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexOutOfBounds(f"{item} index outside [0, {n})")
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(starts))
+    keys = rows * n + idx
+    if np.any(np.diff(keys) <= 0):
+        raise IndexOutOfBounds(f"{item} indices must be strictly increasing within each row")
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class SparsityPattern:
     """CSR-style structural pattern of a square matrix.
@@ -57,17 +76,7 @@ class SparsityPattern:
         object.__setattr__(self, "row_starts", _index_array(self.row_starts))
         object.__setattr__(self, "col_indices", _index_array(self.col_indices))
         rs, ci = self.row_starts, self.col_indices
-        if rs.shape != (self.n_rows + 1,) or rs[0] != 0 or rs[-1] != ci.size:
-            raise IndexOutOfBounds("row_starts is not a valid offset array")
-        if np.any(np.diff(rs) < 0):
-            raise IndexOutOfBounds("row_starts must be nondecreasing")
-        if ci.size:
-            if ci.min() < 0 or ci.max() >= self.n_rows:
-                raise IndexOutOfBounds("column index outside [0, n_rows)")
-            rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(rs))
-            keys = rows * self.n_rows + ci
-            if np.any(np.diff(keys) <= 0):
-                raise IndexOutOfBounds("columns must be strictly increasing within rows")
+        _check_csr(self.n_rows, rs, ci, "row_starts", "column")
         rs.setflags(write=False)
         ci.setflags(write=False)
 
@@ -161,19 +170,11 @@ class SymGraph:
         object.__setattr__(self, "adj_starts", _index_array(self.adj_starts))
         object.__setattr__(self, "adj", _index_array(self.adj))
         st, adj = self.adj_starts, self.adj
-        if st.shape != (self.n_nodes + 1,) or st[0] != 0 or st[-1] != adj.size:
-            raise IndexOutOfBounds("adj_starts is not a valid offset array")
-        if adj.size:
-            if adj.min() < 0 or adj.max() >= self.n_nodes:
-                raise IndexOutOfBounds("neighbor index outside [0, n_nodes)")
-            rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(st))
-            if np.any(rows == adj):
-                raise IndexOutOfBounds("self-loops are not allowed")
-            keys = rows * self.n_nodes + adj
-            if np.any(np.diff(keys) <= 0):
-                raise IndexOutOfBounds("neighbors must be strictly increasing per node")
-            if not np.array_equal(np.sort(keys), np.sort(adj * self.n_nodes + rows)):
-                raise IndexOutOfBounds("adjacency is not symmetric")
+        rows = _check_csr(self.n_nodes, st, adj, "adj_starts", "neighbor")
+        if np.any(rows == adj):
+            raise IndexOutOfBounds("self-loops are not allowed")
+        if not _is_symmetric_coo(rows, adj, self.n_nodes):
+            raise IndexOutOfBounds("adjacency is not symmetric")
         st.setflags(write=False)
         adj.setflags(write=False)
 
@@ -353,7 +354,7 @@ def induced_subgraph(g: SymGraph, nodes) -> tuple[SymGraph, np.ndarray]:
     keep = pos[flat_cols] >= 0
     flat_rows, flat_cols = flat_rows[keep], pos[flat_cols[keep]]
     # pos is monotone on sorted nodes, so per-row sortedness is preserved
-    sub_counts = np.bincount(flat_rows, minlength=nodes.size) if flat_rows.size else np.zeros(nodes.size, np.int64)
+    sub_counts = np.bincount(flat_rows, minlength=nodes.size)
     return SymGraph._trusted(nodes.size, _counts_to_starts(sub_counts), flat_cols), nodes
 
 

@@ -15,11 +15,14 @@ import numpy as np
 
 from .errors import RegionMismatch, StaleTree
 from .graph import SymGraph, induced_subgraph
-from .separator import SeparatorEngine
+from .separator import LevelSetEngine
 
 # Sub-graphs smaller than this stop recursing and are stored whole; splitting
 # fewer than 3 nodes cannot produce a separator worth keeping.
 MIN_SPLIT = 3
+
+# Deepest tree accepted; the tree allocates 2**(MAX_LEVEL + 1) - 1 slots.
+MAX_LEVEL = 16
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -164,7 +167,7 @@ def _build_into(
     to_global: np.ndarray,
     level: int,
     idx: int,
-    engine: SeparatorEngine,
+    engine: LevelSetEngine,
 ) -> None:
     node = tree.nodes[idx]
     node.local_perm = None
@@ -180,7 +183,7 @@ def _build_into(
     _build_into(tree, right_sub, to_global[rsel], level + 1, 2 * idx + 2, engine)
 
 
-def hgd_build(g: SymGraph, max_level: int, engine: SeparatorEngine) -> HgdTree:
+def hgd_build(g: SymGraph, max_level: int, engine: LevelSetEngine) -> HgdTree:
     """Recursive separator decomposition of g down to max_level."""
     tree = HgdTree(max_level)
     _build_into(tree, g, np.arange(g.n_nodes, dtype=np.int64), 0, 0, engine)
@@ -192,7 +195,7 @@ def hgd_redecompose(
     root_index: int,
     g: SymGraph,
     region,
-    engine: SeparatorEngine,
+    engine: LevelSetEngine,
 ) -> None:
     """Rebuild the subtree at root_index over `region`, in place.
 
@@ -220,7 +223,7 @@ def hgd_redecompose(
 
 
 def default_max_level(n_nodes: int, target_leaf: int = 256) -> int:
-    """Depth that aims for roughly target_leaf nodes per leaf, clamped to [0, 16]."""
+    """Depth that aims for roughly target_leaf nodes per leaf, clamped to [0, MAX_LEVEL]."""
     ratio = n_nodes / target_leaf
     level = 0 if ratio < 1.0 else int(math.floor(math.log2(ratio)))
-    return max(0, min(level, 16))
+    return max(0, min(level, MAX_LEVEL))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPermutation, NotPositiveDefinite
+from .errors import InvalidArgument, InvalidPermutation, NotPositiveDefinite
 from .graph import SparsityPattern, _counts_to_starts
 from .ordering import invert_permutation, is_permutation
 
@@ -37,7 +37,7 @@ def _permuted_strict_lower(pattern: SparsityPattern, perm: np.ndarray):
     pr, pc = pr[keep], pc[keep]
     order = np.lexsort((pc, pr))
     pr, pc = pr[order], pc[order]
-    counts = np.bincount(pr, minlength=pattern.n_rows) if pr.size else np.zeros(pattern.n_rows, np.int64)
+    counts = np.bincount(pr, minlength=pattern.n_rows)
     return _counts_to_starts(counts), pc
 
 
@@ -133,7 +133,7 @@ def numeric_cholesky_solve(
         raise InvalidPermutation("permutation does not match the pattern size")
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (pattern.nnz,):
-        raise ValueError(f"expected {pattern.nnz} values, got {values.shape}")
+        raise InvalidArgument(f"expected {pattern.nnz} values, got {values.shape}")
     b = np.asarray(b, dtype=np.float64)
 
     inv = invert_permutation(perm)
@@ -143,7 +143,7 @@ def numeric_cholesky_solve(
     lr, lc, lv = pr[keep], pc[keep], values[keep]
     order = np.lexsort((lr, lc))  # column-major lower triangle
     lr, lc, lv = lr[order], lc[order], lv[order]
-    col_counts = np.bincount(lc, minlength=n) if lc.size else np.zeros(n, np.int64)
+    col_counts = np.bincount(lc, minlength=n)
     acol_starts = _counts_to_starts(col_counts)
 
     row_patterns = _factor_row_patterns(pattern, perm)

@@ -1,8 +1,9 @@
-"""Per-sub-graph fill-reducing ordering engines.
+"""Per-sub-graph fill-reducing ordering.
 
-The default is exact minimum-degree elimination with ties broken by lowest
-node index; external libraries can be dropped in through the same engine
-interface. Permutations follow the convention perm[new_position] = old_index.
+`MinDegreeEngine` is exact minimum-degree elimination with ties broken by
+lowest node index. A faster ordering (AMD) replaces it in place, behind the
+same `order` method. Permutations follow the convention
+perm[new_position] = old_index.
 """
 
 from __future__ import annotations
@@ -35,24 +36,8 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-class OrderingEngine:
-    """Strategy interface: deterministic for a fixed graph."""
-
-    name = "abstract"
-
-    def order(self, g: SymGraph) -> np.ndarray:
-        raise NotImplementedError
-
-
-class NaturalEngine(OrderingEngine):
-    name = "natural"
-
-    def order(self, g: SymGraph) -> np.ndarray:
-        return np.arange(g.n_nodes, dtype=np.int64)
-
-
-class MinDegreeEngine(OrderingEngine):
-    name = "mindeg"
+class MinDegreeEngine:
+    """Exact minimum-degree elimination; deterministic for a fixed graph."""
 
     def order(self, g: SymGraph) -> np.ndarray:
         n = g.n_nodes
@@ -75,18 +60,8 @@ class MinDegreeEngine(OrderingEngine):
         return perm
 
 
-ORDERINGS = {NaturalEngine.name: NaturalEngine, MinDegreeEngine.name: MinDegreeEngine}
-
-
-def make_ordering_engine(name: str, **kwargs) -> OrderingEngine:
-    try:
-        return ORDERINGS[name](**kwargs)
-    except KeyError:
-        raise ValueError(f"unknown ordering engine {name!r} (available: {sorted(ORDERINGS)})") from None
-
-
-def order_subgraph(g: SymGraph, engine: OrderingEngine) -> np.ndarray:
+def order_subgraph(g: SymGraph, engine: MinDegreeEngine) -> np.ndarray:
     perm = engine.order(g)
     if not is_permutation(perm, g.n_nodes):
-        raise InvalidPermutation(f"engine {engine.name!r} returned a non-bijective ordering")
+        raise InvalidPermutation("ordering engine returned a non-bijective ordering")
     return perm

@@ -1,10 +1,9 @@
-"""Small balanced vertex separators.
+"""Small vertex separators that split a graph into two even halves.
 
-The default engine is dependency-free: BFS level sets from a
-pseudo-peripheral node, boundary selection by balance, then a greedy
-shrink pass. The engine interface is intentionally tiny so a stronger
-partitioner can be slotted in without touching the decomposition or
-synchronization code.
+`LevelSetEngine` is dependency-free: BFS level sets from a
+pseudo-peripheral node, the most evenly splitting level as the boundary,
+then a greedy shrink pass. A stronger partitioner replaces it in place,
+behind the same `split` method.
 """
 
 from __future__ import annotations
@@ -31,16 +30,6 @@ class SeparatorResult:
     right: np.ndarray
 
 
-class SeparatorEngine:
-    """Strategy interface: deterministic for a fixed graph."""
-
-    name = "abstract"
-
-    def split(self, g: SymGraph) -> SeparatorResult:
-        """Split g into (sep, left, right); total function, never raises."""
-        raise NotImplementedError
-
-
 def _pseudo_peripheral(g: SymGraph, comp: np.ndarray) -> int:
     """Two rounds of farthest-node BFS; ties resolved to the lowest index."""
     start = int(comp.min())
@@ -51,15 +40,11 @@ def _pseudo_peripheral(g: SymGraph, comp: np.ndarray) -> int:
     return start
 
 
-class LevelSetEngine(SeparatorEngine):
+class LevelSetEngine:
     """BFS level-set bisection with greedy separator shrinking."""
 
-    name = "level_set"
-
-    def __init__(self, balance: float = 0.7):
-        self.balance = balance
-
     def split(self, g: SymGraph) -> SeparatorResult:
+        """Split g into (sep, left, right); deterministic total function, never raises."""
         n = g.n_nodes
         ids = np.arange(n, dtype=np.int64)
         if n <= 1:
@@ -89,7 +74,7 @@ class LevelSetEngine(SeparatorEngine):
         )
 
     def _level_separator(self, g: SymGraph, comp: np.ndarray) -> np.ndarray:
-        """Nodes of the best-balanced BFS level that touch the next level.
+        """Nodes of the most evenly splitting BFS level that touch the next level.
 
         All levels are scored in one pass over the component: level t's
         separator is its nodes with a neighbor at level t+1, and its score
@@ -140,16 +125,6 @@ class LevelSetEngine(SeparatorEngine):
                 sizes[tgt] += 1
                 changed = True
             pending = still
-
-
-ENGINES = {LevelSetEngine.name: LevelSetEngine}
-
-
-def make_engine(name: str, **kwargs) -> SeparatorEngine:
-    try:
-        return ENGINES[name](**kwargs)
-    except KeyError:
-        raise ValueError(f"unknown separator engine {name!r} (available: {sorted(ENGINES)})") from None
 
 
 def verify_separator(g: SymGraph, result: SeparatorResult) -> bool:

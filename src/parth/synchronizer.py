@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidMap
 from .graph import ABSENT, NodeMap, SymGraph, edge_set_diff
 from .hgd import HgdTree, hgd_redecompose, is_in_subtree, lca_of, level_of
-from .separator import SeparatorEngine
+from .separator import LevelSetEngine
 
 ADDED = "added"
 REMOVED = "removed"
@@ -232,7 +232,7 @@ def mark_and_decompose(
     g_new: SymGraph,
     fine: set[int],
     coarse: set[int],
-    engine: SeparatorEngine,
+    engine: LevelSetEngine,
 ) -> DirtyState:
     """Rebuild coarse regions and emit the reuse mask."""
     reuse_mask = np.ones(tree.size, dtype=bool)
@@ -253,7 +253,7 @@ def synchronize(
     g_old: SymGraph,
     g_new: SymGraph,
     node_map: NodeMap,
-    engine: SeparatorEngine,
+    engine: LevelSetEngine,
     aggressive: bool = False,
     theta: float = 0.5,
 ) -> DirtyState:

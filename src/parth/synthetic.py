@@ -12,14 +12,14 @@ import math
 
 import numpy as np
 
-from .errors import BallTooSmall, IndexOutOfBounds
+from .errors import BallTooSmall, IndexOutOfBounds, InvalidArgument
 from .graph import NodeMap, SparsityPattern, bfs_distances, build_dual, sum_duplicates
 
 
 def grid_laplacian(nx: int, ny: int) -> tuple[SparsityPattern, np.ndarray]:
     """5-point Laplacian on an nx-by-ny grid, shifted by 1e-3 to make it SPD."""
     if nx < 2 or ny < 2:
-        raise ValueError("grid_laplacian requires nx, ny >= 2")
+        raise InvalidArgument("grid_laplacian requires nx, ny >= 2")
     n = nx * ny
     idx = np.arange(n, dtype=np.int64).reshape(ny, nx)
     right = np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
@@ -57,6 +57,8 @@ def inject_contacts(
     pattern: SparsityPattern, center: int, radius: int, k: int, seed: int = 0
 ) -> SparsityPattern:
     """Add k random symmetric nonzeros between node pairs inside a hop-ball."""
+    if k < 0:
+        raise InvalidArgument("the number of contacts must be >= 0")
     if k == 0:
         return pattern
     ball = hop_ball(pattern, center, radius)
@@ -89,7 +91,7 @@ def patch_remesh(
     invariants by construction.
     """
     if densify <= 0:
-        raise ValueError("densify must be positive")
+        raise InvalidArgument("densify must be positive")
     n = pattern.n_rows
     ball = hop_ball(pattern, center, radius)
     if ball.size == 0:

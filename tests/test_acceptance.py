@@ -13,6 +13,8 @@ import pytest
 
 from parth import (
     HgdTree,
+    LevelSetEngine,
+    MinDegreeEngine,
     NodeMap,
     Parth,
     ParthConfig,
@@ -22,8 +24,6 @@ from parth import (
     grid_laplacian,
     inject_contacts,
     is_permutation,
-    make_engine,
-    make_ordering_engine,
     numeric_cholesky_solve,
     order_subgraph,
     patch_remesh,
@@ -171,7 +171,7 @@ def test_criterion_05_worked_example():
     assert added.tolist() == [[0, 6], [3, 8]]
     assert removed.tolist() == [[2, 8]]
     tree = HgdTree.from_node_sets(2, NINE_TREE_SETS, g=g1)
-    dirty = synchronize(tree, g1, g2, NodeMap.identity(9), make_engine("level_set"))
+    dirty = synchronize(tree, g1, g2, NodeMap.identity(9), LevelSetEngine())
     changed = sorted(np.flatnonzero(~dirty.reuse_mask).tolist())
     ok = changed == [2, 5, 6] and tree.separator_violations(g2) == []
     report(5, ok, f"changed tree nodes {changed} == [2, 5, 6]")
@@ -179,7 +179,7 @@ def test_criterion_05_worked_example():
 
 def test_criterion_06_ordering_quality_sanity():
     """Arrowhead family: min-degree reaches 2n-1 vs natural's n(n+1)/2."""
-    mindeg = make_ordering_engine("mindeg")
+    mindeg = MinDegreeEngine()
     for n in range(4, 65):
         pattern = arrowhead_pattern(n)
         perm = order_subgraph(build_dual(pattern), mindeg)
@@ -211,7 +211,7 @@ def test_criterion_07_end_to_end_numeric():
 def test_criterion_08_dirty_set_completeness():
     """Brute-force violated separators are always among the nodes marked changed."""
     rng = np.random.default_rng(7_777)
-    engine = make_engine("level_set")
+    engine = LevelSetEngine()
     for trial in range(200):
         n = int(rng.integers(20, 201))
         pattern = random_pattern(rng, n)

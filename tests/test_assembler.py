@@ -3,6 +3,8 @@ import pytest
 
 from parth import (
     HgdTree,
+    LevelSetEngine,
+    MinDegreeEngine,
     NodeMap,
     StaleTree,
     assemble,
@@ -11,8 +13,6 @@ from parth import (
     hgd_build,
     invert_permutation,
     is_permutation,
-    make_engine,
-    make_ordering_engine,
     post_order_indices,
     reuse_ratio,
     synchronize,
@@ -22,7 +22,7 @@ from conftest import NINE_TREE_SETS, nine_node_graphs, random_pattern
 
 @pytest.fixture(scope="module")
 def engines():
-    return make_engine("level_set"), make_ordering_engine("mindeg")
+    return LevelSetEngine(), MinDegreeEngine()
 
 
 class TestPostOrder:

@@ -64,3 +64,16 @@ def test_traced_step_records_counts(spans):
     assert counts["graph.edges_added"] == 12
     assert counts["hgd.redecompose.calls"] > 0
     assert counts["hgd.region_nodes"] > 0
+
+
+def test_engines_are_per_instance(spans):
+    # instrument_engines patches split/order on the instance's engines;
+    # engines shared between instances would stack wrappers
+    traced, plain = Parth(), Parth()
+    assert traced.separator_engine is not plain.separator_engine
+    assert traced.ordering_engine is not plain.ordering_engine
+    spans.instrument_engines(spans.Tracer(), traced)
+    assert hasattr(traced.separator_engine.split, "__wrapped__")
+    assert hasattr(traced.ordering_engine.order, "__wrapped__")
+    assert not hasattr(plain.separator_engine.split, "__wrapped__")
+    assert not hasattr(plain.ordering_engine.order, "__wrapped__")

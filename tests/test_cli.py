@@ -101,6 +101,19 @@ class TestCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_max_level_not_an_int_is_a_usage_error(self, grid_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(grid_file), "--max-level", "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-level" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--max-level", "-1"], ["--target-leaf", "0"]])
+    def test_config_out_of_range_is_one_line(self, grid_file, capsys, flags):
+        assert main(["check", str(grid_file)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestGen:
     @staticmethod
@@ -142,6 +155,15 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--nx", "1"], ["--kind", "remesh", "--densify", "0"], ["--contacts", "-3"]]
+    )
+    def test_bad_generator_argument_is_one_line(self, tmp_path, capsys, flags):
+        argv = ["gen", "--out", str(tmp_path / "seq"), "--steps", "1"] + flags
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_dim_flag(self, tmp_path, capsys):
         # a 2-rows-per-node pattern: expand an 8x8 grid by duplicating blocks

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from parth import (
+    InvalidArgument,
     InvalidMap,
     Parth,
     ParthConfig,
@@ -130,3 +131,11 @@ def test_reset_starts_fresh():
     parth.reset()
     b = parth.start(pattern).matrix_perm
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_level": -1}, {"max_level": 40}, {"target_leaf": 0}])
+def test_config_bounds_checked_at_construction(kwargs):
+    # raised before any tree exists: max_level=40 would ask for 2**41 slots
+    with pytest.raises(InvalidArgument) as exc:
+        ParthConfig(**kwargs)
+    assert isinstance(exc.value, ParthError) and isinstance(exc.value, ValueError)

@@ -229,6 +229,18 @@ class TestInducedSubgraph:
             induced_subgraph(g, [5])
 
 
+class TestConstructorChecks:
+    def test_decreasing_offsets_rejected(self):
+        with pytest.raises(IndexOutOfBounds, match="nondecreasing"):
+            SymGraph(3, [0, 2, 1, 2], [1, 0])
+        with pytest.raises(IndexOutOfBounds, match="nondecreasing"):
+            SparsityPattern(3, [0, 2, 1, 2], [1, 0])
+
+    def test_asymmetric_adjacency_rejected(self):
+        with pytest.raises(IndexOutOfBounds, match="symmetric"):
+            SymGraph(3, [0, 1, 2, 2], [1, 2])
+
+
 class TestNodeMap:
     def test_identity(self):
         m = NodeMap.identity(4)

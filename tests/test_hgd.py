@@ -3,6 +3,7 @@ import pytest
 
 from parth import (
     HgdTree,
+    LevelSetEngine,
     RegionMismatch,
     StaleTree,
     SymGraph,
@@ -13,14 +14,13 @@ from parth import (
     is_in_subtree,
     lca_of,
     level_of,
-    make_engine,
 )
 from conftest import NINE_TREE_SETS, nine_node_graphs, random_pattern
 
 
 @pytest.fixture(scope="module")
 def engine():
-    return make_engine("level_set")
+    return LevelSetEngine()
 
 
 def assert_invariants(tree: HgdTree, g: SymGraph):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from parth import (
+    InvalidArgument,
     InvalidPermutation,
     NotPositiveDefinite,
     SparsityPattern,
@@ -88,6 +89,11 @@ class TestNumericCholesky:
         p = SparsityPattern.from_coo(2, [0, 1], [0, 1])
         with pytest.raises(NotPositiveDefinite):
             numeric_cholesky_solve(p, np.array([1.0, -1.0]), np.arange(2), np.ones(2))
+
+    def test_value_count_mismatch_rejected(self):
+        p = SparsityPattern.from_coo(2, [0, 1], [0, 1])
+        with pytest.raises(InvalidArgument):
+            numeric_cholesky_solve(p, np.ones(3), np.arange(2), np.ones(2))
 
     def test_structural_agreement_with_symbolic(self):
         # nnz of the factor actually produced equals the symbolic count

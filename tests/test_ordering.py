@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parth import (
+    MinDegreeEngine,
     SymGraph,
     build_dual,
     invert_permutation,
     is_permutation,
-    make_ordering_engine,
     order_subgraph,
     symbolic_analyze,
 )
@@ -22,16 +22,8 @@ def star_graph(n: int) -> SymGraph:
 
 
 def test_edgeless_is_identity():
-    g = SymGraph.empty(4)
-    for name in ("natural", "mindeg"):
-        perm = order_subgraph(g, make_ordering_engine(name))
-        assert perm.tolist() == [0, 1, 2, 3]
-
-
-def test_natural_is_identity():
-    g = star_graph(6)
-    perm = order_subgraph(g, make_ordering_engine("natural"))
-    assert perm.tolist() == list(range(6))
+    perm = order_subgraph(SymGraph.empty(4), MinDegreeEngine())
+    assert perm.tolist() == [0, 1, 2, 3]
 
 
 def test_star_hub_fill_optimal():
@@ -42,14 +34,14 @@ def test_star_hub_fill_optimal():
     fills = {p: dense_fill_nnz(n, edges, p) for p in itertools.permutations(range(n))}
     assert min(fills.values()) == 7
     assert fills[(0, 1, 2, 3)] == 10
-    perm = order_subgraph(star_graph(n), make_ordering_engine("mindeg"))
+    perm = order_subgraph(star_graph(n), MinDegreeEngine())
     assert fills[tuple(perm.tolist())] == 7
     # hub eliminated after at least two of the leaves
     assert perm.tolist().index(0) >= 2
 
 
 def test_star_family_never_worse_than_natural():
-    mindeg = make_ordering_engine("mindeg")
+    mindeg = MinDegreeEngine()
     for n in range(4, 65, 6):
         pattern = arrowhead_pattern(n)
         g = build_dual(pattern)
@@ -67,7 +59,7 @@ MINDEG_GOLDEN = "f2d5c9bb7db1c9571d47da76ab9485a7566004d920ec0595c66752c78acab07
 
 def test_min_degree_golden():
     rng = np.random.default_rng(2)
-    eng = make_ordering_engine("mindeg")
+    eng = MinDegreeEngine()
     h = hashlib.sha256()
     for _ in range(25):
         g = build_dual(random_pattern(rng, int(rng.integers(2, 60))))
@@ -78,7 +70,7 @@ def test_min_degree_golden():
 def test_determinism():
     rng = np.random.default_rng(9)
     g = build_dual(random_pattern(rng, 90))
-    eng = make_ordering_engine("mindeg")
+    eng = MinDegreeEngine()
     assert np.array_equal(order_subgraph(g, eng), order_subgraph(g, eng))
 
 
@@ -87,8 +79,7 @@ def test_determinism():
 def test_always_a_bijection(seed):
     rng = np.random.default_rng(seed)
     g = build_dual(random_pattern(rng, int(rng.integers(2, 120))))
-    for name in ("natural", "mindeg"):
-        perm = order_subgraph(g, make_ordering_engine(name))
-        assert is_permutation(perm, g.n_nodes)
-        inv = invert_permutation(perm)
-        assert np.array_equal(perm[inv], np.arange(g.n_nodes))
+    perm = order_subgraph(g, MinDegreeEngine())
+    assert is_permutation(perm, g.n_nodes)
+    inv = invert_permutation(perm)
+    assert np.array_equal(perm[inv], np.arange(g.n_nodes))

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parth import (
+    LevelSetEngine,
     SymGraph,
     build_dual,
-    make_engine,
     verify_separator,
 )
 from conftest import nine_node_graphs, random_pattern
@@ -14,7 +14,7 @@ from conftest import nine_node_graphs, random_pattern
 
 @pytest.fixture(scope="module")
 def engine():
-    return make_engine("level_set")
+    return LevelSetEngine()
 
 
 def test_path_of_three(engine):
@@ -80,7 +80,7 @@ def test_grid_balance(engine):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 100_000))
 def test_partition_and_separator_property(seed):
-    engine = make_engine("level_set")
+    engine = LevelSetEngine()
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 200))
     p = random_pattern(rng, max(n, 2))

@@ -4,6 +4,7 @@ import pytest
 from parth import (
     HgdTree,
     InvalidMap,
+    LevelSetEngine,
     NodeMap,
     SymGraph,
     aggressive_reuse,
@@ -12,7 +13,6 @@ from parth import (
     edge_set_diff,
     filter_redundant_subgraphs,
     hgd_build,
-    make_engine,
     map_edges_to_tree,
     mark_and_decompose,
     node_change_synchronizer,
@@ -29,7 +29,7 @@ from conftest import (
 
 @pytest.fixture(scope="module")
 def engine():
-    return make_engine("level_set")
+    return LevelSetEngine()
 
 
 def nine_tree(g=None):
