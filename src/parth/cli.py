@@ -57,7 +57,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         type=float,
         metavar="THETA",
-        help="defuse large coarse regions by moving one endpoint into the separator",
+        help="defuse coarse regions above THETA*n (THETA in [0, 1]) by moving one endpoint into the separator",
     )
 
 
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--steps", type=int, default=4)
     p_gen.add_argument("--patch-frac", type=float, default=0.02)
     p_gen.add_argument("--contacts", type=int, default=16)
-    p_gen.add_argument("--densify", type=float, default=1.0)
+    p_gen.add_argument("--densify", type=float, default=1.0, help="remeshed ball growth, in (0, 16]")
     p_gen.add_argument("--seed", type=int, default=0, help="overridden by the PARTH_SEED variable")
     p_gen.set_defaults(func=cmd_gen)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -29,6 +30,8 @@ class ParthConfig:
             raise InvalidArgument(f"max_level must be in [0, {MAX_LEVEL}] or None, got {self.max_level}")
         if self.target_leaf < 1:
             raise InvalidArgument(f"target_leaf must be >= 1, got {self.target_leaf}")
+        if not (math.isfinite(self.theta) and 0.0 <= self.theta <= 1.0):
+            raise InvalidArgument(f"theta must be a finite number in [0, 1], got {self.theta}")
 
 
 class StateError(ParthError, RuntimeError):

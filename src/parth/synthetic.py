@@ -15,6 +15,10 @@ import numpy as np
 from .errors import BallTooSmall, IndexOutOfBounds, InvalidArgument
 from .graph import NodeMap, SparsityPattern, bfs_distances, build_dual, sum_duplicates
 
+# a remeshed ball grows at most this many times; far beyond any refinement
+# a remesher produces, and it keeps a mistyped factor from allocating gigabytes
+MAX_DENSIFY = 16.0
+
 
 def grid_laplacian(nx: int, ny: int) -> tuple[SparsityPattern, np.ndarray]:
     """5-point Laplacian on an nx-by-ny grid, shifted by 1e-3 to make it SPD."""
@@ -90,8 +94,8 @@ def patch_remesh(
     attached to random boundary nodes. The map satisfies the usual
     invariants by construction.
     """
-    if densify <= 0:
-        raise InvalidArgument("densify must be positive")
+    if not (math.isfinite(densify) and 0.0 < densify <= MAX_DENSIFY):
+        raise InvalidArgument(f"densify must be a finite number in (0, {MAX_DENSIFY}], got {densify}")
     n = pattern.n_rows
     ball = hop_ball(pattern, center, radius)
     if ball.size == 0:

@@ -108,17 +108,30 @@ def remove_and_add_nodes(
     return pattern_from_edges(n_new, edges), NodeMap(np.array(entries, np.int64))
 
 
-def dense_fill_nnz(n: int, edges, perm) -> int:
-    """Independent fill oracle: right-looking elimination on a dense bitmap."""
+def dense_factor_structure(n: int, edges, perm) -> tuple[np.ndarray, np.ndarray]:
+    """Independent symbolic oracle: right-looking elimination on a dense bitmap.
+
+    Returns the per-column counts of L (diagonal included) and the
+    elimination-tree parent of each column: the first below-diagonal row of
+    that column of L, or -1 for a root.
+    """
     A = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         A[u, v] = A[v, u] = True
-    perm = np.asarray(perm)
+    perm = np.asarray(perm, dtype=np.int64)
     B = A[np.ix_(perm, perm)]
-    nnz = 0
+    counts = np.ones(n, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
     for k in range(n):
         below = np.flatnonzero(B[k, k + 1 :]) + k + 1
-        nnz += 1 + below.size
+        counts[k] += below.size
         if below.size:
+            parent[k] = below[0]
             B[np.ix_(below, below)] = True
-    return nnz
+    return counts, parent
+
+
+def dense_fill_nnz(n: int, edges, perm) -> int:
+    """nnz(L), diagonal included, from the dense elimination oracle."""
+    counts, _ = dense_factor_structure(n, edges, perm)
+    return int(counts.sum())

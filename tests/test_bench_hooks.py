@@ -14,6 +14,7 @@ import pytest
 import parth.cli
 import parth.driver
 from parth import Parth, ParthConfig, grid_laplacian, inject_contacts
+from parth.cli import main as parth_main
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -77,3 +78,21 @@ def test_engines_are_per_instance(spans):
     assert hasattr(traced.ordering_engine.order, "__wrapped__")
     assert not hasattr(plain.separator_engine.split, "__wrapped__")
     assert not hasattr(plain.ordering_engine.order, "__wrapped__")
+
+
+def test_traced_cli_run_sees_the_oracle(spans, tmp_path, capsys):
+    # `parth run --baseline full` measures fill_dev with two symbolic_analyze
+    # calls per row; both must go through the hooked module attribute
+    steps = 2
+    out = tmp_path / "seq"
+    argv = ["gen", "--out", str(out), "--nx", "8", "--ny", "8", "--steps", str(steps), "--patch-frac", "0.2"]
+    assert parth_main(argv) == 0
+    capsys.readouterr()
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer):
+        with tracer.op_scope(0):
+            rc = parth_main(["run", str(out / "manifest.txt"), "--out-csv", str(tmp_path / "out.csv")])
+    assert rc == 0
+    rows = steps + 1
+    assert tracer.counts["oracle.calls"] == 2 * rows
+    assert tracer.self_ms_by_op()[0]["oracle.symbolic"] > 0

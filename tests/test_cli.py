@@ -70,6 +70,17 @@ class TestRun:
         assert outs[0] == outs[1]
 
 
+    @pytest.mark.parametrize("theta", ["nan", "-1", "5", "inf"])
+    def test_bad_theta_is_one_line(self, tmp_path, grid_file, capsys, theta):
+        manifest = tmp_path / "seq.txt"
+        write_manifest_lines(manifest, ["matrix=grid.mtx", "matrix=grid.mtx"])
+        assert main(["run", str(manifest), "--aggressive-reuse", theta]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "theta" in captured.err
+
+
 class TestCheck:
     def test_grid_passes_and_improves(self, grid_file, capsys):
         assert main(["check", str(grid_file)]) == 0
@@ -157,7 +168,16 @@ class TestGen:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "flags", [["--nx", "1"], ["--kind", "remesh", "--densify", "0"], ["--contacts", "-3"]]
+        "flags",
+        [
+            ["--nx", "1"],
+            ["--kind", "remesh", "--densify", "0"],
+            ["--contacts", "-3"],
+            # refused at the argument check, before anything is allocated
+            ["--kind", "remesh", "--densify", "nan"],
+            ["--kind", "remesh", "--densify", "inf"],
+            ["--kind", "remesh", "--densify", "1e9"],
+        ],
     )
     def test_bad_generator_argument_is_one_line(self, tmp_path, capsys, flags):
         argv = ["gen", "--out", str(tmp_path / "seq"), "--steps", "1"] + flags

@@ -139,3 +139,17 @@ def test_config_bounds_checked_at_construction(kwargs):
     with pytest.raises(InvalidArgument) as exc:
         ParthConfig(**kwargs)
     assert isinstance(exc.value, ParthError) and isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-9, 1.0 + 1e-9, 5.0])
+def test_theta_outside_unit_interval_rejected(theta):
+    # NaN or a negative theta would try to defuse every crossing change, theta > 1 none
+    with pytest.raises(InvalidArgument):
+        ParthConfig(aggressive=True, theta=theta)
+    with pytest.raises(InvalidArgument):
+        ParthConfig(theta=theta)  # checked whether or not aggressive reuse is on
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.4, 1.0])
+def test_theta_bounds_are_inclusive(theta):
+    assert ParthConfig(aggressive=True, theta=theta).theta == theta

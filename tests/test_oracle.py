@@ -1,17 +1,78 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parth import (
+    ROOT,
     InvalidArgument,
     InvalidPermutation,
     NotPositiveDefinite,
     SparsityPattern,
+    elimination_tree,
     fill_deviation,
     grid_laplacian,
     numeric_cholesky_solve,
     symbolic_analyze,
 )
-from conftest import arrowhead_pattern, dense_fill_nnz, pattern_from_edges, random_pattern
+from conftest import (
+    arrowhead_pattern,
+    dense_factor_structure,
+    dense_fill_nnz,
+    pattern_from_edges,
+    random_pattern,
+)
+
+
+def assert_matches_dense(n, edges, perm, diagonal=True):
+    """nnz(L), the flop estimate and the etree all agree with dense elimination."""
+    p = pattern_from_edges(n, edges, diagonal=diagonal)
+    perm = np.asarray(perm, dtype=np.int64)
+    counts, parent = dense_factor_structure(n, edges, perm)
+    stats = symbolic_analyze(p, perm)
+    assert stats.nnz_l == int(counts.sum())
+    assert stats.flop_estimate == int(np.sum(counts * counts))
+    tree = elimination_tree(p, perm)
+    assert tree.dtype == np.int64
+    assert tree.tolist() == parent.tolist()
+    return parent
+
+
+@st.composite
+def patterns_and_perms(draw, max_n=40):
+    n = draw(st.integers(0, max_n))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    perm = draw(st.permutations(range(n)))
+    return n, edges, perm, draw(st.booleans())
+
+
+class TestAgainstDenseElimination:
+    @settings(max_examples=150, deadline=None)
+    @given(patterns_and_perms())
+    def test_every_output_matches(self, case):
+        n, edges, perm, diagonal = case
+        assert_matches_dense(n, edges, perm, diagonal)
+
+    def test_empty(self):
+        assert assert_matches_dense(0, [], []).size == 0
+
+    def test_single_node(self):
+        assert assert_matches_dense(1, [], [0]).tolist() == [ROOT]
+
+    def test_isolated_nodes(self):
+        # a path 0-1-2 plus isolated 3 and 4, ordered with the isolated nodes between
+        parent = assert_matches_dense(5, [(0, 1), (1, 2)], [3, 0, 4, 1, 2])
+        assert parent.tolist() == [ROOT, 3, ROOT, 4, ROOT]
+
+    def test_disconnected_forest(self):
+        # three components: triangle {0,1,2}, path {3,4,5,6}, edge {7,8}; interleaved
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (7, 8)]
+        perm = [3, 0, 7, 4, 1, 8, 5, 2, 6]
+        parent = assert_matches_dense(9, edges, perm)
+        roots = [j for j, pj in enumerate(parent.tolist()) if pj == ROOT]
+        assert len(roots) == 3
 
 
 class TestSymbolicAnalyze:
@@ -52,8 +113,6 @@ class TestSymbolicAnalyze:
             assert hub_first > hub_last
 
     def test_elimination_tree_invariants(self):
-        from parth import ROOT, elimination_tree
-
         rng = np.random.default_rng(12)
         for _ in range(10):
             n = int(rng.integers(2, 50))

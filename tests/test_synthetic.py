@@ -3,6 +3,7 @@ import pytest
 
 from parth import (
     BallTooSmall,
+    InvalidArgument,
     bfs_distances,
     build_dual,
     grid_laplacian,
@@ -106,6 +107,18 @@ class TestPatchRemesh:
         fresh = np.flatnonzero(node_map.entries == -1)
         for u in fresh:
             assert g.neighbors(int(u)).size > 0
+
+    @pytest.mark.parametrize("densify", [float("nan"), float("inf"), 1e9, 16.0 + 1e-9, 0.0, -1.0])
+    def test_densify_out_of_range_rejected(self, densify):
+        # refused before anything is allocated: 1e9 would ask for 5e9 new nodes here
+        p, _ = grid_laplacian(8, 8)
+        with pytest.raises(InvalidArgument):
+            patch_remesh(p, 27, 1, densify=densify, seed=0)
+
+    def test_densify_upper_bound_inclusive(self):
+        p, _ = grid_laplacian(8, 8)
+        out, node_map = patch_remesh(p, 27, 1, densify=16.0, seed=0)
+        assert out.n_rows == 64 - 5 + 16 * 5
 
     def test_determinism(self):
         p, _ = grid_laplacian(10, 10)
