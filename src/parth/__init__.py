@@ -6,7 +6,7 @@ locally, only the affected sub-graphs are reordered and the surviving
 local permutations are spliced back into the global ordering.
 """
 
-from .assembler import AssemblyState, assemble, compute_offsets, post_order_indices, reuse_ratio
+from .assembler import AssemblyState, assemble, post_order_indices, reuse_ratio
 from .driver import Parth, ParthConfig
 from .errors import (
     AsymmetricPattern,

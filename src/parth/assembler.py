@@ -1,9 +1,10 @@
 """Permutation assembly over the decomposition tree.
 
-Offsets come from a post-order traversal, which places every separator
-after the two regions it splits (nested dissection). Local orderings are
-recomputed only where the reuse mask says so and spliced into the
-graph-level permutation; block expansion then yields the matrix-level one.
+Every tree node keeps its node array in local elimination order. A
+post-order traversal concatenates those arrays, which places every
+separator after the two regions it splits (nested dissection). Local
+orderings are recomputed only where the reuse mask says so; block expansion
+then yields the matrix-level permutation.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class AssemblyState:
     reused_nodes counts the graph nodes whose local ordering was reused.
     """
 
-    post_order: np.ndarray
     graph_perm: np.ndarray
     matrix_perm: np.ndarray
     reused_nodes: int
@@ -46,51 +46,43 @@ def post_order_indices(max_level: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def compute_offsets(tree: HgdTree, post_order: np.ndarray) -> None:
-    """Prefix-sum splice positions in traversal order, written onto the tree."""
-    offset = 0
-    for i in post_order:
-        tree.nodes[i].offset = offset
-        offset += int(tree.nodes[i].nodes.size)
-
-
 def assemble(
     tree: HgdTree, g: SymGraph, reuse_mask: np.ndarray, engine: MinDegreeEngine, dim: int = 1
 ) -> AssemblyState:
     """Produce graph- and matrix-level permutations from the tree.
 
     Tree nodes with reuse_mask False get a fresh local ordering of their
-    induced sub-graph; the rest reuse the stored one verbatim. The first
-    call must pass an all-False mask.
+    induced sub-graph, stored by rewriting their node array in elimination
+    order; the rest keep their array as it is. The graph permutation is the
+    node arrays concatenated in post-order. The first call must pass an
+    all-False mask.
     """
     if len(reuse_mask) != tree.size:
         raise StaleTree(f"mask length {len(reuse_mask)} != tree size {tree.size}")
     tree.validate_partition(g.n_nodes)
 
-    post = post_order_indices(tree.max_level)
-    compute_offsets(tree, post)
-
-    graph_perm = np.empty(g.n_nodes, dtype=np.int64)
+    parts = []
     reused = 0
-    for i in post:
+    for i in post_order_indices(tree.max_level):
         tn = tree.nodes[i]
-        k = int(tn.nodes.size)
-        if k == 0:
+        if tn.nodes.size == 0:
             continue
         if reuse_mask[i]:
-            if tn.local_perm is None or tn.local_perm.size != k:
-                raise StaleTree(f"tree node {i} marked reusable without a matching stored ordering")
-            reused += k
+            if not tn.ordered:
+                raise StaleTree(f"tree node {i} marked reusable without a stored ordering")
+            reused += int(tn.nodes.size)
         else:
-            sub, _ = induced_subgraph(g, tn.nodes)
-            tn.local_perm = order_subgraph(sub, engine)
-        graph_perm[tn.offset : tn.offset + k] = tn.nodes[tn.local_perm]
+            sub, sel = induced_subgraph(g, tn.nodes)
+            tn.nodes = sel[order_subgraph(sub, engine)]
+            tn.ordered = True
+        parts.append(tn.nodes)
+    graph_perm = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     if dim == 1:
         matrix_perm = graph_perm
     else:
         matrix_perm = (graph_perm[:, None] * dim + np.arange(dim, dtype=np.int64)).ravel()
-    return AssemblyState(post, graph_perm, matrix_perm, reused)
+    return AssemblyState(graph_perm, matrix_perm, reused)
 
 
 def reuse_ratio(state: AssemblyState, n_nodes: int) -> float:

@@ -180,35 +180,39 @@ def cmd_gen(args) -> int:
 
 
 def _generate(args) -> Path:
-    """Write the base grid and every step of a synthetic sequence; return the manifest."""
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write the base grid and every step of a synthetic sequence; return the manifest.
+
+    Every step is built before the first file is written, so an argument
+    that fails on a later step leaves no partial sequence behind.
+    """
     rng = np.random.default_rng(int(os.environ.get("PARTH_SEED", args.seed)))
-
     pattern, values = grid_laplacian(args.nx, args.ny)
-    steps = [SequenceStep(out_dir / "step000.mtx", None, "base")]
-    write_matrix_market(steps[0].matrix_path, pattern, values)
-
+    built = [(pattern, values, None, "base")]
     for s in range(1, args.steps + 1):
-        name = f"step{s:03d}"
         kind = args.kind
         if kind == "mixed":
             kind = "contacts" if s % 2 == 1 else "remesh"
         center = int(rng.integers(pattern.n_rows))
         radius = radius_for_fraction(pattern, center, args.patch_frac)
         seed_s = int(rng.integers(2**31))
+        node_map = None
         if kind == "contacts":
             pattern = inject_contacts(pattern, center, radius, args.contacts, seed_s)
-            mpath = out_dir / f"{name}.mtx"
-            write_matrix_market(mpath, pattern)
-            steps.append(SequenceStep(mpath, None, kind))
         else:
             pattern, node_map = patch_remesh(pattern, center, radius, args.densify, seed_s)
-            mpath = out_dir / f"{name}.mtx"
-            npath = out_dir / f"{name}.map"
-            write_matrix_market(mpath, pattern)
+        built.append((pattern, None, node_map, kind))
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    steps = []
+    for s, (pattern, values, node_map, kind) in enumerate(built):
+        mpath = out_dir / f"step{s:03d}.mtx"
+        write_matrix_market(mpath, pattern, values)
+        npath = None
+        if node_map is not None:
+            npath = mpath.with_suffix(".map")
             write_node_map(npath, node_map)
-            steps.append(SequenceStep(mpath, npath, kind))
+        steps.append(SequenceStep(mpath, npath, kind))
 
     manifest = out_dir / "manifest.txt"
     write_manifest(manifest, steps)

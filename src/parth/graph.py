@@ -84,9 +84,6 @@ class SparsityPattern:
     def nnz(self) -> int:
         return int(self.col_indices.size)
 
-    def row(self, i: int) -> np.ndarray:
-        return self.col_indices[self.row_starts[i] : self.row_starts[i + 1]]
-
     def to_coo(self) -> tuple[np.ndarray, np.ndarray]:
         rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_starts))
         return rows, self.col_indices
@@ -193,10 +190,6 @@ class SymGraph:
         rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.adj_starts))
         mask = rows < self.adj
         return rows[mask], self.adj[mask]
-
-    def edge_keys(self) -> np.ndarray:
-        u, v = self.edges()
-        return u * self.n_nodes + v
 
     def has_edge(self, u: int, v: int) -> bool:
         nb = self.neighbors(u)

@@ -56,19 +56,23 @@ def lca_of(a: int, b: int) -> int:
 
 
 class HgdNode:
-    """One tree slot: its global node set, splice offset, and local ordering."""
+    """One tree slot: its global node set, in elimination order once ordered.
 
-    __slots__ = ("nodes", "offset", "local_perm")
+    `ordered` is True when `nodes` holds the node set in the local
+    elimination order computed by the last assembly; any change of
+    membership clears it. Relabelling maps the array entry by entry, so the
+    order survives a renumbering of the unknowns.
+    """
+
+    __slots__ = ("nodes", "ordered")
 
     def __init__(self, nodes: np.ndarray | None = None):
         self.nodes = _EMPTY if nodes is None else np.asarray(nodes, dtype=np.int64)
-        self.offset = 0
-        self.local_perm: np.ndarray | None = None
+        self.ordered = False
 
     def copy(self) -> "HgdNode":
         out = HgdNode(self.nodes.copy())
-        out.offset = self.offset
-        out.local_perm = None if self.local_perm is None else self.local_perm.copy()
+        out.ordered = self.ordered
         return out
 
 
@@ -170,8 +174,6 @@ def _build_into(
     engine: LevelSetEngine,
 ) -> None:
     node = tree.nodes[idx]
-    node.local_perm = None
-    node.offset = 0
     if level == tree.max_level or sub.n_nodes < MIN_SPLIT:
         node.nodes = to_global
         return
@@ -216,8 +218,7 @@ def hgd_redecompose(
         loc, glob = stack.pop()
         node = tree.nodes[glob]
         node.nodes = to_global[temp.nodes[loc].nodes]
-        node.local_perm = None
-        node.offset = 0
+        node.ordered = False
         if 2 * loc + 2 < temp.size:
             stack.extend(((2 * loc + 1, 2 * glob + 1), (2 * loc + 2, 2 * glob + 2)))
 

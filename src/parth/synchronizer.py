@@ -64,26 +64,18 @@ def _related(a: int, b: int) -> bool:
     return a == b or is_in_subtree(a, b) or is_in_subtree(b, a)
 
 
-def _insert_sorted(arr: np.ndarray, value: int) -> np.ndarray:
-    pos = int(np.searchsorted(arr, value))
-    return np.insert(arr, pos, value)
-
-
-def _remove_sorted(arr: np.ndarray, value: int) -> np.ndarray:
-    pos = int(np.searchsorted(arr, value))
-    return np.delete(arr, pos)
-
-
 def node_change_synchronizer(
     tree: HgdTree, node_map: NodeMap, n_new: int, g_new: SymGraph
 ) -> set[int]:
     """Relabel tree node sets to the new indexing and settle added/removed nodes.
 
-    Surviving nodes are renumbered in place; removed nodes are deleted from
-    their sets; each added node joins the deepest tree node holding one of
-    its already-placed neighbors (surviving neighbors preferred), falling
-    back to the root when isolated. Returns the tree indices whose
-    membership changed.
+    Surviving nodes are renumbered entry by entry, so a node array keeps its
+    elimination order and a tree node whose membership is unchanged keeps
+    its ordering; removed nodes are deleted from their arrays; each added
+    node is appended to the deepest tree node holding one of its
+    already-placed neighbors (surviving neighbors preferred), falling back
+    to the root when isolated. Returns the tree indices whose membership
+    changed; their orderings are cleared.
     """
     if node_map.n_new != n_new:
         raise InvalidMap(f"map has {node_map.n_new} entries, expected {n_new}")
@@ -100,8 +92,8 @@ def node_change_synchronizer(
         kept = mapped[mapped >= 0]
         if kept.size != tn.nodes.size:
             touched.add(idx)
-            tn.local_perm = None
-        tn.nodes = np.sort(kept)
+            tn.ordered = False
+        tn.nodes = kept
 
     added = np.flatnonzero(node_map.entries == ABSENT)
     if added.size:
@@ -121,8 +113,8 @@ def node_change_synchronizer(
                     target = int(cands[depths == depths.max()].min())
                     break
             tn = tree.nodes[target]
-            tn.nodes = _insert_sorted(tn.nodes, u)
-            tn.local_perm = None
+            tn.nodes = np.append(tn.nodes, u)
+            tn.ordered = False
             lookup[u] = target
             touched.add(target)
     return touched
@@ -184,10 +176,11 @@ def aggressive_reuse(
     For each such edge the endpoint held by the smaller tree node (ties to
     the lower graph index) is moved into the lowest common ancestor's
     separator set, turning the change into an ancestor-related one that
-    needs no re-decomposition. The move is reverted, falling back to coarse
-    dirt, if any edge incident to the moved node would still cross disjoint
-    subtrees. Returns the remaining changes (tree pairs refreshed) plus the
-    extra fine-dirty tree nodes produced by the moves.
+    needs no re-decomposition. The move is made only when no edge incident
+    to the moved node would still cross disjoint subtrees; otherwise the
+    change is kept and falls back to coarse dirt. Returns the remaining
+    changes (tree pairs refreshed) plus the extra fine-dirty tree nodes
+    produced by the moves.
     """
     n = tree.total_nodes()
     lookup = tree.node_to_tree(n)
@@ -212,17 +205,14 @@ def aggressive_reuse(
             mover, src = ch.u, a
         else:
             mover, src = ch.v, b
-        tree.nodes[src].nodes = _remove_sorted(tree.nodes[src].nodes, mover)
-        tree.nodes[anc].nodes = _insert_sorted(tree.nodes[anc].nodes, mover)
-        lookup[mover] = anc
         if all(_related(anc, int(lookup[w])) for w in g_new.neighbors(mover)):
-            tree.nodes[src].local_perm = None
-            tree.nodes[anc].local_perm = None
+            src_tn, anc_tn = tree.nodes[src], tree.nodes[anc]
+            src_tn.nodes = src_tn.nodes[src_tn.nodes != mover]
+            anc_tn.nodes = np.append(anc_tn.nodes, mover)
+            src_tn.ordered = anc_tn.ordered = False
+            lookup[mover] = anc
             extra.update((src, anc))
         else:
-            tree.nodes[anc].nodes = _remove_sorted(tree.nodes[anc].nodes, mover)
-            tree.nodes[src].nodes = _insert_sorted(tree.nodes[src].nodes, mover)
-            lookup[mover] = src
             out.append(ch)
     return out, extra
 

@@ -47,6 +47,8 @@ def hop_ball(pattern: SparsityPattern, center: int, radius: int) -> np.ndarray:
 
 def radius_for_fraction(pattern: SparsityPattern, center: int, fraction: float) -> int:
     """Largest hop radius whose ball stays within `fraction` of all nodes."""
+    if not (math.isfinite(fraction) and 0.0 < fraction <= 1.0):
+        raise InvalidArgument(f"fraction must be a finite number in (0, 1], got {fraction}")
     target = max(1, int(fraction * pattern.n_rows))
     dist = bfs_distances(build_dual(pattern), center)
     radius = 0

@@ -9,7 +9,6 @@ from parth import (
     StaleTree,
     assemble,
     build_dual,
-    compute_offsets,
     hgd_build,
     invert_permutation,
     is_permutation,
@@ -32,26 +31,6 @@ class TestPostOrder:
         assert post_order_indices(2).tolist() == [3, 4, 1, 5, 6, 2, 0]
 
 
-class TestOffsets:
-    def test_singleton_leaves(self):
-        # with singleton leaves under index 1, its separator splices at 2
-        tree = HgdTree.from_node_sets(2, NINE_TREE_SETS)
-        compute_offsets(tree, post_order_indices(2))
-        assert tree.nodes[3].offset == 0
-        assert tree.nodes[4].offset == 1
-        assert tree.nodes[1].offset == 2
-
-    def test_root_holds_all(self):
-        tree = HgdTree.from_node_sets(1, [list(range(5)), [], []])
-        compute_offsets(tree, post_order_indices(1))
-        assert tree.nodes[0].offset == 0
-
-    def test_prefix_sum(self):
-        tree = HgdTree.from_node_sets(1, [[8, 9], [0, 1, 2], [3, 4, 5, 6, 7]])
-        compute_offsets(tree, post_order_indices(1))
-        assert [tree.nodes[i].offset for i in (1, 2, 0)] == [0, 3, 8]
-
-
 class TestAssemble:
     def test_nine_node_two_calls(self, engines):
         sep_eng, ord_eng = engines
@@ -67,11 +46,12 @@ class TestAssemble:
         assert int(np.count_nonzero(dirty.reuse_mask)) == 4
         assert second.reused_nodes == 6
         assert reuse_ratio(second, 9) == pytest.approx(6 / 9)
-        # positions owned by reused tree nodes with unchanged offsets are intact
+        # the reused tree nodes keep their positions: 3, 4 and 1 come first in
+        # post-order, the root comes last
+        pos1, pos2 = invert_permutation(first.graph_perm), invert_permutation(second.graph_perm)
         for i in (0, 1, 3, 4):
-            tn = tree.nodes[i]
-            sl = slice(tn.offset, tn.offset + tn.nodes.size)
-            assert np.array_equal(first.graph_perm[sl], second.graph_perm[sl])
+            nodes = tree.nodes[i].nodes
+            assert np.array_equal(pos1[nodes], pos2[nodes])
 
     def test_dim_one_matrix_equals_graph(self, engines):
         _, ord_eng = engines
@@ -113,19 +93,25 @@ class TestAssemble:
         assert again.reused_nodes == g.n_nodes
 
     def test_nested_dissection_placement(self, engines):
-        # every separator's positions come after those of its two subtrees
+        # each tree node owns a contiguous run of positions, in its array's
+        # order, and every separator comes after its two subtrees
         sep_eng, ord_eng = engines
         rng = np.random.default_rng(23)
         g = build_dual(random_pattern(rng, 120))
         tree = hgd_build(g, 3, sep_eng)
-        assemble(tree, g, np.zeros(tree.size, bool), ord_eng)
+        state = assemble(tree, g, np.zeros(tree.size, bool), ord_eng)
+        pos = invert_permutation(state.graph_perm)
+        for tn in tree.nodes:
+            if tn.nodes.size:
+                assert np.array_equal(pos[tn.nodes], pos[tn.nodes[0]] + np.arange(tn.nodes.size))
         for i in range(tree.size // 2):  # internal indices
             tn = tree.nodes[i]
-            for child in (2 * i + 1, 2 * i + 2):
-                for j in tree.subtree_indices(child):
-                    cn = tree.nodes[j]
-                    if cn.nodes.size and tn.nodes.size:
-                        assert cn.offset + cn.nodes.size <= tn.offset
+            if tn.nodes.size == 0:
+                continue
+            below = [tree.nodes[j].nodes for c in (2 * i + 1, 2 * i + 2) for j in tree.subtree_indices(c)]
+            below = np.concatenate(below)
+            if below.size:
+                assert pos[below].max() < pos[tn.nodes].min()
 
     def test_stale_tree_detected(self, engines):
         _, ord_eng = engines

@@ -177,6 +177,11 @@ class TestGen:
             ["--kind", "remesh", "--densify", "nan"],
             ["--kind", "remesh", "--densify", "inf"],
             ["--kind", "remesh", "--densify", "1e9"],
+            ["--patch-frac", "nan"],
+            ["--patch-frac", "inf"],
+            ["--patch-frac", "-5"],
+            ["--patch-frac", "0"],
+            ["--patch-frac", "1.5"],
         ],
     )
     def test_bad_generator_argument_is_one_line(self, tmp_path, capsys, flags):
@@ -184,6 +189,16 @@ class TestGen:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failing_later_step_writes_nothing(self, tmp_path, capsys):
+        # step 1 (contacts) is fine; step 2 (remesh) refuses the densify factor
+        out_dir = tmp_path / "seq"
+        argv = ["gen", "--out", str(out_dir), "--nx", "8", "--ny", "8", "--steps", "2",
+                "--patch-frac", "0.2", "--densify", "nan"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        left = [p.name for p in out_dir.iterdir()] if out_dir.exists() else []
+        assert left == []
 
     def test_dim_flag(self, tmp_path, capsys):
         # a 2-rows-per-node pattern: expand an 8x8 grid by duplicating blocks

@@ -123,6 +123,39 @@ def test_non_monotone_relabel_keeps_bijection():
     assert parth.tree.separator_violations(parth.graph) == []
 
 
+def _blocks(pattern: SparsityPattern, dim: int) -> SparsityPattern:
+    rows, cols = pattern.to_coo()
+    offs = np.arange(dim, dtype=np.int64)
+    big_rows = np.repeat(rows[:, None] * dim + offs, dim, axis=1).ravel()
+    big_cols = np.tile(cols[:, None] * dim + offs, dim).ravel()
+    return SparsityPattern.from_coo(pattern.n_rows * dim, big_rows, big_cols)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_pure_relabel_reuses_orderings_of_the_same_nodes(dim):
+    # a renumbering changes no structure: every stored ordering is reused and
+    # must still eliminate the same physical nodes, so the permutation is the
+    # previous one mapped through the relabel and the fill does not move
+    from parth import NodeMap, symbolic_analyze
+
+    grid, _ = grid_laplacian(16, 16)
+    pattern = _blocks(grid, dim)
+    parth = Parth(ParthConfig(dim=dim, max_level=3))
+    first = parth.start(pattern).matrix_perm
+    rng = np.random.default_rng(29)
+    new_of_old = rng.permutation(256)
+    entries = np.empty(256, dtype=np.int64)
+    entries[new_of_old] = np.arange(256)  # entries[new] = old
+    rows, cols = grid.to_coo()
+    relabelled = _blocks(SparsityPattern.from_coo(256, new_of_old[rows], new_of_old[cols]), dim)
+    dirty, state = parth.step(relabelled, NodeMap(entries))
+    assert bool(dirty.reuse_mask.all())
+    assert state.reused_nodes == 256
+    row_of_old = (new_of_old[:, None] * dim + np.arange(dim)).ravel()
+    assert np.array_equal(state.matrix_perm, row_of_old[first])
+    assert symbolic_analyze(relabelled, state.matrix_perm).nnz_l == symbolic_analyze(pattern, first).nnz_l
+
+
 def test_reset_starts_fresh():
     pattern, _ = grid_laplacian(8, 8)
     parth = Parth(ParthConfig(max_level=2))

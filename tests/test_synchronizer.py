@@ -46,6 +46,23 @@ class TestNodeChangeSynchronizer:
         for tn, arr in zip(tree.nodes, before):
             assert np.array_equal(tn.nodes, arr)
 
+    def test_relabel_maps_arrays_in_order(self):
+        # a pure renumbering keeps each array's order and its ordered flag
+        g1, _ = nine_node_graphs()
+        tree = nine_tree(g1)
+        for tn in tree.nodes:
+            tn.nodes, tn.ordered = tn.nodes[::-1].copy(), True
+        before = [tn.nodes.copy() for tn in tree.nodes]
+        new_of_old = np.array([4, 7, 0, 8, 2, 6, 1, 3, 5])
+        entries = np.empty(9, dtype=np.int64)
+        entries[new_of_old] = np.arange(9)
+        rows, cols = g1.edges()
+        g_new = SymGraph.from_edges(9, new_of_old[rows], new_of_old[cols])
+        assert node_change_synchronizer(tree, NodeMap(entries), 9, g_new) == set()
+        for tn, arr in zip(tree.nodes, before):
+            assert np.array_equal(tn.nodes, new_of_old[arr])
+            assert tn.ordered
+
     def test_removed_node_reported(self):
         g1, _ = nine_node_graphs()
         tree = nine_tree(g1)

@@ -11,6 +11,7 @@ from parth import (
     inject_contacts,
     is_structurally_symmetric,
     patch_remesh,
+    radius_for_fraction,
 )
 
 
@@ -126,3 +127,11 @@ class TestPatchRemesh:
         b, mb = patch_remesh(p, 44, 2, densify=1.0, seed=11)
         assert np.array_equal(a.col_indices, b.col_indices)
         assert np.array_equal(ma.entries, mb.entries)
+
+
+class TestRadiusForFraction:
+    def test_fraction_one_covers_the_graph(self):
+        # the upper bound of (0, 1] is accepted; out-of-range values are
+        # refused in tests/test_cli.py's bad-argument cases
+        p, _ = grid_laplacian(4, 4)
+        assert hop_ball(p, 0, radius_for_fraction(p, 0, 1.0)).size == p.n_rows
