@@ -18,6 +18,11 @@ ABSENT = -1
 
 _MASKED = -2  # bfs_distances sentinel for nodes outside the mask
 
+# bfs_distances runs over Python lists up to this many nodes and numpy
+# above: the measured crossover, where both took about 4.6 ms on the
+# 8k-node splits of a 256x256 grid (2 cores, Python 3.11)
+_LIST_BFS_MAX = 8192
+
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
@@ -242,17 +247,48 @@ def gather_neighbors(g: SymGraph, nodes: np.ndarray) -> np.ndarray:
 def bfs_distances(g: SymGraph, root: int, mask: np.ndarray | None = None) -> np.ndarray:
     """Hop distances from root; -1 for unreachable or masked-out nodes.
 
-    Level-synchronous BFS. Masked-out nodes are marked once with a sentinel
-    in the distance array, so each level only keeps the neighbors still at
-    -1. Each new frontier is deduplicated by scattering its candidates'
-    positions into one reusable n-length slot array and keeping the
-    candidate whose position survived, one per node, with no sort.
+    Masked-out nodes are marked once with a sentinel in the distance
+    array, so the search only ever claims nodes still at -1. Distances are
+    unique, so both branches below return the same array.
+
+    - Up to `_LIST_BFS_MAX` nodes the search runs over Python lists: one
+      `tolist` of the adjacency, then a queue that claims each node once.
+      At that size numpy's per-call overhead on every level costs more
+      than the whole search does in Python.
+    - Above it the search is level-synchronous in numpy. Each new frontier
+      is deduplicated by scattering its candidates' positions into one
+      reusable n-length slot array and keeping the candidate whose
+      position survived, one per node, with no sort.
     """
     dist = np.full(g.n_nodes, -1, dtype=np.int64)
     if mask is not None:
         if not mask[root]:
             return dist
         dist[~mask] = _MASKED
+    if g.n_nodes <= _LIST_BFS_MAX:
+        dist = _list_bfs(g, root, dist.tolist())
+    else:
+        dist = _numpy_bfs(g, root, dist)
+    if mask is not None:
+        dist[dist == _MASKED] = -1
+    return dist
+
+
+def _list_bfs(g: SymGraph, root: int, dist: list[int]) -> np.ndarray:
+    starts = g.adj_starts.tolist()
+    adj = g.adj.tolist()
+    dist[root] = 0
+    queue = [root]
+    for x in queue:  # the loop also visits the nodes appended while it runs
+        d = dist[x] + 1
+        for y in adj[starts[x] : starts[x + 1]]:
+            if dist[y] == -1:
+                dist[y] = d
+                queue.append(y)
+    return np.array(dist, dtype=np.int64)
+
+
+def _numpy_bfs(g: SymGraph, root: int, dist: np.ndarray) -> np.ndarray:
     dist[root] = 0
     slot = np.empty(g.n_nodes, dtype=np.int64)
     frontier = np.array([root], dtype=np.int64)
@@ -267,8 +303,6 @@ def bfs_distances(g: SymGraph, root: int, mask: np.ndarray | None = None) -> np.
         frontier = nb[slot[nb] == pos]
         d += 1
         dist[frontier] = d
-    if mask is not None:
-        dist[dist == _MASKED] = -1
     return dist
 
 

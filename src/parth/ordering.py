@@ -37,17 +37,26 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
 
 
 class MinDegreeEngine:
-    """Exact minimum-degree elimination; deterministic for a fixed graph."""
+    """Exact minimum-degree elimination; deterministic for a fixed graph.
+
+    The elimination graph lives in Python sets built from one `tolist` of
+    the adjacency, and the permutation grows as a list; only the degrees
+    stay in numpy, so that each pivot is one `argmin`, whose first minimum
+    is the lowest index.
+    """
 
     def order(self, g: SymGraph) -> np.ndarray:
         n = g.n_nodes
-        adj = [set(map(int, g.neighbors(i))) for i in range(n)]
-        deg = np.array([len(s) for s in adj], dtype=np.int64)
+        starts = g.adj_starts.tolist()
+        flat = g.adj.tolist()
+        adj = [set(flat[starts[i] : starts[i + 1]]) for i in range(n)]
+        deg = np.diff(g.adj_starts)
+        argmin = deg.argmin
         gone = n + 1  # sentinel larger than any live degree
-        perm = np.empty(n, dtype=np.int64)
-        for k in range(n):
-            pivot = int(np.argmin(deg))  # first minimum = lowest index
-            perm[k] = pivot
+        perm = []
+        for _ in range(n):
+            pivot = int(argmin())
+            perm.append(pivot)
             nbrs = adj[pivot]
             for w in nbrs:
                 s = adj[w]
@@ -57,7 +66,7 @@ class MinDegreeEngine:
                 deg[w] = len(s)
             adj[pivot] = set()
             deg[pivot] = gone
-        return perm
+        return np.array(perm, dtype=np.int64)
 
 
 def order_subgraph(g: SymGraph, engine: MinDegreeEngine) -> np.ndarray:

@@ -99,21 +99,31 @@ class LevelSetEngine:
         return comp[touches & (level == best_t)]
 
     def _shrink(self, g: SymGraph, side: np.ndarray, sizes: list[int], sep: np.ndarray) -> None:
-        """Move separator nodes touching only one side into that side."""
+        """Move separator nodes touching only one side into that side.
+
+        Only separator nodes change side, and only the separator nodes'
+        neighbor lists are read: the passes run over Python lists (one
+        gathered neighbor list, a list copy of `side`), and the moved
+        sides are written back once at the end.
+        """
         if sizes[_SIDE_LEFT] == 0 or sizes[_SIDE_RIGHT] == 0:
             # nothing is separated; collapsing the separator would only hide that
             return
-        pending = list(map(int, sep))
+        sep_list = sep.tolist()
+        ends = np.cumsum(g.adj_starts[sep + 1] - g.adj_starts[sep]).tolist()
+        nbrs = gather_neighbors(g, sep).tolist()
+        side_list = side.tolist()
+        pending = [(s, nbrs[begin:end]) for s, begin, end in zip(sep_list, [0] + ends, ends)]
         changed = True
         while changed:
             changed = False
             still = []
-            for s in pending:
-                nb_side = side[g.neighbors(s)]
-                has_l = bool(np.any(nb_side == _SIDE_LEFT))
-                has_r = bool(np.any(nb_side == _SIDE_RIGHT))
+            for s, nb in pending:
+                nb_side = [side_list[y] for y in nb]
+                has_l = _SIDE_LEFT in nb_side
+                has_r = _SIDE_RIGHT in nb_side
                 if has_l and has_r:
-                    still.append(s)
+                    still.append((s, nb))
                     continue
                 if has_l:
                     tgt = _SIDE_LEFT
@@ -121,10 +131,11 @@ class LevelSetEngine:
                     tgt = _SIDE_RIGHT
                 else:
                     tgt = _SIDE_LEFT if sizes[_SIDE_LEFT] <= sizes[_SIDE_RIGHT] else _SIDE_RIGHT
-                side[s] = tgt
+                side_list[s] = tgt
                 sizes[tgt] += 1
                 changed = True
             pending = still
+        side[sep] = [side_list[s] for s in sep_list]
 
 
 def verify_separator(g: SymGraph, result: SeparatorResult) -> bool:

@@ -46,17 +46,18 @@ def hop_ball(pattern: SparsityPattern, center: int, radius: int) -> np.ndarray:
 
 
 def radius_for_fraction(pattern: SparsityPattern, center: int, fraction: float) -> int:
-    """Largest hop radius whose ball stays within `fraction` of all nodes."""
+    """Largest hop radius whose ball stays within `fraction` of all nodes.
+
+    When the whole reachable part fits, that is the centre's eccentricity.
+    """
     if not (math.isfinite(fraction) and 0.0 < fraction <= 1.0):
         raise InvalidArgument(f"fraction must be a finite number in (0, 1], got {fraction}")
     target = max(1, int(fraction * pattern.n_rows))
     dist = bfs_distances(build_dual(pattern), center)
-    radius = 0
-    while np.count_nonzero((dist >= 0) & (dist <= radius + 1)) <= target:
-        radius += 1
-        if radius > pattern.n_rows:
-            break
-    return radius
+    # ball[r] = nodes within r hops; past the eccentricity the ball stops growing
+    ball = np.cumsum(np.bincount(dist[dist >= 0]))
+    over = np.flatnonzero(ball[1:] > target)
+    return int(over[0]) if over.size else ball.size - 1
 
 
 def inject_contacts(

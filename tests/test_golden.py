@@ -140,21 +140,27 @@ def start_digests() -> list[str]:
     grid, _ = grid_laplacian(64, 64)
     striped = _striped_with_isolated(64, 500)
     blocks, _ = grid_laplacian(32, 32)
+    big, _ = grid_laplacian(128, 128)
     return [
         _digest(Parth().start(grid).matrix_perm),
         _digest(Parth().start(striped).matrix_perm),
         _digest(Parth(ParthConfig(target_leaf=32)).start(striped).matrix_perm),
         _digest(Parth(ParthConfig(dim=3)).start(_expand(blocks, 3)).matrix_perm),
+        # the root split of 16 384 nodes searches with numpy, every deeper
+        # split with Python lists (`graph._LIST_BFS_MAX`)
+        _digest(Parth().start(big).matrix_perm),
     ]
 
 
 # recorded before the vectorized BFS, component labelling and level scoring
-# of the separator went in; `start` must reproduce them bit for bit
+# of the separator went in, and the last one before the list kernels for
+# small graphs; `start` must reproduce them bit for bit
 START_GOLDEN = [
     "d01288773fd7b3ecda2f4da4bd288bff1f71927a5bd5524456490e20023a6f72",
     "13b87ef27d717895fd876afd540f45f837c9539e2a01ada87007fb65d6ae63c8",
     "6ce92deb4a2b866d1066cc0a280941cff99c55424c3e4054bf51787730a959d6",
     "d1b0a30331f977e9e8d38711e7c64c50a2519f1fea71bac5b2beeba740e83fc4",
+    "1275881be29fbdd640f08bbe4d12b85654e1ee331f1a667954d5ea70fecce60c",
 ]
 
 

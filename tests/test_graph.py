@@ -20,6 +20,7 @@ from parth import (
     edge_set_diff,
     induced_subgraph,
 )
+from parth.graph import _LIST_BFS_MAX
 from conftest import (
     NINE_EDGES_FIRST,
     nine_node_graphs,
@@ -427,4 +428,17 @@ class TestTraversal:
         assert bfs_distances(g, end).tolist() == reference_bfs(g, end, None)
         mask = rng.random(n) < 0.9
         assert [c.tolist() for c in connected_components(g, mask)] == reference_components(g, mask)
+        assert bfs_distances(g, end, mask).tolist() == reference_bfs(g, end, mask)
+
+    @pytest.mark.parametrize("n", [_LIST_BFS_MAX, _LIST_BFS_MAX + 1])
+    def test_both_bfs_branches(self, n):
+        # the largest graph searched over Python lists and the smallest
+        # searched with numpy; both run to the far end of a long path
+        rng = np.random.default_rng(n)
+        g = shuffled_path(rng, n)
+        end = int(np.flatnonzero(g.degrees() == 1)[0])
+        dist = bfs_distances(g, end)
+        assert dist.tolist() == reference_bfs(g, end, None) and dist.max() == n - 1
+        mask = rng.random(n) < 0.999
+        mask[end] = True
         assert bfs_distances(g, end, mask).tolist() == reference_bfs(g, end, mask)

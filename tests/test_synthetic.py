@@ -135,3 +135,20 @@ class TestRadiusForFraction:
         # refused in tests/test_cli.py's bad-argument cases
         p, _ = grid_laplacian(4, 4)
         assert hop_ball(p, 0, radius_for_fraction(p, 0, 1.0)).size == p.n_rows
+
+    def test_whole_graph_gives_the_eccentricity(self):
+        p, _ = grid_laplacian(32, 32)
+        assert radius_for_fraction(p, 0, 1.0) == 62  # corner to opposite corner
+
+    @pytest.mark.parametrize("fraction", [0.001, 0.02, 0.1, 0.3, 0.5, 0.99, 1.0])
+    def test_matches_growing_the_ball(self, fraction):
+        # the radius grown one hop at a time, stopped at the eccentricity
+        # once the ball holds every reachable node
+        p, _ = grid_laplacian(24, 24)
+        target = max(1, int(fraction * p.n_rows))
+        for center in (0, 23, 287, 300, 575):
+            dist = bfs_distances(build_dual(p), center)
+            radius = 0
+            while radius < dist.max() and np.count_nonzero(dist <= radius + 1) <= target:
+                radius += 1
+            assert radius_for_fraction(p, center, fraction) == radius
