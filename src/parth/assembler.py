@@ -3,8 +3,8 @@
 Every tree node keeps its node array in local elimination order. A
 post-order traversal concatenates those arrays, which places every
 separator after the two regions it splits (nested dissection). Local
-orderings are recomputed only where the reuse mask says so; block expansion
-then yields the matrix-level permutation.
+orderings are recomputed only for tree nodes whose `ordered` flag is
+clear; block expansion then yields the matrix-level permutation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StaleTree
 from .graph import SymGraph, induced_subgraph
 from .hgd import HgdTree
 from .ordering import MinDegreeEngine, order_subgraph
@@ -46,30 +45,23 @@ def post_order_indices(max_level: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def assemble(
-    tree: HgdTree, g: SymGraph, reuse_mask: np.ndarray, engine: MinDegreeEngine, dim: int = 1
-) -> AssemblyState:
+def assemble(tree: HgdTree, g: SymGraph, engine: MinDegreeEngine, dim: int = 1) -> AssemblyState:
     """Produce graph- and matrix-level permutations from the tree.
 
-    Tree nodes with reuse_mask False get a fresh local ordering of their
-    induced sub-graph, stored by rewriting their node array in elimination
-    order; the rest keep their array as it is. The graph permutation is the
-    node arrays concatenated in post-order. The first call must pass an
-    all-False mask.
+    Tree nodes whose `ordered` flag is clear get a fresh local ordering of
+    their induced sub-graph, stored by rewriting their node array in
+    elimination order, and the flag is set; the rest keep their array as it
+    is. The graph permutation is the node arrays concatenated in post-order.
+    The tree must partition g's nodes: `hgd_build` and `synchronize` leave
+    it so, and `HgdTree.validate_partition` audits it.
     """
-    if len(reuse_mask) != tree.size:
-        raise StaleTree(f"mask length {len(reuse_mask)} != tree size {tree.size}")
-    tree.validate_partition(g.n_nodes)
-
     parts = []
     reused = 0
     for i in post_order_indices(tree.max_level):
         tn = tree.nodes[i]
         if tn.nodes.size == 0:
             continue
-        if reuse_mask[i]:
-            if not tn.ordered:
-                raise StaleTree(f"tree node {i} marked reusable without a stored ordering")
+        if tn.ordered:
             reused += int(tn.nodes.size)
         else:
             sub, sel = induced_subgraph(g, tn.nodes)

@@ -6,8 +6,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .assembler import AssemblyState, assemble
 from .errors import InvalidArgument, InvalidMap, ParthError
 from .graph import NodeMap, SparsityPattern, SymGraph, build_dual, compress_by_dim
@@ -26,6 +24,8 @@ class ParthConfig:
     theta: float = 0.5
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise InvalidArgument(f"dim must be >= 1, got {self.dim}")
         if self.max_level is not None and not 0 <= self.max_level <= MAX_LEVEL:
             raise InvalidArgument(f"max_level must be in [0, {MAX_LEVEL}] or None, got {self.max_level}")
         if self.target_leaf < 1:
@@ -76,8 +76,7 @@ class Parth:
         )
         t0 = time.perf_counter_ns()
         self.tree = hgd_build(g, max_level, self.separator_engine)
-        fresh_mask = np.zeros(self.tree.size, dtype=bool)
-        self.state = assemble(self.tree, g, fresh_mask, self.ordering_engine, cfg.dim)
+        self.state = assemble(self.tree, g, self.ordering_engine, cfg.dim)
         # nothing is synchronized on a start: the tree build counts as assembly
         self.last_sync_us = 0
         self.last_assemble_us = (time.perf_counter_ns() - t0) // 1000
@@ -108,7 +107,7 @@ class Parth:
             theta=cfg.theta,
         )
         t1 = time.perf_counter_ns()
-        self.state = assemble(self.tree, g_new, dirty.reuse_mask, self.ordering_engine, cfg.dim)
+        self.state = assemble(self.tree, g_new, self.ordering_engine, cfg.dim)
         self.last_sync_us = (t1 - t0) // 1000
         self.last_assemble_us = (time.perf_counter_ns() - t1) // 1000
         self.graph = g_new

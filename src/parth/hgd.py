@@ -66,22 +66,24 @@ class HgdNode:
 
     __slots__ = ("nodes", "ordered")
 
-    def __init__(self, nodes: np.ndarray | None = None):
-        self.nodes = _EMPTY if nodes is None else np.asarray(nodes, dtype=np.int64)
+    def __init__(self):
+        self.nodes = _EMPTY
         self.ordered = False
-
-    def copy(self) -> "HgdNode":
-        out = HgdNode(self.nodes.copy())
-        out.ordered = self.ordered
-        return out
 
 
 class HgdTree:
-    """Array-backed complete binary tree of sub-graphs."""
+    """Array-backed complete binary tree of sub-graphs.
+
+    `owner[u]` is the index of the tree node whose array holds graph node u,
+    the one record of it: every writer of a node array (`_build_into`, node
+    sync, aggressive moves) updates it, the synchronizer reads it, and
+    `validate_partition` audits it against the node arrays.
+    """
 
     def __init__(self, max_level: int):
         self.max_level = int(max_level)
         self.nodes = [HgdNode() for _ in range(tree_size(max_level))]
+        self.owner = _EMPTY
 
     @property
     def size(self) -> int:
@@ -104,8 +106,8 @@ class HgdTree:
     def total_nodes(self) -> int:
         return int(sum(tn.nodes.size for tn in self.nodes))
 
-    def node_to_tree(self, n_nodes: int) -> np.ndarray:
-        """Graph node -> tree index lookup; raises StaleTree on bad coverage."""
+    def _node_to_tree(self, n_nodes: int) -> np.ndarray:
+        """Graph node -> tree index, rebuilt from the node arrays; raises StaleTree on bad coverage."""
         sets = [tn.nodes for tn in self.nodes]
         flat = np.concatenate(sets)
         owner = np.repeat(np.arange(self.size, dtype=np.int64), [s.size for s in sets])
@@ -122,7 +124,9 @@ class HgdTree:
         return lookup
 
     def validate_partition(self, n_nodes: int) -> None:
-        self.node_to_tree(n_nodes)
+        """Audit: the node arrays partition [0, n_nodes) and `owner` agrees with them."""
+        if not np.array_equal(self.owner, self._node_to_tree(n_nodes)):
+            raise StaleTree("owner array disagrees with the tree node sets")
 
     def separator_violations(self, g: SymGraph) -> list[int]:
         """Edge-scan audit: ancestors whose left/right subtrees are connected.
@@ -130,7 +134,7 @@ class HgdTree:
         Returns the sorted lowest common ancestors of all offending edges;
         empty when every separator is intact.
         """
-        lookup = self.node_to_tree(g.n_nodes)
+        lookup = self._node_to_tree(g.n_nodes)
         bad = set()
         eu, ev = g.edges()
         for a, b in zip(lookup[eu], lookup[ev]):
@@ -139,11 +143,6 @@ class HgdTree:
                 continue
             bad.add(lca_of(a, b))
         return sorted(bad)
-
-    def copy(self) -> "HgdTree":
-        out = HgdTree(self.max_level)
-        out.nodes = [tn.copy() for tn in self.nodes]
-        return out
 
     @classmethod
     def from_node_sets(cls, max_level: int, sets, g: SymGraph | None = None) -> "HgdTree":
@@ -157,7 +156,10 @@ class HgdTree:
             raise StaleTree(f"expected {tree.size} node sets, got {len(sets)}")
         for idx, s in enumerate(sets):
             tree.nodes[idx].nodes = np.unique(np.asarray(s, dtype=np.int64))
-        tree.validate_partition(tree.total_nodes())
+        tree.owner = np.empty(tree.total_nodes(), dtype=np.int64)
+        for idx, tn in enumerate(tree.nodes):
+            np.put(tree.owner, tn.nodes, idx, mode="clip")  # the audit rejects a clipped entry
+        tree.validate_partition(tree.owner.size)
         if g is not None:
             bad = tree.separator_violations(g)
             if bad:
@@ -173,12 +175,15 @@ def _build_into(
     idx: int,
     engine: LevelSetEngine,
 ) -> None:
+    """Decompose `sub` (graph nodes `to_global`) into the empty subtree at idx."""
     node = tree.nodes[idx]
     if level == tree.max_level or sub.n_nodes < MIN_SPLIT:
         node.nodes = to_global
+        tree.owner[to_global] = idx
         return
     res = engine.split(sub)
     node.nodes = to_global[res.sep]
+    tree.owner[node.nodes] = idx
     left_sub, lsel = induced_subgraph(sub, res.left)
     _build_into(tree, left_sub, to_global[lsel], level + 1, 2 * idx + 1, engine)
     right_sub, rsel = induced_subgraph(sub, res.right)
@@ -188,6 +193,7 @@ def _build_into(
 def hgd_build(g: SymGraph, max_level: int, engine: LevelSetEngine) -> HgdTree:
     """Recursive separator decomposition of g down to max_level."""
     tree = HgdTree(max_level)
+    tree.owner = np.empty(g.n_nodes, dtype=np.int64)
     _build_into(tree, g, np.arange(g.n_nodes, dtype=np.int64), 0, 0, engine)
     return tree
 
@@ -202,7 +208,9 @@ def hgd_redecompose(
     """Rebuild the subtree at root_index over `region`, in place.
 
     The region must equal the union of node sets currently stored in that
-    subtree; every tree node outside the subtree is left untouched.
+    subtree; every tree node outside the subtree is left untouched. The
+    subtree is emptied and un-ordered first, so slots the new decomposition
+    does not reach stay empty, then rebuilt directly into the tree.
     """
     region = np.unique(np.asarray(region, dtype=np.int64))
     current = tree.subtree_union(root_index)
@@ -210,17 +218,11 @@ def hgd_redecompose(
         raise RegionMismatch(
             f"region ({region.size} nodes) differs from subtree {root_index} contents ({current.size} nodes)"
         )
-    depth = tree.max_level - level_of(root_index)
+    for i in tree.subtree_indices(root_index):
+        tree.nodes[i].nodes = _EMPTY
+        tree.nodes[i].ordered = False
     sub, to_global = induced_subgraph(g, region)
-    temp = hgd_build(sub, depth, engine)
-    stack = [(0, root_index)]
-    while stack:
-        loc, glob = stack.pop()
-        node = tree.nodes[glob]
-        node.nodes = to_global[temp.nodes[loc].nodes]
-        node.ordered = False
-        if 2 * loc + 2 < temp.size:
-            stack.extend(((2 * loc + 1, 2 * glob + 1), (2 * loc + 2, 2 * glob + 2)))
+    _build_into(tree, sub, to_global, level_of(root_index), root_index, engine)
 
 
 def default_max_level(n_nodes: int, target_leaf: int = 256) -> int:

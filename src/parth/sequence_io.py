@@ -62,6 +62,8 @@ def read_matrix_market(path) -> tuple[SparsityPattern, np.ndarray | None]:
         m, n, nnz = (int(t) for t in toks)
     except ValueError:
         raise ParseError("non-integer size line", path, size_no) from None
+    if min(m, n, nnz) < 0:
+        raise ParseError(f"negative size in size line {size_line!r}", path, size_no)
     if m != n:
         raise ParseError(f"matrix must be square, got {m}x{n}", path, size_no)
     entries = body[1:]

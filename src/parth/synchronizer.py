@@ -3,9 +3,9 @@
 One call runs the full pipeline: settle node additions/removals, diff the
 edge sets, map each changed edge to a pair of tree nodes, classify the pairs
 as fine dirt (local ordering stale) or coarse dirt (separator broken), drop
-redundant entries, and rebuild the remaining coarse regions. The result is a
-reuse mask over tree nodes: True means the stored local ordering is still
-valid.
+redundant entries, and rebuild the remaining coarse regions. Every tree node
+whose local ordering went stale ends the call with its `ordered` flag
+cleared; the returned reuse mask reports the same facts per tree node.
 
 An edge whose endpoints share one tree node lies inside one sub-graph: its
 local ordering must be recomputed, nothing structural changed. Such edges
@@ -75,7 +75,8 @@ def node_change_synchronizer(
     node is appended to the deepest tree node holding one of its
     already-placed neighbors (surviving neighbors preferred), falling back
     to the root when isolated. Returns the tree indices whose membership
-    changed; their orderings are cleared.
+    changed; their orderings are cleared. `tree.owner` is renumbered and
+    extended alongside.
     """
     if node_map.n_new != n_new:
         raise InvalidMap(f"map has {node_map.n_new} entries, expected {n_new}")
@@ -83,6 +84,10 @@ def node_change_synchronizer(
     if node_map.is_identity:
         return set()
     o2n = node_map.o2n
+    owner = np.full(n_new, -1, dtype=np.int64)
+    old_kept = o2n >= 0
+    owner[o2n[old_kept]] = tree.owner[old_kept]
+    tree.owner = owner
 
     touched: set[int] = set()
     for idx, tn in enumerate(tree.nodes):
@@ -97,25 +102,21 @@ def node_change_synchronizer(
 
     added = np.flatnonzero(node_map.entries == ABSENT)
     if added.size:
-        lookup = np.full(n_new, -1, dtype=np.int64)
-        for idx, tn in enumerate(tree.nodes):
-            if tn.nodes.size:
-                lookup[tn.nodes] = idx
         survivor = node_map.entries >= 0
         for u in map(int, added):
             nbrs = g_new.neighbors(u)
-            placed = lookup[nbrs] >= 0
+            placed = owner[nbrs] >= 0
             target = 0
             for pool in (nbrs[placed & survivor[nbrs]], nbrs[placed]):
                 if pool.size:
-                    cands = np.unique(lookup[pool])
+                    cands = np.unique(owner[pool])
                     depths = np.array([level_of(int(c)) for c in cands])
                     target = int(cands[depths == depths.max()].min())
                     break
             tn = tree.nodes[target]
             tn.nodes = np.append(tn.nodes, u)
             tn.ordered = False
-            lookup[u] = target
+            owner[u] = target
             touched.add(target)
     return touched
 
@@ -129,13 +130,12 @@ def map_edges_to_tree(
     endpoints share a tree node are returned separately as fine-grain marks
     on that node.
     """
-    n = tree.total_nodes()
-    lookup = tree.node_to_tree(n)
+    owner = tree.owner
     changes: list[TreeEdgeChange] = []
     fine: set[int] = set()
     for pairs, kind in ((added, ADDED), (removed, REMOVED)):
         for u, v in np.asarray(pairs, dtype=np.int64).reshape(-1, 2):
-            a, b = int(lookup[u]), int(lookup[v])
+            a, b = int(owner[u]), int(owner[v])
             if a == b:
                 fine.add(a)
             else:
@@ -182,12 +182,12 @@ def aggressive_reuse(
     changes (tree pairs refreshed) plus the extra fine-dirty tree nodes
     produced by the moves.
     """
-    n = tree.total_nodes()
-    lookup = tree.node_to_tree(n)
+    owner = tree.owner
+    n = owner.size
     extra: set[int] = set()
     out: list[TreeEdgeChange] = []
     for ch in changes:
-        a, b = int(lookup[ch.u]), int(lookup[ch.v])
+        a, b = int(owner[ch.u]), int(owner[ch.v])
         if a == b:
             extra.add(a)
             continue
@@ -205,12 +205,12 @@ def aggressive_reuse(
             mover, src = ch.u, a
         else:
             mover, src = ch.v, b
-        if all(_related(anc, int(lookup[w])) for w in g_new.neighbors(mover)):
+        if all(_related(anc, int(owner[w])) for w in g_new.neighbors(mover)):
             src_tn, anc_tn = tree.nodes[src], tree.nodes[anc]
             src_tn.nodes = src_tn.nodes[src_tn.nodes != mover]
             anc_tn.nodes = np.append(anc_tn.nodes, mover)
             src_tn.ordered = anc_tn.ordered = False
-            lookup[mover] = anc
+            owner[mover] = anc
             extra.update((src, anc))
         else:
             out.append(ch)
@@ -224,7 +224,7 @@ def mark_and_decompose(
     coarse: set[int],
     engine: LevelSetEngine,
 ) -> DirtyState:
-    """Rebuild coarse regions and emit the reuse mask."""
+    """Rebuild coarse regions, clear the fine marks' orderings, and report the reuse mask."""
     reuse_mask = np.ones(tree.size, dtype=bool)
     total = 0
     for root in sorted(coarse):
@@ -233,6 +233,7 @@ def mark_and_decompose(
         hgd_redecompose(tree, root, g_new, region, engine)
         reuse_mask[tree.subtree_indices(root)] = False
     for f in sorted(fine):
+        tree.nodes[f].ordered = False
         reuse_mask[f] = False
         total += int(tree.nodes[f].nodes.size)
     return DirtyState(reuse_mask, frozenset(fine), frozenset(coarse), total)
@@ -250,8 +251,9 @@ def synchronize(
     """Bring a tree built over g_old up to date with g_new.
 
     After the call the tree's node sets partition the new graph and every
-    separator holds on g_new; the returned mask tells the assembler which
-    local orderings survived.
+    separator holds on g_new; each tree node's `ordered` flag tells the
+    assembler whether its local ordering survived, and the returned mask
+    reports the same.
     """
     node_map = node_map.checked(g_old.n_nodes)
     touched = node_change_synchronizer(tree, node_map, g_new.n_nodes, g_new)

@@ -223,7 +223,7 @@ def test_criterion_08_dirty_set_completeness():
         new_pattern = apply_edge_delta(pattern, add, [])
         g_new = build_dual(new_pattern)
         # oracle: scan the untouched tree against the new edges
-        oracle = set(parth.tree.copy().separator_violations(g_new))
+        oracle = set(parth.tree.separator_violations(g_new))
         dirty, state = parth.step(new_pattern)
         marked = set(np.flatnonzero(~dirty.reuse_mask).tolist())
         assert oracle <= marked, f"trial {trial}: {oracle - marked} not marked"

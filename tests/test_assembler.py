@@ -36,12 +36,12 @@ class TestAssemble:
         sep_eng, ord_eng = engines
         g1, g2 = nine_node_graphs()
         tree = HgdTree.from_node_sets(2, NINE_TREE_SETS, g=g1)
-        first = assemble(tree, g1, np.zeros(7, bool), ord_eng)
+        first = assemble(tree, g1, ord_eng)
         assert first.reused_nodes == 0
         assert is_permutation(first.graph_perm, 9)
 
         dirty = synchronize(tree, g1, g2, NodeMap.identity(9), sep_eng)
-        second = assemble(tree, g2, dirty.reuse_mask, ord_eng)
+        second = assemble(tree, g2, ord_eng)
         # four of the seven tree nodes are reused, covering six graph nodes
         assert int(np.count_nonzero(dirty.reuse_mask)) == 4
         assert second.reused_nodes == 6
@@ -57,7 +57,7 @@ class TestAssemble:
         _, ord_eng = engines
         g1, _ = nine_node_graphs()
         tree = HgdTree.from_node_sets(2, NINE_TREE_SETS, g=g1)
-        state = assemble(tree, g1, np.zeros(7, bool), ord_eng, dim=1)
+        state = assemble(tree, g1, ord_eng, dim=1)
         assert np.array_equal(state.graph_perm, state.matrix_perm)
 
     def test_block_expansion(self, engines):
@@ -65,7 +65,7 @@ class TestAssemble:
         from parth import SymGraph
 
         tree = HgdTree.from_node_sets(0, [[0]])
-        state = assemble(tree, SymGraph.empty(1), np.zeros(1, bool), ord_eng, dim=3)
+        state = assemble(tree, SymGraph.empty(1), ord_eng, dim=3)
         assert state.graph_perm.tolist() == [0]
         assert state.matrix_perm.tolist() == [0, 1, 2]
 
@@ -74,7 +74,7 @@ class TestAssemble:
         rng = np.random.default_rng(4)
         g = build_dual(random_pattern(rng, 40))
         tree = hgd_build(g, 2, sep_eng)
-        state = assemble(tree, g, np.zeros(tree.size, bool), ord_eng, dim=2)
+        state = assemble(tree, g, ord_eng, dim=2)
         expect = np.empty(80, np.int64)
         expect[0::2] = state.graph_perm * 2
         expect[1::2] = state.graph_perm * 2 + 1
@@ -87,8 +87,8 @@ class TestAssemble:
         pattern = random_pattern(rng, 64)
         g = build_dual(pattern)
         tree = hgd_build(g, 3, sep_eng)
-        first = assemble(tree, g, np.zeros(tree.size, bool), ord_eng)
-        again = assemble(tree, g, np.ones(tree.size, bool), ord_eng)
+        first = assemble(tree, g, ord_eng)
+        again = assemble(tree, g, ord_eng)
         assert np.array_equal(first.matrix_perm, again.matrix_perm)
         assert again.reused_nodes == g.n_nodes
 
@@ -99,7 +99,7 @@ class TestAssemble:
         rng = np.random.default_rng(23)
         g = build_dual(random_pattern(rng, 120))
         tree = hgd_build(g, 3, sep_eng)
-        state = assemble(tree, g, np.zeros(tree.size, bool), ord_eng)
+        state = assemble(tree, g, ord_eng)
         pos = invert_permutation(state.graph_perm)
         for tn in tree.nodes:
             if tn.nodes.size:
@@ -113,20 +113,12 @@ class TestAssemble:
             if below.size:
                 assert pos[below].max() < pos[tn.nodes].min()
 
-    def test_stale_tree_detected(self, engines):
-        _, ord_eng = engines
-        g1, _ = nine_node_graphs()
+    def test_stale_tree_detected(self):
+        # assemble trusts the tree it is given; the partition audit catches a stale one
         tree = HgdTree.from_node_sets(2, NINE_TREE_SETS)
         tree.nodes[3].nodes = np.array([40])  # points outside the graph
         with pytest.raises(StaleTree):
-            assemble(tree, g1, np.zeros(7, bool), ord_eng)
-
-    def test_reuse_without_stored_ordering_detected(self, engines):
-        _, ord_eng = engines
-        g1, _ = nine_node_graphs()
-        tree = HgdTree.from_node_sets(2, NINE_TREE_SETS)
-        with pytest.raises(StaleTree):
-            assemble(tree, g1, np.ones(7, bool), ord_eng)
+            tree.validate_partition(9)
 
     def test_bijections_after_every_call(self, engines):
         sep_eng, ord_eng = engines
@@ -135,7 +127,7 @@ class TestAssemble:
             n = int(rng.integers(5, 120))
             g = build_dual(random_pattern(rng, n))
             tree = hgd_build(g, int(rng.integers(0, 4)), sep_eng)
-            state = assemble(tree, g, np.zeros(tree.size, bool), ord_eng)
+            state = assemble(tree, g, ord_eng)
             assert is_permutation(state.graph_perm, n)
             inv = invert_permutation(state.graph_perm)
             assert np.array_equal(state.graph_perm[inv], np.arange(n))

@@ -112,6 +112,14 @@ class TestCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_negative_size_line_is_one_line(self, tmp_path, capsys):
+        f = tmp_path / "neg.mtx"
+        f.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n-1 -1 0\n")
+        assert main(["check", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "negative size" in err
+
     def test_max_level_not_an_int_is_a_usage_error(self, grid_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", str(grid_file), "--max-level", "abc"])
@@ -119,7 +127,7 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "--max-level" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("flags", [["--max-level", "-1"], ["--target-leaf", "0"]])
+    @pytest.mark.parametrize("flags", [["--max-level", "-1"], ["--target-leaf", "0"], ["--dim", "0"]])
     def test_config_out_of_range_is_one_line(self, grid_file, capsys, flags):
         assert main(["check", str(grid_file)] + flags) == 1
         err = capsys.readouterr().err

@@ -166,7 +166,9 @@ def test_reset_starts_fresh():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("kwargs", [{"max_level": -1}, {"max_level": 40}, {"target_leaf": 0}])
+@pytest.mark.parametrize(
+    "kwargs", [{"max_level": -1}, {"max_level": 40}, {"target_leaf": 0}, {"dim": 0}, {"dim": -2}]
+)
 def test_config_bounds_checked_at_construction(kwargs):
     # raised before any tree exists: max_level=40 would ask for 2**41 slots
     with pytest.raises(InvalidArgument) as exc:

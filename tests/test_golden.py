@@ -49,6 +49,14 @@ def _contacts(pattern: SparsityPattern, rng) -> SparsityPattern:
     return inject_contacts(pattern, int(rng.integers(pattern.n_rows)), 5, 16, int(rng.integers(2**31)))
 
 
+def _step(parth: Parth, pattern: SparsityPattern, node_map: NodeMap | None = None) -> str:
+    """One step, audited: the tree partitions the graph, `owner` agrees, separators hold."""
+    perm = parth.step(pattern, node_map)[1].matrix_perm
+    parth.tree.validate_partition(parth.graph.n_nodes)
+    assert parth.tree.separator_violations(parth.graph) == []
+    return _digest(perm)
+
+
 def golden_digests() -> list[str]:
     rng = np.random.default_rng(2024)
     base, _ = grid_laplacian(GRID, GRID)
@@ -62,9 +70,9 @@ def golden_digests() -> list[str]:
     for _ in range(5):
         history.append(pattern)
         pattern = _contacts(pattern, rng)
-        out.append(_digest(parth.step(pattern)[1].matrix_perm))
-    out.append(_digest(parth.step(pattern)[1].matrix_perm))
-    out.append(_digest(parth.step(history[2])[1].matrix_perm))
+        out.append(_step(parth, pattern))
+    out.append(_step(parth, pattern))
+    out.append(_step(parth, history[2]))
 
     # size-changing remesh steps with node maps, then a full relabel
     parth = Parth(ParthConfig())
@@ -72,19 +80,19 @@ def golden_digests() -> list[str]:
     pattern = base
     for _ in range(3):
         pattern, node_map = _remesh(pattern, rng)
-        out.append(_digest(parth.step(pattern, node_map)[1].matrix_perm))
+        out.append(_step(parth, pattern, node_map))
     pattern, node_map = _relabel(pattern, rng)
-    out.append(_digest(parth.step(pattern, node_map)[1].matrix_perm))
+    out.append(_step(parth, pattern, node_map))
 
     # 3x3 blocks: contacts, remesh with a node map, no-op
     parth = Parth(ParthConfig(dim=3))
     parth.start(_expand(base, 3))
     pattern = _contacts(base, rng)
-    out.append(_digest(parth.step(_expand(pattern, 3))[1].matrix_perm))
+    out.append(_step(parth, _expand(pattern, 3)))
     pattern, node_map = _remesh(pattern, rng)
     expanded = _expand(pattern, 3)
-    out.append(_digest(parth.step(expanded, node_map)[1].matrix_perm))
-    out.append(_digest(parth.step(expanded)[1].matrix_perm))
+    out.append(_step(parth, expanded, node_map))
+    out.append(_step(parth, expanded))
     return out
 
 

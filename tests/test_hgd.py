@@ -135,6 +135,16 @@ class TestRedecompose:
         for i, arr in outside.items():
             assert np.array_equal(tree.nodes[i].nodes, arr)
 
+    def test_small_region_below_internal_slot_empties_deeper_slots(self, engine):
+        # subtree 2 holds {2} at slot 2 and {3} at slot 5; two nodes are under
+        # MIN_SPLIT, so the rebuild stores both at slot 2 and slot 5 must not keep 3
+        g = SymGraph.from_edges(4, [0, 0, 2], [1, 2, 3])
+        tree = HgdTree.from_node_sets(2, [[0], [1], [2], [], [], [3], []], g=g)
+        hgd_redecompose(tree, 2, g, np.array([2, 3]), engine)
+        assert tree.nodes[2].nodes.tolist() == [2, 3]
+        assert [tree.nodes[i].nodes.size for i in (5, 6)] == [0, 0]
+        assert_invariants(tree, g)
+
 
 class TestDefaultMaxLevel:
     def test_exact_power(self):
@@ -149,6 +159,16 @@ class TestDefaultMaxLevel:
 
     def test_upper_clamp(self):
         assert default_max_level(10**9, 1) == 16
+
+
+class TestOwner:
+    def test_edited_owner_entry_detected(self, engine):
+        g, _ = nine_node_graphs()
+        tree = hgd_build(g, 2, engine)
+        tree.validate_partition(g.n_nodes)
+        tree.owner[4] = (tree.owner[4] + 1) % tree.size
+        with pytest.raises(StaleTree):
+            tree.validate_partition(g.n_nodes)
 
 
 class TestFromNodeSets:

@@ -41,6 +41,14 @@ class TestMatrixMarket:
             read_matrix_market(f)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("size", ["-1 -1 0", "3 3 -1"])
+    def test_negative_size_rejected(self, tmp_path, size):
+        f = tmp_path / "m.mtx"
+        f.write_text(f"%%MatrixMarket matrix coordinate pattern symmetric\n{size}\n")
+        with pytest.raises(ParseError) as exc:
+            read_matrix_market(f)
+        assert exc.value.line == 2
+
     def test_general_asymmetric_rejected(self, tmp_path):
         f = tmp_path / "m.mtx"
         f.write_text("%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 2\n")
