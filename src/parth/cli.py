@@ -88,8 +88,14 @@ def cmd_run(args) -> int:
     for num, stp in enumerate(steps, start=1):
         try:
             pattern, _ = read_matrix_market(stp.matrix_path)
+            baseline_perm, t_baseline = None, 0
             if parth.tree is None:
+                t0 = _now_us()
                 state = parth.start(pattern)
+                if args.baseline == "full":
+                    # row 1 is a start of this config; the engines are
+                    # deterministic, so a second start would repeat it bit for bit
+                    baseline_perm, t_baseline = state.matrix_perm, _now_us() - t0
                 dirty = DirtyState(
                     np.zeros(parth.tree.size, dtype=bool),
                     frozenset(),
@@ -102,12 +108,10 @@ def cmd_run(args) -> int:
                     n_new = pattern.n_rows // config.dim
                     node_map = read_node_map(stp.map_path, n_new, parth.graph.n_nodes)
                 dirty, state = parth.step(pattern, node_map)
-
-            baseline_perm, t_baseline = None, 0
-            if args.baseline == "full":
-                tb = _now_us()
-                baseline_perm = Parth(config).start(pattern).matrix_perm
-                t_baseline = _now_us() - tb
+                if args.baseline == "full":
+                    tb = _now_us()
+                    baseline_perm = Parth(config).start(pattern).matrix_perm
+                    t_baseline = _now_us() - tb
 
             m = step_metrics(
                 state,

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import RegionMismatch, StaleTree
-from .graph import SymGraph, induced_subgraph
+from .graph import SymGraph, _unique, induced_subgraph
 from .separator import LevelSetEngine
 
 # Sub-graphs smaller than this stop recursing and are stored whole; splitting
@@ -155,7 +155,7 @@ class HgdTree:
         if len(sets) != tree.size:
             raise StaleTree(f"expected {tree.size} node sets, got {len(sets)}")
         for idx, s in enumerate(sets):
-            tree.nodes[idx].nodes = np.unique(np.asarray(s, dtype=np.int64))
+            tree.nodes[idx].nodes = _unique(np.asarray(s, dtype=np.int64))
         tree.owner = np.empty(tree.total_nodes(), dtype=np.int64)
         for idx, tn in enumerate(tree.nodes):
             np.put(tree.owner, tn.nodes, idx, mode="clip")  # the audit rejects a clipped entry
@@ -212,7 +212,7 @@ def hgd_redecompose(
     subtree is emptied and un-ordered first, so slots the new decomposition
     does not reach stay empty, then rebuilt directly into the tree.
     """
-    region = np.unique(np.asarray(region, dtype=np.int64))
+    region = _unique(np.asarray(region, dtype=np.int64))
     current = tree.subtree_union(root_index)
     if not np.array_equal(region, current):
         raise RegionMismatch(

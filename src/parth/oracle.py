@@ -211,8 +211,13 @@ def fill_deviation(
 ) -> float:
     """Signed relative nnz(L) difference of a candidate vs a baseline ordering.
 
-    An empty pattern has no factor to compare, so its deviation is 0.0.
+    Equal permutations have equal factors, so their deviation is 0.0 with
+    no analysis; so is an empty pattern's, which has no factor to compare.
     """
+    if np.array_equal(perm_candidate, perm_baseline):
+        if not is_permutation(np.asarray(perm_candidate), pattern.n_rows):
+            raise InvalidPermutation("permutation does not match the pattern size")
+        return 0.0
     a = symbolic_analyze(pattern, perm_candidate).nnz_l
     b = symbolic_analyze(pattern, perm_baseline).nnz_l
     return (a - b) / b if b else 0.0

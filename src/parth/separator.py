@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SymGraph, bfs_distances, connected_components, gather_neighbors
+from .graph import SymGraph, _unique, bfs_distances, connected_components, gather_neighbors
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -145,7 +145,7 @@ def verify_separator(g: SymGraph, result: SeparatorResult) -> bool:
     for arr, code in ((result.left, _SIDE_LEFT), (result.right, _SIDE_RIGHT)):
         side[arr] = code
     pieces = np.concatenate([result.sep, result.left, result.right])
-    if pieces.size != n or np.unique(pieces).size != n:
+    if pieces.size != n or _unique(pieces).size != n:
         return False
     u, v = g.edges()
     crossing = ((side[u] == _SIDE_LEFT) & (side[v] == _SIDE_RIGHT)) | (

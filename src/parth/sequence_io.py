@@ -8,13 +8,15 @@ opened when their step is loaded. Node maps are one integer per line,
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AsymmetricPattern, InvalidMap, ParseError
-from .graph import NodeMap, SparsityPattern, is_structurally_symmetric, sum_duplicates
+from .graph import MAX_ROWS, NodeMap, SparsityPattern, is_structurally_symmetric, sum_duplicates
 
 
 @dataclass(frozen=True)
@@ -24,16 +26,92 @@ class SequenceStep:
     label: str = ""
 
 
+def _read_lines(path: Path) -> tuple[str, list[str]]:
+    """The file's text (universal newlines) and its lines, split on "\n" only."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return text, text.split("\n")
+
+
+def _is_data(line: str, comment: str) -> bool:
+    """True unless the line is blank or starts, after blanks, with `comment`."""
+    stripped = line.strip()
+    return bool(stripped) and not stripped.startswith(comment)
+
+
+def _load_records(text: str, lines: list[str], first: int, dtype, comment: str):
+    """Parse lines[first:] as whitespace-separated records in one C-level pass.
+
+    Skips blank lines and lines that start, after blanks, with `comment`.
+    Returns a structured array with one record per remaining line, or None
+    when any record fails to parse or has the wrong number of fields. numpy
+    would also strip a comment that follows data on a line, which the
+    per-line rules reject as a malformed line, so that too returns None.
+    Either way, the caller then walks the lines to name the one at fault.
+    """
+    offset = sum(len(ln) + 1 for ln in lines[:first])
+    if text.find(comment, offset) >= 0:
+        trailing = re.compile(rf"^[^\S\n]*[^{comment}\s][^\n]*{comment}", re.MULTILINE)
+        if trailing.search(text, offset):
+            return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a block with no records
+        try:
+            return np.loadtxt(lines[first:], dtype=dtype, comments=comment, ndmin=1)
+        except ValueError:
+            return None
+
+
+def _number(tok: str, kind):
+    """kind(tok), refusing what numpy's parsers refuse and int() or float() accept.
+
+    That is "_" digit grouping and non-ASCII digits, so that this walk and
+    the one-pass parse agree on every token.
+    """
+    if not tok.isascii() or "_" in tok:
+        raise ValueError(tok)
+    return kind(tok)
+
+
+def _entry_error(path, lines, size_no, nnz, n, want) -> ParseError:
+    """The first fault of the entry block, checked line by line.
+
+    Checks, in order: the entry count (reported at the size line), then
+    per line the token count, the numbers themselves and the index range.
+    """
+    entries = [(no, ln) for no, ln in enumerate(lines[size_no:], start=size_no + 1) if _is_data(ln, "%")]
+    if len(entries) != nnz:
+        return ParseError(f"expected {nnz} entries, found {len(entries)}", path, size_no)
+    for no, ln in entries:
+        toks = ln.split()
+        if len(toks) != want:
+            return ParseError(f"expected {want} tokens, found {len(toks)}", path, no)
+        try:
+            i, j = _number(toks[0], int), _number(toks[1], int)
+            if want == 3:
+                _number(toks[2], float)
+        except ValueError:
+            return ParseError("malformed entry", path, no)
+        if not (1 <= i <= n and 1 <= j <= n):
+            return ParseError(f"index ({i}, {j}) outside [1, {n}]", path, no)
+    return ParseError("malformed entry block", path, size_no)
+
+
+_PATTERN_ENTRY = np.dtype([("i", np.int64), ("j", np.int64)])
+_VALUED_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
 def read_matrix_market(path) -> tuple[SparsityPattern, np.ndarray | None]:
     """Read a coordinate-format file; returns (pattern, values or None).
 
     Symmetric files are expanded to full storage; general files must pass a
     structural symmetry check. Entries are deduplicated (values summed).
+    The entry block is parsed in one pass and checked as a whole; only
+    when a check fails are its lines walked to report the first bad one.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines:
+    text, lines = _read_lines(path)
+    if not text:
         raise ParseError("empty file", path, 1)
     header = lines[0].split()
     if len(header) < 5 or header[0] != "%%MatrixMarket":
@@ -47,14 +125,10 @@ def read_matrix_market(path) -> tuple[SparsityPattern, np.ndarray | None]:
         raise ParseError(f"unsupported symmetry {symmetry!r}", path, 1)
     has_values = field != "pattern"
 
-    body = [
-        (no, ln.strip())
-        for no, ln in enumerate(lines[1:], start=2)
-        if ln.strip() and not ln.lstrip().startswith("%")
-    ]
-    if not body:
-        raise ParseError("missing size line", path, len(lines))
-    size_no, size_line = body[0]
+    size_no = next((no for no in range(2, len(lines) + 1) if _is_data(lines[no - 1], "%")), None)
+    if size_no is None:
+        raise ParseError("missing size line", path, text.count("\n") + (not text.endswith("\n")))
+    size_line = lines[size_no - 1].strip()
     toks = size_line.split()
     if len(toks) != 3:
         raise ParseError("size line must be 'rows cols nnz'", path, size_no)
@@ -66,27 +140,17 @@ def read_matrix_market(path) -> tuple[SparsityPattern, np.ndarray | None]:
         raise ParseError(f"negative size in size line {size_line!r}", path, size_no)
     if m != n:
         raise ParseError(f"matrix must be square, got {m}x{n}", path, size_no)
-    entries = body[1:]
-    if len(entries) != nnz:
-        raise ParseError(f"expected {nnz} entries, found {len(entries)}", path, size_no)
+    if n > MAX_ROWS:
+        raise ParseError(f"matrix size {n} exceeds the largest supported, {MAX_ROWS}", path, size_no)
 
     want = 3 if has_values else 2
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64) if has_values else None
-    for k, (no, ln) in enumerate(entries):
-        toks = ln.split()
-        if len(toks) != want:
-            raise ParseError(f"expected {want} tokens, found {len(toks)}", path, no)
-        try:
-            i, j = int(toks[0]), int(toks[1])
-            if has_values:
-                vals[k] = float(toks[2])
-        except ValueError:
-            raise ParseError("malformed entry", path, no) from None
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(f"index ({i}, {j}) outside [1, {n}]", path, no)
-        rows[k], cols[k] = i - 1, j - 1
+    records = _load_records(text, lines, size_no, _VALUED_ENTRY if has_values else _PATTERN_ENTRY, "%")
+    if records is None or records.size != nnz:
+        raise _entry_error(path, lines, size_no, nnz, n, want)
+    rows, cols = records["i"] - 1, records["j"] - 1
+    if nnz and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+        raise _entry_error(path, lines, size_no, nnz, n, want)
+    vals = records["v"] if has_values else None
 
     if symmetry == "symmetric":
         off = rows != cols
@@ -122,22 +186,29 @@ def write_matrix_market(path, pattern: SparsityPattern, values: np.ndarray | Non
                 fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
 
 
+_MAP_ENTRY = np.dtype([("e", np.int64)])
+
+
 def read_node_map(path, n_new: int, n_old: int) -> NodeMap:
-    """Read a one-integer-per-line node map and validate it."""
+    """Read a one-integer-per-line node map and validate it.
+
+    Parsed in one pass like the Matrix Market entries; lines are walked
+    only to name the first one that is not an integer.
+    """
     path = Path(path)
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for no, ln in enumerate(fh, start=1):
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            try:
-                entries.append(int(ln))
-            except ValueError:
-                raise ParseError(f"not an integer: {ln!r}", path, no) from None
-    if len(entries) != n_new:
-        raise InvalidMap(f"{path}: map has {len(entries)} lines, expected {n_new}")
-    node_map = NodeMap(np.array(entries, dtype=np.int64))
+    text, lines = _read_lines(path)
+    records = _load_records(text, lines, 0, _MAP_ENTRY, "#")
+    if records is None:
+        for no, ln in enumerate(lines, start=1):
+            if _is_data(ln, "#"):
+                try:
+                    _number(ln.strip(), int)
+                except ValueError:
+                    raise ParseError(f"not an integer: {ln.strip()!r}", path, no) from None
+        raise ParseError("malformed node map", path)
+    if records.size != n_new:
+        raise InvalidMap(f"{path}: map has {records.size} lines, expected {n_new}")
+    node_map = NodeMap(records["e"])
     node_map.validate(n_old)
     return node_map
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidMap
-from .graph import ABSENT, NodeMap, SymGraph, edge_set_diff
+from .graph import ABSENT, NodeMap, SymGraph, _unique, edge_set_diff
 from .hgd import HgdTree, hgd_redecompose, is_in_subtree, lca_of, level_of
 from .separator import LevelSetEngine
 
@@ -109,7 +109,7 @@ def node_change_synchronizer(
             target = 0
             for pool in (nbrs[placed & survivor[nbrs]], nbrs[placed]):
                 if pool.size:
-                    cands = np.unique(owner[pool])
+                    cands = _unique(owner[pool])
                     depths = np.array([level_of(int(c)) for c in cands])
                     target = int(cands[depths == depths.max()].min())
                     break

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import BallTooSmall, IndexOutOfBounds, InvalidArgument
-from .graph import NodeMap, SparsityPattern, bfs_distances, build_dual, sum_duplicates
+from .graph import NodeMap, SparsityPattern, _unique, bfs_distances, build_dual, sum_duplicates
 
 # a remeshed ball grows at most this many times; far beyond any refinement
 # a remesher produces, and it keeps a mistyped factor from allocating gigabytes
@@ -107,7 +107,7 @@ def patch_remesh(
     in_ball = np.zeros(n, dtype=bool)
     in_ball[ball] = True
     survivors = np.flatnonzero(~in_ball)
-    boundary_old = np.unique(
+    boundary_old = _unique(
         np.concatenate([g.neighbors(int(b)) for b in ball] or [np.empty(0, np.int64)])
     )
     boundary_old = boundary_old[~in_ball[boundary_old]]

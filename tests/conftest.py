@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from parth import NodeMap, SparsityPattern, SymGraph, build_dual
+from parth import AsymmetricPattern, InvalidMap, NodeMap, ParseError, SparsityPattern, SymGraph, build_dual
+from parth.graph import is_structurally_symmetric, sum_duplicates
 
 
 def pattern_from_edges(n: int, edges, diagonal: bool = True) -> SparsityPattern:
@@ -135,3 +138,103 @@ def dense_fill_nnz(n: int, edges, perm) -> int:
     """nnz(L), diagonal included, from the dense elimination oracle."""
     counts, _ = dense_factor_structure(n, edges, perm)
     return int(counts.sum())
+
+
+def reference_read_matrix_market(path):
+    """The per-line Matrix Market reader that `read_matrix_market` replaced.
+
+    Every line is split and converted with int()/float() in Python; the
+    one-pass reader must return the same (pattern, values) or raise the
+    same ParseError, message and line number alike.
+    """
+    path = Path(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    if not lines:
+        raise ParseError("empty file", path, 1)
+    header = lines[0].split()
+    if len(header) < 5 or header[0] != "%%MatrixMarket":
+        raise ParseError("missing %%MatrixMarket header", path, 1)
+    obj, fmt, field, symmetry = (tok.lower() for tok in header[1:5])
+    if obj != "matrix" or fmt != "coordinate":
+        raise ParseError(f"unsupported object/format {obj!r}/{fmt!r}", path, 1)
+    if field not in ("pattern", "real", "integer", "double"):
+        raise ParseError(f"unsupported field {field!r}", path, 1)
+    if symmetry not in ("symmetric", "general"):
+        raise ParseError(f"unsupported symmetry {symmetry!r}", path, 1)
+    has_values = field != "pattern"
+
+    body = [
+        (no, ln.strip())
+        for no, ln in enumerate(lines[1:], start=2)
+        if ln.strip() and not ln.lstrip().startswith("%")
+    ]
+    if not body:
+        raise ParseError("missing size line", path, len(lines))
+    size_no, size_line = body[0]
+    toks = size_line.split()
+    if len(toks) != 3:
+        raise ParseError("size line must be 'rows cols nnz'", path, size_no)
+    try:
+        m, n, nnz = (int(t) for t in toks)
+    except ValueError:
+        raise ParseError("non-integer size line", path, size_no) from None
+    if min(m, n, nnz) < 0:
+        raise ParseError(f"negative size in size line {size_line!r}", path, size_no)
+    if m != n:
+        raise ParseError(f"matrix must be square, got {m}x{n}", path, size_no)
+    entries = body[1:]
+    if len(entries) != nnz:
+        raise ParseError(f"expected {nnz} entries, found {len(entries)}", path, size_no)
+
+    want = 3 if has_values else 2
+    rows = np.empty(nnz, dtype=np.int64)
+    cols = np.empty(nnz, dtype=np.int64)
+    vals = np.empty(nnz, dtype=np.float64) if has_values else None
+    for k, (no, ln) in enumerate(entries):
+        toks = ln.split()
+        if len(toks) != want:
+            raise ParseError(f"expected {want} tokens, found {len(toks)}", path, no)
+        try:
+            i, j = int(toks[0]), int(toks[1])
+            if has_values:
+                vals[k] = float(toks[2])
+        except ValueError:
+            raise ParseError("malformed entry", path, no) from None
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(f"index ({i}, {j}) outside [1, {n}]", path, no)
+        rows[k], cols[k] = i - 1, j - 1
+
+    if symmetry == "symmetric":
+        off = rows != cols
+        mr, mc = cols[off], rows[off]
+        rows = np.concatenate([rows, mr])
+        cols = np.concatenate([cols, mc])
+        if has_values:
+            vals = np.concatenate([vals, vals[off]])
+
+    pattern, out_vals = sum_duplicates(n, rows, cols, vals)
+
+    if symmetry == "general" and not is_structurally_symmetric(pattern):
+        raise AsymmetricPattern(f"{path}: general matrix is not structurally symmetric")
+    return pattern, out_vals
+
+
+def reference_read_node_map(path, n_new: int, n_old: int) -> NodeMap:
+    """The per-line node-map reader that `read_node_map` replaced."""
+    path = Path(path)
+    entries = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for no, ln in enumerate(fh, start=1):
+            ln = ln.strip()
+            if not ln or ln.startswith("#"):
+                continue
+            try:
+                entries.append(int(ln))
+            except ValueError:
+                raise ParseError(f"not an integer: {ln!r}", path, no) from None
+    if len(entries) != n_new:
+        raise InvalidMap(f"{path}: map has {len(entries)} lines, expected {n_new}")
+    node_map = NodeMap(np.array(entries, dtype=np.int64))
+    node_map.validate(n_old)
+    return node_map

@@ -6,6 +6,7 @@ src/ would silently drop spans or counts, so this checks the hooks against
 the live package on a tiny grid.
 """
 
+import csv
 import importlib.util
 from pathlib import Path
 
@@ -80,19 +81,24 @@ def test_engines_are_per_instance(spans):
     assert not hasattr(plain.ordering_engine.order, "__wrapped__")
 
 
-def test_traced_cli_run_sees_the_oracle(spans, tmp_path, capsys):
+def test_traced_cli_run_sees_the_oracle(spans, tmp_path, capsys, monkeypatch):
     # `parth run --baseline full` measures fill_dev with two symbolic_analyze
-    # calls per row; both must go through the hooked module attribute
+    # calls for each row after the first (row 1's start is its own baseline)
+    # whose ordering differs from its baseline's; both must go through the
+    # hooked module attribute. On this sequence both later rows differ.
+    monkeypatch.delenv("PARTH_SEED", raising=False)
     steps = 2
     out = tmp_path / "seq"
-    argv = ["gen", "--out", str(out), "--nx", "8", "--ny", "8", "--steps", str(steps), "--patch-frac", "0.2"]
+    argv = ["gen", "--out", str(out), "--nx", "24", "--ny", "24", "--steps", str(steps), "--seed", "0"]
     assert parth_main(argv) == 0
     capsys.readouterr()
     tracer = spans.Tracer()
+    out_csv = tmp_path / "out.csv"
     with spans.instrumented(tracer):
         with tracer.op_scope(0):
-            rc = parth_main(["run", str(out / "manifest.txt"), "--out-csv", str(tmp_path / "out.csv")])
+            rc = parth_main(["run", str(out / "manifest.txt"), "--target-leaf", "16", "--out-csv", str(out_csv)])
     assert rc == 0
-    rows = steps + 1
-    assert tracer.counts["oracle.calls"] == 2 * rows
+    rows = list(csv.DictReader(out_csv.read_text(encoding="utf-8").splitlines()))
+    assert [float(r["fill_dev"]) != 0.0 for r in rows] == [False] + [True] * steps
+    assert tracer.counts["oracle.calls"] == 2 * steps
     assert tracer.self_ms_by_op()[0]["oracle.symbolic"] > 0

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from parth import grid_laplacian, write_matrix_market, write_node_map, NodeMap
+import parth.driver
 from parth.cli import main
+from parth.graph import MAX_ROWS
 
 
 def write_manifest_lines(path, lines):
@@ -70,6 +72,26 @@ class TestRun:
         assert outs[0] == outs[1]
 
 
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_first_row_is_its_own_baseline(self, tmp_path, grid_file, capsys, monkeypatch, n_rows):
+        # row 1's start is the full baseline of that row: one start, not two;
+        # each later row still pays one baseline start of its own
+        starts = []
+        real_start = parth.driver.Parth.start
+
+        def counted_start(self, pattern):
+            starts.append(pattern)
+            return real_start(self, pattern)
+
+        monkeypatch.setattr(parth.driver.Parth, "start", counted_start)
+        manifest = tmp_path / "seq.txt"
+        write_manifest_lines(manifest, ["matrix=grid.mtx"] * n_rows)
+        assert main(["run", str(manifest), "--max-level", "2"]) == 0
+        assert len(starts) == n_rows
+        first = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert first[5] == "0.000000"
+        assert int(first[10]) > 0  # t_baseline_us: that start's wall time
+
     @pytest.mark.parametrize("theta", ["nan", "-1", "5", "inf"])
     def test_bad_theta_is_one_line(self, tmp_path, grid_file, capsys, theta):
         manifest = tmp_path / "seq.txt"
@@ -119,6 +141,14 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "negative size" in err
+
+    def test_size_beyond_key_range_is_one_line(self, tmp_path, capsys):
+        f = tmp_path / "huge.mtx"
+        f.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n4000000000 4000000000 0\n")
+        assert main(["check", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(MAX_ROWS) in err
 
     def test_max_level_not_an_int_is_a_usage_error(self, grid_file, capsys):
         with pytest.raises(SystemExit) as exc:

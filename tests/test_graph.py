@@ -20,7 +20,7 @@ from parth import (
     edge_set_diff,
     induced_subgraph,
 )
-from parth.graph import _LIST_BFS_MAX
+from parth.graph import _LIST_BFS_MAX, _unique
 from conftest import (
     NINE_EDGES_FIRST,
     nine_node_graphs,
@@ -228,6 +228,31 @@ class TestInducedSubgraph:
         g = SymGraph.empty(3)
         with pytest.raises(IndexOutOfBounds):
             induced_subgraph(g, [5])
+
+
+class TestUnique:
+    """The sort-based dedupe returns exactly what np.unique returns."""
+
+    @given(st.lists(st.integers(-50, 50), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_unique(self, values):
+        a = np.array(values, dtype=np.int64)
+        want, want_inverse = np.unique(a, return_inverse=True)
+        got = _unique(a)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        got, inverse = _unique(a, return_inverse=True)
+        assert got.tolist() == want.tolist()
+        assert inverse.tolist() == want_inverse.tolist()
+
+    def test_strictly_increasing_input_is_returned_as_is(self):
+        a = np.array([-3, 0, 7, 9], dtype=np.int64)
+        assert _unique(a) is a
+        got, inverse = _unique(a, return_inverse=True)
+        assert got is a and inverse.tolist() == [0, 1, 2, 3]
+
+    def test_large_random(self):
+        a = np.random.default_rng(3).integers(0, 5000, size=65536)
+        assert np.array_equal(_unique(a), np.unique(a))
 
 
 class TestConstructorChecks:

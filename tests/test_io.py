@@ -3,8 +3,11 @@ import pytest
 
 from parth import (
     AsymmetricPattern,
+    InvalidArgument,
     InvalidMap,
     ParseError,
+    ParthError,
+    SparsityPattern,
     grid_laplacian,
     read_manifest,
     read_matrix_market,
@@ -13,8 +16,44 @@ from parth import (
     write_matrix_market,
     write_node_map,
 )
+from parth.cli import main
+from parth.graph import MAX_ROWS, sum_duplicates
 from parth.sequence_io import SequenceStep
-from conftest import random_pattern
+from conftest import random_pattern, reference_read_matrix_market, reference_read_node_map
+
+
+def outcome(reader, path, *args):
+    """A reader's result, or the type, text and line of the ParthError it raised."""
+    try:
+        return reader(path, *args)
+    except ParthError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def assert_same_matrix(path):
+    got, want = outcome(read_matrix_market, path), outcome(reference_read_matrix_market, path)
+    if isinstance(want[0], str):
+        assert got == want
+        return
+    (pattern, values), (ref_pattern, ref_values) = got, want
+    assert pattern.n_rows == ref_pattern.n_rows
+    assert np.array_equal(pattern.row_starts, ref_pattern.row_starts)
+    assert np.array_equal(pattern.col_indices, ref_pattern.col_indices)
+    if ref_values is None:
+        assert values is None
+    else:
+        assert values.dtype == ref_values.dtype and values.tobytes() == ref_values.tobytes()
+
+
+def write_variant(path, pattern, values, field, symmetry):
+    """Coordinate file of a symmetric pattern in the given field and storage."""
+    rows, cols = pattern.to_coo()
+    keep = rows >= cols if symmetry == "symmetric" else np.ones(rows.size, dtype=bool)
+    lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", f"{pattern.n_rows} {pattern.n_rows} {keep.sum()}"]
+    for k in np.flatnonzero(keep):
+        entry = f"{rows[k] + 1} {cols[k] + 1}"
+        lines.append(entry if field == "pattern" else f"{entry} {float(values[k])!r}")
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestMatrixMarket:
@@ -175,3 +214,153 @@ class TestManifest:
         f = tmp_path / "seq.txt"
         write_manifest(f, steps)
         assert read_manifest(f) == steps
+
+
+# a valid 3x3 file; the cases below each break or bend one part of it
+VALID = ["%%MatrixMarket matrix coordinate real symmetric", "3 3 4", "1 1 1.0", "2 1 -0.5", "2 2 1.0", "3 3 2.0"]
+
+
+def edited(line_no, text):
+    lines = list(VALID)
+    lines[line_no - 1] = text
+    return lines
+
+
+MATRIX_CASES = {
+    "valid": VALID,
+    "comments_and_blanks_between_entries": VALID[:3] + ["% note", "", "   % indented", "  \t "] + VALID[3:] + ["%"],
+    "comment_before_size_line": VALID[:1] + ["% about", ""] + VALID[1:],
+    "tabs_and_padding": VALID[:2] + ["  1\t1\t1.0  ", "2 1\t-0.5"] + VALID[4:],
+    "bad_index_token_mid_file": edited(4, "2 x -0.5"),
+    "bad_value_token_mid_file": edited(4, "2 1 abc"),
+    "float_index": edited(4, "2.0 1 -0.5"),
+    "too_few_tokens": edited(4, "2 1"),
+    "too_many_tokens": edited(4, "2 1 -0.5 7"),
+    "trailing_comment": edited(4, "2 1 -0.5 % why"),
+    "glued_trailing_comment": edited(4, "2 1 -0.5%"),
+    "index_zero_mid_file": edited(4, "0 1 -0.5"),
+    "index_n_plus_one_mid_file": edited(4, "2 4 -0.5"),
+    "index_beyond_int64": edited(4, "99999999999999999999 1 -0.5"),
+    "too_few_entries": edited(2, "3 3 5"),
+    "too_many_entries": edited(2, "3 3 3"),
+    "wrong_count_and_bad_token": edited(2, "3 3 5")[:3] + ["2 x -0.5"] + VALID[4:],
+    "no_entries": ["%%MatrixMarket matrix coordinate pattern symmetric", "3 3 0"],
+    "entries_but_zero_declared": ["%%MatrixMarket matrix coordinate pattern symmetric", "3 3 0", "1 1"],
+    "missing_size_line": VALID[:1] + ["% only a comment"],
+    "duplicates_summed": VALID + ["1 1 0.25"],
+    "extreme_values": VALID[:2] + ["1 1 1e400", "2 1 -0.", "2 2 .5e-3", "3 3 Infinity"],
+    "integer_field": ["%%MatrixMarket matrix coordinate integer symmetric", "2 2 2", "1 1 3", "2 2 -4"],
+    "pattern_with_values": ["%%MatrixMarket matrix coordinate pattern symmetric", "2 2 1", "1 1 1.0"],
+    "general_symmetric": ["%%MatrixMarket matrix coordinate pattern general", "2 2 3", "1 2", "2 1", "2 2"],
+    "general_asymmetric": ["%%MatrixMarket matrix coordinate pattern general", "2 2 1", "1 2"],
+    "non_square": edited(2, "3 4 4"),
+    "bad_header": edited(1, "%%MatrixMarket matrix array real general"),
+}
+
+
+class TestAgainstReference:
+    """The one-pass readers agree with the per-line readers they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(MATRIX_CASES))
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_matrix_case(self, tmp_path, name, newline):
+        f = tmp_path / "m.mtx"
+        f.write_bytes(newline.join(MATRIX_CASES[name]).encode() + newline.encode())
+        assert_same_matrix(f)
+
+    def test_no_final_newline(self, tmp_path):
+        f = tmp_path / "m.mtx"
+        f.write_text("\n".join(VALID))
+        assert_same_matrix(f)
+        f.write_text("\n".join(VALID[:1] + ["% c"]))
+        assert_same_matrix(f)
+
+    def test_empty_file(self, tmp_path):
+        f = tmp_path / "m.mtx"
+        f.write_text("")
+        assert_same_matrix(f)
+
+    @pytest.mark.parametrize("field", ["pattern", "real"])
+    @pytest.mark.parametrize("symmetry", ["symmetric", "general"])
+    def test_gen_output(self, tmp_path, capsys, field, symmetry):
+        assert main(["gen", "--out", str(tmp_path / "seq"), "--nx", "12", "--ny", "10",
+                     "--steps", "3", "--kind", "mixed", "--seed", "4", "--patch-frac", "0.1"]) == 0
+        capsys.readouterr()
+        rng = np.random.default_rng(4)
+        for k, mtx in enumerate(sorted((tmp_path / "seq").glob("*.mtx"))):
+            pattern, values = read_matrix_market(mtx)
+            if values is None:
+                values = rng.normal(size=pattern.nnz)
+            f = tmp_path / f"{k}-{field}-{symmetry}.mtx"
+            write_variant(f, pattern, values, field, symmetry)
+            assert_same_matrix(f)
+            assert_same_matrix(mtx)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663"])
+    def test_exotic_digits_are_malformed(self, tmp_path, token):
+        # int() and float() accept "_" grouping and non-ASCII digits, and
+        # the per-line reader took them; the one-pass reader refuses them
+        for line in (f"{token} 1 1.0", f"1 1 {token}"):
+            f = tmp_path / "m.mtx"
+            f.write_text("\n".join(["%%MatrixMarket matrix coordinate real symmetric", "12 12 1", line]) + "\n")
+            reference_read_matrix_market(f)
+            with pytest.raises(ParseError) as exc:
+                read_matrix_market(f)
+            assert exc.value.line == 3 and str(exc.value).endswith("malformed entry")
+
+    MAP_CASES = {
+        "valid": ["0", "2", "-1"],
+        "comments_and_blanks": ["# map", "0", "", "  # x", "2", "  ", "-1"],
+        "padded_and_signed": [" +0 ", "\t2", "-1"],
+        "not_an_integer_mid_file": ["0", "x", "-1"],
+        "two_per_line": ["0", "2 1", "-1"],
+        "float": ["0", "2.0", "-1"],
+        "trailing_comment": ["0", "2 # kept", "-1"],
+        "too_few_lines": ["0", "2"],
+        "too_many_lines": ["0", "2", "-1", "1"],
+        "bad_line_and_wrong_count": ["0", "x"],
+        "duplicate": ["0", "0", "-1"],
+        "out_of_range": ["0", "3", "-1"],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("name", sorted(MAP_CASES))
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_node_map_case(self, tmp_path, name, newline):
+        f = tmp_path / "m.map"
+        f.write_bytes("".join(ln + newline for ln in self.MAP_CASES[name]).encode())
+        got = outcome(read_node_map, f, 3, 3)
+        want = outcome(reference_read_node_map, f, 3, 3)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.entries.tolist() == want.entries.tolist()
+
+    def test_node_map_exotic_digits(self, tmp_path):
+        f = tmp_path / "m.map"
+        f.write_text("0\n1_0\n")
+        assert reference_read_node_map(f, 2, 11).entries.tolist() == [0, 10]
+        with pytest.raises(ParseError) as exc:
+            read_node_map(f, 2, 11)
+        assert exc.value.line == 2
+
+
+class TestSizeBound:
+    """Row-major keys row * n + col overflow int64 above MAX_ROWS rows."""
+
+    def test_max_rows_is_the_overflow_edge(self):
+        assert MAX_ROWS**2 - 1 <= np.iinfo(np.int64).max < (MAX_ROWS + 1) ** 2 - 1
+
+    def test_reader_stops_at_size_line(self, tmp_path):
+        f = tmp_path / "m.mtx"
+        f.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n4000000000 4000000000 0\n")
+        with pytest.raises(ParseError) as exc:
+            read_matrix_market(f)
+        assert exc.value.line == 2 and str(MAX_ROWS) in str(exc.value)
+
+    def test_from_coo(self):
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(InvalidArgument):
+            SparsityPattern.from_coo(MAX_ROWS + 1, empty, empty)
+        with pytest.raises(InvalidArgument):
+            sum_duplicates(MAX_ROWS + 1, empty, empty, empty)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parth.oracle
+
 from parth import (
     ROOT,
     InvalidArgument,
@@ -183,6 +185,22 @@ class TestFillDeviation:
         p = arrowhead_pattern(5)
         perm = np.arange(5)
         assert fill_deviation(perm, perm, p) == 0.0
+
+    def test_equal_orderings_skip_the_analysis(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("symbolic_analyze called")
+
+        monkeypatch.setattr(parth.oracle, "symbolic_analyze", refuse)
+        p = arrowhead_pattern(5)
+        assert fill_deviation(np.array([4, 0, 3, 1, 2]), [4, 0, 3, 1, 2], p) == 0.0
+        empty = SparsityPattern.from_coo(0, [], [])
+        assert fill_deviation(np.arange(0), np.arange(0), empty) == 0.0
+
+    @pytest.mark.parametrize("perm", [[0, 0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3, 5]])
+    def test_equal_non_permutations_rejected(self, perm):
+        p = arrowhead_pattern(5)
+        with pytest.raises(InvalidPermutation):
+            fill_deviation(np.array(perm), np.array(perm), p)
 
     def test_arrowhead_gain(self):
         p = arrowhead_pattern(4)
