@@ -46,7 +46,7 @@ def _unique(a: np.ndarray, return_inverse: bool = False):
     numpy 2's `np.unique` hashes; on int64 arrays of 128 to 65k values one
     sort plus a neighbour compare measured 3-30x faster (numpy 2.4.6, 2-core
     x86 host). Input that is already strictly increasing is returned as is,
-    with no sort.
+    with no sort and no copy, so pass an array the caller does not keep.
     """
     if np.all(a[1:] > a[:-1]):
         return (a, np.arange(a.size, dtype=np.int64)) if return_inverse else a
@@ -401,7 +401,7 @@ def compress_by_dim(pattern: SparsityPattern, dim: int) -> SymGraph:
 
 def induced_subgraph(g: SymGraph, nodes) -> tuple[SymGraph, np.ndarray]:
     """Subgraph over `nodes` plus the local-to-global index array."""
-    nodes = _unique(_index_array(nodes))
+    nodes = _unique(np.array(nodes, dtype=np.int64))  # a copy: the result keeps it
     if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n_nodes):
         raise IndexOutOfBounds("subgraph node outside [0, n_nodes)")
     pos = np.full(g.n_nodes, -1, dtype=np.int64)

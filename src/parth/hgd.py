@@ -155,7 +155,7 @@ class HgdTree:
         if len(sets) != tree.size:
             raise StaleTree(f"expected {tree.size} node sets, got {len(sets)}")
         for idx, s in enumerate(sets):
-            tree.nodes[idx].nodes = _unique(np.asarray(s, dtype=np.int64))
+            tree.nodes[idx].nodes = _unique(np.array(s, dtype=np.int64))  # a copy: the tree keeps it
         tree.owner = np.empty(tree.total_nodes(), dtype=np.int64)
         for idx, tn in enumerate(tree.nodes):
             np.put(tree.owner, tn.nodes, idx, mode="clip")  # the audit rejects a clipped entry

@@ -48,6 +48,9 @@ def _load_records(text: str, lines: list[str], first: int, dtype, comment: str):
     would also strip a comment that follows data on a line, which the
     per-line rules reject as a malformed line, so that too returns None.
     Either way, the caller then walks the lines to name the one at fault.
+    numpy 1.23-1.26 read a field such as "2.5" into int64 by truncation
+    with only a DeprecationWarning; that warning is made an error here, so
+    such a field fails the parse whatever the process's warning filters.
     """
     offset = sum(len(ln) + 1 for ln in lines[:first])
     if text.find(comment, offset) >= 0:
@@ -56,9 +59,10 @@ def _load_records(text: str, lines: list[str], first: int, dtype, comment: str):
             return None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a block with no records
+        warnings.simplefilter("error", DeprecationWarning)
         try:
             return np.loadtxt(lines[first:], dtype=dtype, comments=comment, ndmin=1)
-        except ValueError:
+        except (ValueError, DeprecationWarning):
             return None
 
 

@@ -250,6 +250,13 @@ class TestUnique:
         got, inverse = _unique(a, return_inverse=True)
         assert got is a and inverse.tolist() == [0, 1, 2, 3]
 
+    def test_induced_subgraph_keeps_no_reference_to_sorted_nodes(self):
+        g = SymGraph.from_edges(4, [0, 1, 2], [1, 2, 3])
+        nodes = np.array([1, 2, 3], dtype=np.int64)
+        sub, sel = induced_subgraph(g, nodes)
+        nodes[:] = 0
+        assert sel.tolist() == [1, 2, 3]
+
     def test_large_random(self):
         a = np.random.default_rng(3).integers(0, 5000, size=65536)
         assert np.array_equal(_unique(a), np.unique(a))

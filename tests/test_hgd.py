@@ -180,3 +180,9 @@ class TestFromNodeSets:
         g = SymGraph.from_edges(3, [0], [2])  # edge between the two leaves
         with pytest.raises(StaleTree):
             HgdTree.from_node_sets(1, [[1], [0], [2]], g=g)
+
+    def test_keeps_no_reference_to_the_callers_arrays(self):
+        sets = [np.array([1], dtype=np.int64), np.array([0], dtype=np.int64), np.array([2], dtype=np.int64)]
+        tree = HgdTree.from_node_sets(1, sets)
+        sets[1][:] = 2
+        assert tree.nodes[1].nodes.tolist() == [0]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,31 @@ class TestAgainstReference:
             assert got == want
         else:
             assert got.entries.tolist() == want.entries.tolist()
+
+    def test_float_index_refused_with_warnings_ignored(self, tmp_path, monkeypatch):
+        # numpy 1.23-1.26 parse "2.5" into an int64 field by truncation and
+        # warn only; the readers must refuse it even where that warning is
+        # ignored, as it is outside pytest. The stand-in loadtxt does what
+        # those numpy versions do, so the check does not hang on the installed one.
+        real_loadtxt = np.loadtxt
+
+        def truncating_loadtxt(lines, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return real_loadtxt([ln.replace(".5", "").replace(".0", "") for ln in lines], dtype=dtype, **kwargs)
+
+        m = tmp_path / "m.mtx"
+        m.write_text("\n".join(edited(4, "2.5 1 -0.5")) + "\n")
+        f = tmp_path / "m.map"
+        f.write_text("0\n2.0\n-1\n")
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert outcome(read_matrix_market, m) == outcome(reference_read_matrix_market, m)
+                assert outcome(read_node_map, f, 3, 3) == outcome(reference_read_node_map, f, 3, 3)
+                assert outcome(read_matrix_market, m)[::2] == ("ParseError", 4)
+                assert outcome(read_node_map, f, 3, 3)[::2] == ("ParseError", 2)
 
     def test_node_map_exotic_digits(self, tmp_path):
         f = tmp_path / "m.map"
