@@ -55,7 +55,7 @@ from .oracle import (
     symbolic_analyze,
 )
 from .ordering import MinDegreeEngine, invert_permutation, is_permutation, order_subgraph
-from .separator import LevelSetEngine, SeparatorResult, verify_separator
+from .separator import LevelSetEngine, SeparatorResult
 from .sequence_io import (
     SequenceStep,
     read_manifest,

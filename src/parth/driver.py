@@ -61,11 +61,6 @@ class Parth:
         cfg = self.config
         return build_dual(pattern) if cfg.dim == 1 else compress_by_dim(pattern, cfg.dim)
 
-    def reset(self) -> None:
-        self.graph = None
-        self.tree = None
-        self.state = None
-
     def start(self, pattern: SparsityPattern) -> AssemblyState:
         cfg = self.config
         g = self._ingest(pattern)

@@ -8,7 +8,7 @@ are deterministic linear scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,8 +19,6 @@ ABSENT = -1
 # the largest n whose row-major entry keys row * n + col (at most n^2 - 1)
 # fit in int64: isqrt(2**63 - 1)
 MAX_ROWS = 3_037_000_499
-
-_MASKED = -2  # bfs_distances sentinel for nodes outside the mask
 
 # bfs_distances runs over Python lists up to this many nodes and numpy
 # above: the measured crossover, where both took about 4.6 ms on the
@@ -211,10 +209,6 @@ class SymGraph:
         st.setflags(write=False)
         adj.setflags(write=False)
 
-    @property
-    def n_edges(self) -> int:
-        return int(self.adj.size) // 2
-
     def neighbors(self, i: int) -> np.ndarray:
         return self.adj[self.adj_starts[i] : self.adj_starts[i + 1]]
 
@@ -226,11 +220,6 @@ class SymGraph:
         rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.adj_starts))
         mask = rows < self.adj
         return rows[mask], self.adj[mask]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        pos = np.searchsorted(nb, v)
-        return pos < nb.size and nb[pos] == v
 
     @classmethod
     def _trusted(cls, n_nodes: int, adj_starts: np.ndarray, adj: np.ndarray) -> "SymGraph":
@@ -275,12 +264,10 @@ def gather_neighbors(g: SymGraph, nodes: np.ndarray) -> np.ndarray:
     return _gather_slices(g.adj, g.adj_starts[nodes], counts)
 
 
-def bfs_distances(g: SymGraph, root: int, mask: np.ndarray | None = None) -> np.ndarray:
-    """Hop distances from root; -1 for unreachable or masked-out nodes.
+def bfs_distances(g: SymGraph, root: int) -> np.ndarray:
+    """Hop distances from root; -1 for unreachable nodes.
 
-    Masked-out nodes are marked once with a sentinel in the distance
-    array, so the search only ever claims nodes still at -1. Distances are
-    unique, so both branches below return the same array.
+    Distances are unique, so both branches below return the same array.
 
     - Up to `_LIST_BFS_MAX` nodes the search runs over Python lists: one
       `tolist` of the adjacency, then a queue that claims each node once.
@@ -291,18 +278,9 @@ def bfs_distances(g: SymGraph, root: int, mask: np.ndarray | None = None) -> np.
       reusable n-length slot array and keeping the candidate whose
       position survived, one per node, with no sort.
     """
-    dist = np.full(g.n_nodes, -1, dtype=np.int64)
-    if mask is not None:
-        if not mask[root]:
-            return dist
-        dist[~mask] = _MASKED
     if g.n_nodes <= _LIST_BFS_MAX:
-        dist = _list_bfs(g, root, dist.tolist())
-    else:
-        dist = _numpy_bfs(g, root, dist)
-    if mask is not None:
-        dist[dist == _MASKED] = -1
-    return dist
+        return _list_bfs(g, root, [-1] * g.n_nodes)
+    return _numpy_bfs(g, root, np.full(g.n_nodes, -1, dtype=np.int64))
 
 
 def _list_bfs(g: SymGraph, root: int, dist: list[int]) -> np.ndarray:
@@ -418,18 +396,42 @@ def induced_subgraph(g: SymGraph, nodes) -> tuple[SymGraph, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class NodeMap:
-    """Index map between consecutive graphs.
+    """Index map between consecutive graphs, checked when it is built.
 
-    entries[i] is the index of new node i in the previous graph, or ABSENT
-    (-1) for a node that did not exist before. Previous-graph indices not in
-    the image are treated as removed nodes.
+    entries[i] is the index of new node i in the previous graph of n_old
+    nodes, or ABSENT (-1) for a node that did not exist before; previous
+    indices not in the image are removed nodes. The constructor raises
+    InvalidMap unless entries are >= -1, below n_old and free of repeated
+    previous indices, and attaches the read-only inverse `o2n` (previous
+    index -> new index, -1 for a removed node) and `is_identity`. An
+    identity map is recognised first and is its own inverse.
     """
 
     entries: np.ndarray
+    n_old: int
+    o2n: np.ndarray = field(init=False, repr=False)
+    is_identity: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _index_array(self.entries))
-        self.entries.setflags(write=False)
+        e, n_old = _index_array(self.entries), int(self.n_old)
+        e.setflags(write=False)
+        is_identity = e.size == n_old and np.array_equal(e, np.arange(n_old))
+        if is_identity:
+            o2n = e
+        else:
+            if e.size and e.min() < ABSENT:
+                raise InvalidMap("map entries below -1")
+            new_ids = np.flatnonzero(e >= 0)
+            if new_ids.size and e[new_ids].max() >= n_old:
+                raise InvalidMap("map entry outside previous graph")
+            o2n = np.full(n_old, -1, dtype=np.int64)
+            o2n[e[new_ids]] = new_ids
+            # a repeated previous index claims one slot for two new nodes
+            if np.count_nonzero(o2n >= 0) != new_ids.size:
+                raise InvalidMap("duplicate previous-graph index in map")
+            o2n.setflags(write=False)
+        for name, value in (("entries", e), ("n_old", n_old), ("o2n", o2n), ("is_identity", is_identity)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_new(self) -> int:
@@ -437,49 +439,14 @@ class NodeMap:
 
     @classmethod
     def identity(cls, n: int) -> "NodeMap":
-        return cls(np.arange(n, dtype=np.int64))
+        return cls(np.arange(n, dtype=np.int64), n)
 
-    def validate(self, n_old: int) -> None:
-        e = self.entries
-        if e.size and e.min() < ABSENT:
-            raise InvalidMap("map entries below -1")
-        present = e[e >= 0]
-        if present.size:
-            if present.max() >= n_old:
-                raise InvalidMap("map entry outside previous graph")
-            if np.bincount(present, minlength=n_old).max() > 1:
-                raise InvalidMap("duplicate previous-graph index in map")
-
-    def old_to_new(self, n_old: int) -> np.ndarray:
-        """Inverse view: previous index -> new index, -1 for removed nodes."""
-        self.validate(n_old)
-        o2n = np.full(n_old, -1, dtype=np.int64)
-        new_ids = np.flatnonzero(self.entries >= 0)
-        o2n[self.entries[new_ids]] = new_ids
-        return o2n
-
-    def checked(self, n_old: int) -> "CheckedNodeMap":
-        """This map validated against n_old once, with its inverse attached."""
-        return CheckedNodeMap(self.entries, n_old, self.old_to_new(n_old))
-
-
-class CheckedNodeMap(NodeMap):
-    """A NodeMap already validated against one previous-graph size.
-
-    Built by `NodeMap.checked` so that the functions of one update step
-    share a single validation and inverse instead of repeating them.
-    """
-
-    def __init__(self, entries: np.ndarray, n_old: int, o2n: np.ndarray):
-        super().__init__(entries)
-        o2n.setflags(write=False)
-        object.__setattr__(self, "n_old", n_old)
-        object.__setattr__(self, "o2n", o2n)
-        is_identity = self.n_new == n_old and np.array_equal(entries, np.arange(n_old))
-        object.__setattr__(self, "is_identity", is_identity)
-
-    def checked(self, n_old: int) -> "CheckedNodeMap":
-        return self if n_old == self.n_old else super().checked(n_old)
+    def require_sizes(self, n_old: int, n_new: int) -> None:
+        """Raise InvalidMap unless this map takes n_old nodes to n_new."""
+        if (self.n_old, self.n_new) != (n_old, n_new):
+            raise InvalidMap(
+                f"map takes {self.n_old} nodes to {self.n_new}, expected {n_old} to {n_new}"
+            )
 
 
 def _is_member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -502,9 +469,7 @@ def edge_set_diff(
     nodes are excluded from the removed set; every edge incident to an added
     node shows up in the added set.
     """
-    if node_map.n_new != g_new.n_nodes:
-        raise InvalidMap(f"map has {node_map.n_new} entries, graph has {g_new.n_nodes} nodes")
-    node_map = node_map.checked(g_old.n_nodes)
+    node_map.require_sizes(g_old.n_nodes, g_new.n_nodes)
     if (
         node_map.is_identity
         and np.array_equal(g_old.adj_starts, g_new.adj_starts)

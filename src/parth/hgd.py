@@ -103,9 +103,6 @@ class HgdTree:
         parts = [self.nodes[i].nodes for i in self.subtree_indices(root)]
         return np.sort(np.concatenate(parts)) if parts else _EMPTY
 
-    def total_nodes(self) -> int:
-        return int(sum(tn.nodes.size for tn in self.nodes))
-
     def _node_to_tree(self, n_nodes: int) -> np.ndarray:
         """Graph node -> tree index, rebuilt from the node arrays; raises StaleTree on bad coverage."""
         sets = [tn.nodes for tn in self.nodes]
@@ -143,28 +140,6 @@ class HgdTree:
                 continue
             bad.add(lca_of(a, b))
         return sorted(bad)
-
-    @classmethod
-    def from_node_sets(cls, max_level: int, sets, g: SymGraph | None = None) -> "HgdTree":
-        """Build a tree directly from per-index node sets.
-
-        Meant for tests and replay tooling. Partition is always validated;
-        when a graph is supplied the separator property is checked too.
-        """
-        tree = cls(max_level)
-        if len(sets) != tree.size:
-            raise StaleTree(f"expected {tree.size} node sets, got {len(sets)}")
-        for idx, s in enumerate(sets):
-            tree.nodes[idx].nodes = _unique(np.array(s, dtype=np.int64))  # a copy: the tree keeps it
-        tree.owner = np.empty(tree.total_nodes(), dtype=np.int64)
-        for idx, tn in enumerate(tree.nodes):
-            np.put(tree.owner, tn.nodes, idx, mode="clip")  # the audit rejects a clipped entry
-        tree.validate_partition(tree.owner.size)
-        if g is not None:
-            bad = tree.separator_violations(g)
-            if bad:
-                raise StaleTree(f"separator property violated at tree nodes {bad}")
-        return tree
 
 
 def _build_into(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SymGraph, _unique, bfs_distances, connected_components, gather_neighbors
+from .graph import SymGraph, bfs_distances, connected_components, gather_neighbors
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -136,19 +136,3 @@ class LevelSetEngine:
                 changed = True
             pending = still
         side[sep] = [side_list[s] for s in sep_list]
-
-
-def verify_separator(g: SymGraph, result: SeparatorResult) -> bool:
-    """Exhaustive check: partition, disjointness, and no left-right edge."""
-    n = g.n_nodes
-    side = np.zeros(n, dtype=np.int8)
-    for arr, code in ((result.left, _SIDE_LEFT), (result.right, _SIDE_RIGHT)):
-        side[arr] = code
-    pieces = np.concatenate([result.sep, result.left, result.right])
-    if pieces.size != n or _unique(pieces).size != n:
-        return False
-    u, v = g.edges()
-    crossing = ((side[u] == _SIDE_LEFT) & (side[v] == _SIDE_RIGHT)) | (
-        (side[u] == _SIDE_RIGHT) & (side[v] == _SIDE_LEFT)
-    )
-    return not bool(np.any(crossing))

@@ -212,9 +212,7 @@ def read_node_map(path, n_new: int, n_old: int) -> NodeMap:
         raise ParseError("malformed node map", path)
     if records.size != n_new:
         raise InvalidMap(f"{path}: map has {records.size} lines, expected {n_new}")
-    node_map = NodeMap(records["e"])
-    node_map.validate(n_old)
-    return node_map
+    return NodeMap(records["e"], n_old)
 
 
 def write_node_map(path, node_map: NodeMap) -> None:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidMap
 from .graph import ABSENT, NodeMap, SymGraph, _unique, edge_set_diff
 from .hgd import HgdTree, hgd_redecompose, is_in_subtree, lca_of, level_of
 from .separator import LevelSetEngine
@@ -64,9 +63,7 @@ def _related(a: int, b: int) -> bool:
     return a == b or is_in_subtree(a, b) or is_in_subtree(b, a)
 
 
-def node_change_synchronizer(
-    tree: HgdTree, node_map: NodeMap, n_new: int, g_new: SymGraph
-) -> set[int]:
+def node_change_synchronizer(tree: HgdTree, node_map: NodeMap, g_new: SymGraph) -> set[int]:
     """Relabel tree node sets to the new indexing and settle added/removed nodes.
 
     Surviving nodes are renumbered entry by entry, so a node array keeps its
@@ -76,15 +73,14 @@ def node_change_synchronizer(
     already-placed neighbors (surviving neighbors preferred), falling back
     to the root when isolated. Returns the tree indices whose membership
     changed; their orderings are cleared. `tree.owner` is renumbered and
-    extended alongside.
+    extended alongside. Raises InvalidMap, before any change, unless the map
+    takes the tree's node count to g_new's.
     """
-    if node_map.n_new != n_new:
-        raise InvalidMap(f"map has {node_map.n_new} entries, expected {n_new}")
-    node_map = node_map.checked(tree.total_nodes())
+    node_map.require_sizes(tree.owner.size, g_new.n_nodes)
     if node_map.is_identity:
         return set()
     o2n = node_map.o2n
-    owner = np.full(n_new, -1, dtype=np.int64)
+    owner = np.full(node_map.n_new, -1, dtype=np.int64)
     old_kept = o2n >= 0
     owner[o2n[old_kept]] = tree.owner[old_kept]
     tree.owner = owner
@@ -253,10 +249,11 @@ def synchronize(
     After the call the tree's node sets partition the new graph and every
     separator holds on g_new; each tree node's `ordered` flag tells the
     assembler whether its local ordering survived, and the returned mask
-    reports the same.
+    reports the same. Raises InvalidMap, with the tree untouched, unless
+    the map takes g_old's node count to g_new's.
     """
-    node_map = node_map.checked(g_old.n_nodes)
-    touched = node_change_synchronizer(tree, node_map, g_new.n_nodes, g_new)
+    node_map.require_sizes(g_old.n_nodes, g_new.n_nodes)
+    touched = node_change_synchronizer(tree, node_map, g_new)
     added, removed = edge_set_diff(g_old, g_new, node_map)
     if removed.size:
         removed = node_map.o2n[removed]

@@ -94,8 +94,8 @@ def patch_remesh(
 
     Ball nodes are removed; ceil(densify * ball) new nodes are appended after
     the (order-preserving) survivors, chained together for connectivity and
-    attached to random boundary nodes. The map satisfies the usual
-    invariants by construction.
+    attached to random boundary nodes. The map is checked when it is built,
+    like any other, and its inverse relabels the surviving entries.
     """
     if not (math.isfinite(densify) and 0.0 < densify <= MAX_DENSIFY):
         raise InvalidArgument(f"densify must be a finite number in (0, {MAX_DENSIFY}], got {densify}")
@@ -114,10 +114,9 @@ def patch_remesh(
     if boundary_old.size == 0:
         raise BallTooSmall("ball has no boundary to reattach new nodes to")
 
-    new_of_old = np.full(n, -1, dtype=np.int64)
-    new_of_old[survivors] = np.arange(survivors.size, dtype=np.int64)
     n_added = int(math.ceil(densify * ball.size))
-    n_new = survivors.size + n_added
+    node_map = NodeMap(np.concatenate([survivors, np.full(n_added, -1, dtype=np.int64)]), n)
+    new_of_old, n_new = node_map.o2n, node_map.n_new
     fresh = survivors.size + np.arange(n_added, dtype=np.int64)
     boundary = new_of_old[boundary_old]
 
@@ -141,6 +140,4 @@ def patch_remesh(
     v = np.concatenate(ev)
     all_rows = np.concatenate([u, v])
     all_cols = np.concatenate([v, u])
-    new_pattern = SparsityPattern.from_coo(n_new, all_rows, all_cols)
-    entries = np.concatenate([survivors, np.full(n_added, -1, dtype=np.int64)])
-    return new_pattern, NodeMap(entries)
+    return SparsityPattern.from_coo(n_new, all_rows, all_cols), node_map

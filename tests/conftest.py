@@ -6,8 +6,68 @@ from pathlib import Path
 
 import numpy as np
 
-from parth import AsymmetricPattern, InvalidMap, NodeMap, ParseError, SparsityPattern, SymGraph, build_dual
+from parth import (
+    AsymmetricPattern,
+    HgdTree,
+    InvalidMap,
+    NodeMap,
+    ParseError,
+    SeparatorResult,
+    SparsityPattern,
+    StaleTree,
+    SymGraph,
+    build_dual,
+)
 from parth.graph import is_structurally_symmetric, sum_duplicates
+
+
+def n_edges(g: SymGraph) -> int:
+    return int(g.adj.size) // 2
+
+
+def has_edge(g: SymGraph, u: int, v: int) -> bool:
+    nb = g.neighbors(u)
+    pos = np.searchsorted(nb, v)
+    return bool(pos < nb.size and nb[pos] == v)
+
+
+def total_nodes(tree: HgdTree) -> int:
+    return int(sum(tn.nodes.size for tn in tree.nodes))
+
+
+def tree_from_node_sets(max_level: int, sets, g: SymGraph | None = None) -> HgdTree:
+    """Build a tree directly from per-index node sets.
+
+    Partition is always validated; when a graph is supplied the separator
+    property is checked too.
+    """
+    tree = HgdTree(max_level)
+    if len(sets) != tree.size:
+        raise StaleTree(f"expected {tree.size} node sets, got {len(sets)}")
+    for idx, s in enumerate(sets):
+        tree.nodes[idx].nodes = np.unique(np.array(s, dtype=np.int64))
+    tree.owner = np.empty(total_nodes(tree), dtype=np.int64)
+    for idx, tn in enumerate(tree.nodes):
+        np.put(tree.owner, tn.nodes, idx, mode="clip")  # the audit rejects a clipped entry
+    tree.validate_partition(tree.owner.size)
+    if g is not None:
+        bad = tree.separator_violations(g)
+        if bad:
+            raise StaleTree(f"separator property violated at tree nodes {bad}")
+    return tree
+
+
+def verify_separator(g: SymGraph, result: SeparatorResult) -> bool:
+    """Exhaustive check: partition, disjointness, and no left-right edge."""
+    n = g.n_nodes
+    pieces = np.concatenate([result.sep, result.left, result.right])
+    if pieces.size != n or np.unique(pieces).size != n:
+        return False
+    side = np.zeros(n, dtype=np.int8)
+    side[result.left] = 1
+    side[result.right] = 2
+    u, v = g.edges()
+    return not bool(np.any(side[u] * side[v] == 2))  # one end left, the other right
 
 
 def pattern_from_edges(n: int, edges, diagonal: bool = True) -> SparsityPattern:
@@ -108,7 +168,7 @@ def remove_and_add_nodes(
         edges += [(int(t), u) for t in targets]
 
     entries = survivors + [-1] * n_add
-    return pattern_from_edges(n_new, edges), NodeMap(np.array(entries, np.int64))
+    return pattern_from_edges(n_new, edges), NodeMap(np.array(entries, np.int64), n)
 
 
 def dense_factor_structure(n: int, edges, perm) -> tuple[np.ndarray, np.ndarray]:
@@ -235,6 +295,4 @@ def reference_read_node_map(path, n_new: int, n_old: int) -> NodeMap:
                 raise ParseError(f"not an integer: {ln!r}", path, no) from None
     if len(entries) != n_new:
         raise InvalidMap(f"{path}: map has {len(entries)} lines, expected {n_new}")
-    node_map = NodeMap(np.array(entries, dtype=np.int64))
-    node_map.validate(n_old)
-    return node_map
+    return NodeMap(np.array(entries, dtype=np.int64), n_old)

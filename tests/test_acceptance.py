@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from parth import (
-    HgdTree,
     LevelSetEngine,
     MinDegreeEngine,
     NodeMap,
@@ -36,9 +35,11 @@ from conftest import (
     apply_edge_delta,
     arrowhead_pattern,
     dense_fill_nnz,
+    has_edge,
     nine_node_graphs,
     random_pattern,
     remove_and_add_nodes,
+    tree_from_node_sets,
 )
 
 # (recomputed graph nodes, dirty-set node total) for every incremental step
@@ -170,7 +171,7 @@ def test_criterion_05_worked_example():
     added, removed = edge_set_diff(g1, g2, NodeMap.identity(9))
     assert added.tolist() == [[0, 6], [3, 8]]
     assert removed.tolist() == [[2, 8]]
-    tree = HgdTree.from_node_sets(2, NINE_TREE_SETS, g=g1)
+    tree = tree_from_node_sets(2, NINE_TREE_SETS, g=g1)
     dirty = synchronize(tree, g1, g2, NodeMap.identity(9), LevelSetEngine())
     changed = sorted(np.flatnonzero(~dirty.reuse_mask).tolist())
     ok = changed == [2, 5, 6] and tree.separator_violations(g2) == []
@@ -239,7 +240,7 @@ def test_criterion_09_aggressive_reuse():
     on = Parth(ParthConfig(aggressive=True, theta=0.5))
     on.start(pattern)
     left, right = on.tree.subtree_union(1), on.tree.subtree_union(2)
-    u = next(int(a) for a in left if not on.graph.has_edge(int(a), int(right[0])))
+    u = next(int(a) for a in left if not has_edge(on.graph, int(a), int(right[0])))
     v = int(right[0])
     new_pattern = apply_edge_delta(pattern, [(u, v)], [])
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from parth import (
-    HgdTree,
     LevelSetEngine,
     MinDegreeEngine,
     NodeMap,
@@ -16,7 +15,7 @@ from parth import (
     reuse_ratio,
     synchronize,
 )
-from conftest import NINE_TREE_SETS, nine_node_graphs, random_pattern
+from conftest import NINE_TREE_SETS, nine_node_graphs, random_pattern, tree_from_node_sets
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +34,7 @@ class TestAssemble:
     def test_nine_node_two_calls(self, engines):
         sep_eng, ord_eng = engines
         g1, g2 = nine_node_graphs()
-        tree = HgdTree.from_node_sets(2, NINE_TREE_SETS, g=g1)
+        tree = tree_from_node_sets(2, NINE_TREE_SETS, g=g1)
         first = assemble(tree, g1, ord_eng)
         assert first.reused_nodes == 0
         assert is_permutation(first.graph_perm, 9)
@@ -56,7 +55,7 @@ class TestAssemble:
     def test_dim_one_matrix_equals_graph(self, engines):
         _, ord_eng = engines
         g1, _ = nine_node_graphs()
-        tree = HgdTree.from_node_sets(2, NINE_TREE_SETS, g=g1)
+        tree = tree_from_node_sets(2, NINE_TREE_SETS, g=g1)
         state = assemble(tree, g1, ord_eng, dim=1)
         assert np.array_equal(state.graph_perm, state.matrix_perm)
 
@@ -64,7 +63,7 @@ class TestAssemble:
         _, ord_eng = engines
         from parth import SymGraph
 
-        tree = HgdTree.from_node_sets(0, [[0]])
+        tree = tree_from_node_sets(0, [[0]])
         state = assemble(tree, SymGraph.empty(1), ord_eng, dim=3)
         assert state.graph_perm.tolist() == [0]
         assert state.matrix_perm.tolist() == [0, 1, 2]
@@ -115,7 +114,7 @@ class TestAssemble:
 
     def test_stale_tree_detected(self):
         # assemble trusts the tree it is given; the partition audit catches a stale one
-        tree = HgdTree.from_node_sets(2, NINE_TREE_SETS)
+        tree = tree_from_node_sets(2, NINE_TREE_SETS)
         tree.nodes[3].nodes = np.array([40])  # points outside the graph
         with pytest.raises(StaleTree):
             tree.validate_partition(9)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parth import grid_laplacian, write_matrix_market, write_node_map, NodeMap
+from parth import grid_laplacian, write_matrix_market
 import parth.driver
 from parth.cli import main
 from parth.graph import MAX_ROWS
@@ -53,7 +53,7 @@ class TestRun:
 
     def test_invalid_map_names_step(self, tmp_path, grid_file, capsys):
         bad_map = tmp_path / "bad.map"
-        write_node_map(bad_map, NodeMap(np.zeros(64, dtype=np.int64)))
+        bad_map.write_text("0\n" * 64)  # every new node claims previous node 0
         manifest = tmp_path / "seq.txt"
         write_manifest_lines(manifest, ["matrix=grid.mtx", "matrix=grid.mtx;map=bad.map"])
         assert main(["run", str(manifest)]) == 1

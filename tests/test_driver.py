@@ -6,6 +6,7 @@ import pytest
 from parth import (
     InvalidArgument,
     InvalidMap,
+    NodeMap,
     Parth,
     ParthConfig,
     ParthError,
@@ -80,6 +81,31 @@ def test_dimension_change_requires_map():
         parth.step(p2)
 
 
+def test_mis_sized_map_leaves_the_engine_untouched():
+    # a map of the wrong length, or one built for another previous size, is
+    # refused before node sync relabels anything: the next valid step matches
+    # that of an engine that never saw the bad calls
+    pattern, _ = grid_laplacian(12, 12)
+    n = pattern.n_rows
+    remeshed, node_map = patch_remesh(pattern, 70, 2, densify=1.2, seed=5)
+    hit, clean = Parth(ParthConfig(max_level=3)), Parth(ParthConfig(max_level=3))
+    hit.start(pattern)
+    clean.start(pattern)
+    bad_steps = [
+        (remeshed, NodeMap(node_map.entries[:-1], n)),  # one entry short
+        (remeshed, NodeMap(node_map.entries, n + 1)),  # built for another n_old
+        (pattern, NodeMap(np.arange(n - 1), n)),
+        (pattern, NodeMap(np.arange(n), n + 1)),
+    ]
+    for p, bad in bad_steps:
+        with pytest.raises(InvalidMap):
+            hit.step(p, bad)
+    dirty_hit, state_hit = hit.step(remeshed, node_map)
+    dirty_clean, state_clean = clean.step(remeshed, node_map)
+    assert np.array_equal(state_hit.matrix_perm, state_clean.matrix_perm)
+    assert np.array_equal(dirty_hit.reuse_mask, dirty_clean.reuse_mask)
+
+
 def test_remesh_sequence_stays_consistent():
     pattern, _ = grid_laplacian(16, 16)
     parth = Parth(ParthConfig(max_level=3, aggressive=True, theta=0.4))
@@ -118,7 +144,7 @@ def test_non_monotone_relabel_keeps_bijection():
     shuffled = type(pattern).from_coo(64, relabel[rows], relabel[cols])
     entries = np.empty(64, dtype=np.int64)
     entries[relabel] = np.arange(64)  # entries[new] = old
-    dirty, state = parth.step(shuffled, NodeMap(entries))
+    dirty, state = parth.step(shuffled, NodeMap(entries, 64))
     assert is_permutation(state.matrix_perm, 64)
     assert parth.tree.separator_violations(parth.graph) == []
 
@@ -148,7 +174,7 @@ def test_pure_relabel_reuses_orderings_of_the_same_nodes(dim):
     entries[new_of_old] = np.arange(256)  # entries[new] = old
     rows, cols = grid.to_coo()
     relabelled = _blocks(SparsityPattern.from_coo(256, new_of_old[rows], new_of_old[cols]), dim)
-    dirty, state = parth.step(relabelled, NodeMap(entries))
+    dirty, state = parth.step(relabelled, NodeMap(entries, 256))
     assert bool(dirty.reuse_mask.all())
     assert state.reused_nodes == 256
     row_of_old = (new_of_old[:, None] * dim + np.arange(dim)).ravel()
@@ -156,14 +182,18 @@ def test_pure_relabel_reuses_orderings_of_the_same_nodes(dim):
     assert symbolic_analyze(relabelled, state.matrix_perm).nnz_l == symbolic_analyze(pattern, first).nnz_l
 
 
-def test_reset_starts_fresh():
+def test_start_after_steps_starts_fresh():
+    # start replaces the whole state, also after steps that changed n
     pattern, _ = grid_laplacian(8, 8)
+    contacts = inject_contacts(pattern, 10, 2, 4, seed=0)
+    fresh = Parth(ParthConfig(max_level=2))
+    first = fresh.start(pattern).matrix_perm
     parth = Parth(ParthConfig(max_level=2))
-    a = parth.start(pattern).matrix_perm
-    parth.step(inject_contacts(pattern, 10, 2, 4, seed=0))
-    parth.reset()
-    b = parth.start(pattern).matrix_perm
-    assert np.array_equal(a, b)
+    parth.start(pattern)
+    parth.step(contacts)
+    parth.step(*patch_remesh(contacts, 27, 1, densify=1.5, seed=1))
+    assert np.array_equal(parth.start(pattern).matrix_perm, first)
+    assert np.array_equal(parth.step(contacts)[1].matrix_perm, fresh.step(contacts)[1].matrix_perm)
 
 
 @pytest.mark.parametrize(

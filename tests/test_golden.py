@@ -36,7 +36,7 @@ def _relabel(pattern: SparsityPattern, rng) -> tuple[SparsityPattern, NodeMap]:
     rows, cols = pattern.to_coo()
     entries = np.empty(n, dtype=np.int64)
     entries[new_of_old] = np.arange(n)
-    return SparsityPattern.from_coo(n, new_of_old[rows], new_of_old[cols]), NodeMap(entries)
+    return SparsityPattern.from_coo(n, new_of_old[rows], new_of_old[cols]), NodeMap(entries, n)
 
 
 def _remesh(pattern: SparsityPattern, rng) -> tuple[SparsityPattern, NodeMap]:

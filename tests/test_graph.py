@@ -23,6 +23,8 @@ from parth import (
 from parth.graph import _LIST_BFS_MAX, _unique
 from conftest import (
     NINE_EDGES_FIRST,
+    has_edge,
+    n_edges,
     nine_node_graphs,
     pattern_from_edges,
     random_pattern,
@@ -38,7 +40,7 @@ class TestBuildDual:
     def test_diagonal_only(self):
         p = SparsityPattern.from_coo(3, [0, 1, 2], [0, 1, 2])
         g = build_dual(p)
-        assert g.n_nodes == 3 and g.n_edges == 0
+        assert g.n_nodes == 3 and n_edges(g) == 0
 
     def test_tridiagonal(self):
         p = pattern_from_edges(3, [(0, 1), (1, 2)])
@@ -48,7 +50,7 @@ class TestBuildDual:
     def test_nine_node_has_cross_edge(self):
         p = pattern_from_edges(9, NINE_EDGES_FIRST)
         g = build_dual(p)
-        assert g.has_edge(2, 8) and g.has_edge(8, 2)
+        assert has_edge(g, 2, 8) and has_edge(g, 8, 2)
 
     def test_asymmetric_rejected(self):
         p = SparsityPattern.from_coo(3, [0], [1])
@@ -79,7 +81,7 @@ class TestCompressByDim:
         edges += [(i + 3, j + 3) for i in range(3) for j in range(i + 1, 3)]
         p = pattern_from_edges(6, edges)
         g = compress_by_dim(p, 3)
-        assert g.n_nodes == 2 and g.n_edges == 0
+        assert g.n_nodes == 2 and n_edges(g) == 0
 
     def test_single_coupling_entry(self):
         p = pattern_from_edges(6, [(0, 5)])
@@ -124,22 +126,23 @@ class TestEdgeSetDiff:
         # old: path 0-1-2; node 1 removed; new graph = two isolated nodes
         g_old = SymGraph.from_edges(3, [0, 1], [1, 2])
         g_new = SymGraph.empty(2)
-        node_map = NodeMap(np.array([0, 2]))
+        node_map = NodeMap(np.array([0, 2]), 3)
         added, removed = edge_set_diff(g_old, g_new, node_map)
         assert added.size == 0 and removed.size == 0
 
     def test_added_node_edges_all_added(self):
         g_old = SymGraph.from_edges(2, [0], [1])
         g_new = SymGraph.from_edges(3, [0, 0, 1], [1, 2, 2])
-        node_map = NodeMap(np.array([0, 1, -1]))
+        node_map = NodeMap(np.array([0, 1, -1]), 2)
         added, removed = edge_set_diff(g_old, g_new, node_map)
         assert {tuple(e) for e in added.tolist()} == {(0, 2), (1, 2)}
         assert removed.size == 0
 
     def test_invalid_map(self):
         g, _ = nine_node_graphs()
-        with pytest.raises(InvalidMap):
-            edge_set_diff(g, g, NodeMap(np.array([0] * 9)))
+        for node_map in (NodeMap.identity(8), NodeMap(np.arange(9), 10)):
+            with pytest.raises(InvalidMap):  # sized for other graphs
+                edge_set_diff(g, g, node_map)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -151,7 +154,7 @@ class TestEdgeSetDiff:
         g_old = random_graph(rng, n_old)
         entries = random_node_map(rng, n_old)
         g_new = perturbed_graph(rng, g_old, entries)
-        added, removed = edge_set_diff(g_old, g_new, NodeMap(entries))
+        added, removed = edge_set_diff(g_old, g_new, NodeMap(entries, n_old))
         ref_added, ref_removed = reference_edge_diff(g_old, g_new, entries)
         assert added.shape == (len(ref_added), 2) and removed.shape == (len(ref_removed), 2)
         assert added.tolist() == ref_added
@@ -210,7 +213,7 @@ class TestInducedSubgraph:
     def test_path_endpoints(self):
         g = SymGraph.from_edges(3, [0, 1], [1, 2])
         sub, back = induced_subgraph(g, [0, 2])
-        assert sub.n_nodes == 2 and sub.n_edges == 0
+        assert sub.n_nodes == 2 and n_edges(sub) == 0
         assert back.tolist() == [0, 2]
 
     def test_full_set_is_copy(self):
@@ -222,7 +225,7 @@ class TestInducedSubgraph:
     def test_triangle_pair(self):
         g = SymGraph.from_edges(3, [0, 0, 1], [1, 2, 2])
         sub, back = induced_subgraph(g, [0, 1])
-        assert sub.n_edges == 1 and back.tolist() == [0, 1]
+        assert n_edges(sub) == 1 and back.tolist() == [0, 1]
 
     def test_out_of_bounds(self):
         g = SymGraph.empty(3)
@@ -277,26 +280,34 @@ class TestConstructorChecks:
 class TestNodeMap:
     def test_identity(self):
         m = NodeMap.identity(4)
-        m.validate(4)
-        assert m.old_to_new(4).tolist() == [0, 1, 2, 3]
+        assert m.is_identity and m.n_old == m.n_new == 4
+        assert m.o2n.tolist() == [0, 1, 2, 3]
+        assert NodeMap.identity(3).is_identity and NodeMap(np.arange(3), 3).is_identity
+        empty = NodeMap.identity(0)
+        assert empty.is_identity and empty.o2n.size == 0
+        assert not NodeMap(np.arange(3), 4).is_identity  # node 3 removed
+        assert not NodeMap(np.array([1, 0]), 2).is_identity
 
     def test_checked_carries_inverse(self):
-        m = NodeMap(np.array([2, -1, 0])).checked(3)
-        assert m.old_to_new(3).tolist() == [2, -1, 0]
-        assert not m.is_identity and NodeMap.identity(3).checked(3).is_identity
-        assert not NodeMap.identity(3).checked(4).is_identity  # node 3 removed
-        with pytest.raises(InvalidMap):
-            m.checked(2)  # other sizes are still checked in full
-        with pytest.raises(InvalidMap):
-            NodeMap(np.array([1, 1])).checked(3)
+        m = NodeMap(np.array([2, -1, 0, 4]), 5)
+        assert m.o2n.tolist() == [2, -1, 0, -1, 3]
+        assert NodeMap(np.arange(3), 4).o2n.tolist() == [0, 1, 2, -1]
+        assert NodeMap(np.full(2, -1), 0).o2n.size == 0  # every node new
+        assert not (m.entries.flags.writeable or m.o2n.flags.writeable)
 
     def test_duplicates_rejected(self):
-        with pytest.raises(InvalidMap):
-            NodeMap(np.array([0, 0])).validate(3)
+        with pytest.raises(InvalidMap, match="duplicate"):
+            NodeMap(np.array([0, 0]), 3)
+        with pytest.raises(InvalidMap, match="duplicate"):
+            NodeMap(np.array([2, -1, 1, 2]), 3)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidMap):
-            NodeMap(np.array([0, 7])).validate(3)
+        with pytest.raises(InvalidMap, match="outside previous graph"):
+            NodeMap(np.array([0, 7]), 3)
+        with pytest.raises(InvalidMap, match="outside previous graph"):
+            NodeMap(np.array([0, 1]), 1)
+        with pytest.raises(InvalidMap, match="below -1"):
+            NodeMap(np.array([0, -2]), 3)
 
 
 class TestTrustedGraphs:
@@ -340,18 +351,15 @@ class TestTrustedGraphs:
         assert edge_pairs(sub) == {(inside[a], inside[b]) for a, b in edge_pairs(g) if a in inside and b in inside}
 
 
-def reference_bfs(g: SymGraph, root: int, mask) -> list[int]:
-    """Queue-based BFS over the nodes the mask allows (all when it is None)."""
-    allowed = [True] * g.n_nodes if mask is None else [bool(x) for x in mask]
+def reference_bfs(g: SymGraph, root: int) -> list[int]:
+    """Queue-based BFS hop distances, -1 for unreachable nodes."""
     dist = [-1] * g.n_nodes
-    if not allowed[root]:
-        return dist
     dist[root] = 0
     queue = deque([root])
     while queue:
         x = queue.popleft()
         for y in g.neighbors(x).tolist():
-            if allowed[y] and dist[y] < 0:
+            if dist[y] < 0:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
@@ -410,9 +418,8 @@ class TestTraversal:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 70))
         g = traversal_graph(rng, n)
-        mask = random_mask(rng, n)
         for root in rng.choice(n, size=min(n, 3), replace=False).tolist():
-            assert bfs_distances(g, root, mask).tolist() == reference_bfs(g, root, mask)
+            assert bfs_distances(g, root).tolist() == reference_bfs(g, root)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10_000))
@@ -424,13 +431,6 @@ class TestTraversal:
         comps = connected_components(g, mask)
         assert [c.tolist() for c in comps] == reference_components(g, mask)
         assert all(c.dtype == np.int64 for c in comps)
-
-    def test_masked_out_root(self):
-        g = SymGraph.from_edges(4, [0, 1, 2], [1, 2, 3])
-        mask = np.array([True, False, True, True])
-        assert bfs_distances(g, 1, mask).tolist() == [-1, -1, -1, -1]
-        assert bfs_distances(g, 0, mask).tolist() == [0, -1, -1, -1]
-        assert bfs_distances(g, 3, mask).tolist() == [-1, -1, 1, 0]
 
     def test_isolated_nodes(self):
         g = SymGraph.from_edges(6, [1], [4])
@@ -444,7 +444,6 @@ class TestTraversal:
         assert connected_components(SymGraph.empty(0), np.zeros(0, dtype=bool)) == []
         one = SymGraph.empty(1)
         assert bfs_distances(one, 0).tolist() == [0]
-        assert bfs_distances(one, 0, np.array([False])).tolist() == [-1]
         assert [c.tolist() for c in connected_components(one)] == [[0]]
         assert connected_components(one, np.array([False])) == []
 
@@ -457,10 +456,9 @@ class TestTraversal:
         comps = connected_components(g)
         assert len(comps) == 1 and comps[0].tolist() == list(range(n))
         end = int(np.flatnonzero(g.degrees() == 1)[0])
-        assert bfs_distances(g, end).tolist() == reference_bfs(g, end, None)
+        assert bfs_distances(g, end).tolist() == reference_bfs(g, end)
         mask = rng.random(n) < 0.9
         assert [c.tolist() for c in connected_components(g, mask)] == reference_components(g, mask)
-        assert bfs_distances(g, end, mask).tolist() == reference_bfs(g, end, mask)
 
     @pytest.mark.parametrize("n", [_LIST_BFS_MAX, _LIST_BFS_MAX + 1])
     def test_both_bfs_branches(self, n):
@@ -470,7 +468,4 @@ class TestTraversal:
         g = shuffled_path(rng, n)
         end = int(np.flatnonzero(g.degrees() == 1)[0])
         dist = bfs_distances(g, end)
-        assert dist.tolist() == reference_bfs(g, end, None) and dist.max() == n - 1
-        mask = rng.random(n) < 0.999
-        mask[end] = True
-        assert bfs_distances(g, end, mask).tolist() == reference_bfs(g, end, mask)
+        assert dist.tolist() == reference_bfs(g, end) and dist.max() == n - 1

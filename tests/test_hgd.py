@@ -15,7 +15,7 @@ from parth import (
     lca_of,
     level_of,
 )
-from conftest import NINE_TREE_SETS, nine_node_graphs, random_pattern
+from conftest import NINE_TREE_SETS, nine_node_graphs, random_pattern, tree_from_node_sets
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +106,7 @@ class TestRedecompose:
 
     def test_single_leaf_unchanged(self, engine):
         g, _ = nine_node_graphs()
-        tree = HgdTree.from_node_sets(2, NINE_TREE_SETS, g=g)
+        tree = tree_from_node_sets(2, NINE_TREE_SETS, g=g)
         before = tree.nodes[5].nodes.copy()
         hgd_redecompose(tree, 5, g, before, engine)
         assert np.array_equal(tree.nodes[5].nodes, before)
@@ -114,7 +114,7 @@ class TestRedecompose:
     def test_three_node_region_split(self, engine):
         # after the second call's delta the region {2,3,8} is a path 2-3-8
         g1, g2 = nine_node_graphs()
-        tree = HgdTree.from_node_sets(2, NINE_TREE_SETS, g=g1)
+        tree = tree_from_node_sets(2, NINE_TREE_SETS, g=g1)
         hgd_redecompose(tree, 2, g2, np.array([2, 3, 8]), engine)
         assert tree.nodes[2].nodes.tolist() == [3]
         assert tree.nodes[5].nodes.tolist() == [2]
@@ -123,13 +123,13 @@ class TestRedecompose:
 
     def test_region_mismatch(self, engine):
         g, _ = nine_node_graphs()
-        tree = HgdTree.from_node_sets(2, NINE_TREE_SETS, g=g)
+        tree = tree_from_node_sets(2, NINE_TREE_SETS, g=g)
         with pytest.raises(RegionMismatch):
             hgd_redecompose(tree, 2, g, np.array([2, 3]), engine)
 
     def test_untouched_outside_subtree(self, engine):
         g, _ = nine_node_graphs()
-        tree = HgdTree.from_node_sets(2, NINE_TREE_SETS, g=g)
+        tree = tree_from_node_sets(2, NINE_TREE_SETS, g=g)
         outside = {i: tree.nodes[i].nodes.copy() for i in (0, 1, 3, 4)}
         hgd_redecompose(tree, 2, g, np.array([2, 3, 8]), engine)
         for i, arr in outside.items():
@@ -139,7 +139,7 @@ class TestRedecompose:
         # subtree 2 holds {2} at slot 2 and {3} at slot 5; two nodes are under
         # MIN_SPLIT, so the rebuild stores both at slot 2 and slot 5 must not keep 3
         g = SymGraph.from_edges(4, [0, 0, 2], [1, 2, 3])
-        tree = HgdTree.from_node_sets(2, [[0], [1], [2], [], [], [3], []], g=g)
+        tree = tree_from_node_sets(2, [[0], [1], [2], [], [], [3], []], g=g)
         hgd_redecompose(tree, 2, g, np.array([2, 3]), engine)
         assert tree.nodes[2].nodes.tolist() == [2, 3]
         assert [tree.nodes[i].nodes.size for i in (5, 6)] == [0, 0]
@@ -174,15 +174,15 @@ class TestOwner:
 class TestFromNodeSets:
     def test_validates_partition(self):
         with pytest.raises(StaleTree):
-            HgdTree.from_node_sets(1, [[0, 1], [1], [2]])
+            tree_from_node_sets(1, [[0, 1], [1], [2]])
 
     def test_validates_separators(self):
         g = SymGraph.from_edges(3, [0], [2])  # edge between the two leaves
         with pytest.raises(StaleTree):
-            HgdTree.from_node_sets(1, [[1], [0], [2]], g=g)
+            tree_from_node_sets(1, [[1], [0], [2]], g=g)
 
     def test_keeps_no_reference_to_the_callers_arrays(self):
         sets = [np.array([1], dtype=np.int64), np.array([0], dtype=np.int64), np.array([2], dtype=np.int64)]
-        tree = HgdTree.from_node_sets(1, sets)
+        tree = tree_from_node_sets(1, sets)
         sets[1][:] = 2
         assert tree.nodes[1].nodes.tolist() == [0]

@@ -172,7 +172,7 @@ class TestNodeMapIO:
         from parth import NodeMap
 
         f = tmp_path / "m.map"
-        m = NodeMap(np.array([3, -1, 0]))
+        m = NodeMap(np.array([3, -1, 0]), 4)
         write_node_map(f, m)
         assert read_node_map(f, 3, 4).entries.tolist() == [3, -1, 0]
 

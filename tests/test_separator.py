@@ -7,9 +7,8 @@ from parth import (
     LevelSetEngine,
     SymGraph,
     build_dual,
-    verify_separator,
 )
-from conftest import nine_node_graphs, random_pattern
+from conftest import nine_node_graphs, random_pattern, verify_separator
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from parth import (
-    HgdTree,
     InvalidMap,
     LevelSetEngine,
     NodeMap,
@@ -22,8 +21,11 @@ from parth.synchronizer import ADDED, REMOVED, TreeEdgeChange
 from conftest import (
     NINE_TREE_SETS,
     apply_edge_delta,
+    has_edge,
     nine_node_graphs,
     random_pattern,
+    total_nodes,
+    tree_from_node_sets,
 )
 
 
@@ -33,7 +35,7 @@ def engine():
 
 
 def nine_tree(g=None):
-    return HgdTree.from_node_sets(2, NINE_TREE_SETS, g=g)
+    return tree_from_node_sets(2, NINE_TREE_SETS, g=g)
 
 
 class TestNodeChangeSynchronizer:
@@ -41,7 +43,7 @@ class TestNodeChangeSynchronizer:
         g1, _ = nine_node_graphs()
         tree = nine_tree(g1)
         before = [tn.nodes.copy() for tn in tree.nodes]
-        touched = node_change_synchronizer(tree, NodeMap.identity(9), 9, g1)
+        touched = node_change_synchronizer(tree, NodeMap.identity(9), g1)
         assert touched == set()
         for tn, arr in zip(tree.nodes, before):
             assert np.array_equal(tn.nodes, arr)
@@ -58,7 +60,7 @@ class TestNodeChangeSynchronizer:
         entries[new_of_old] = np.arange(9)
         rows, cols = g1.edges()
         g_new = SymGraph.from_edges(9, new_of_old[rows], new_of_old[cols])
-        assert node_change_synchronizer(tree, NodeMap(entries), 9, g_new) == set()
+        assert node_change_synchronizer(tree, NodeMap(entries, 9), g_new) == set()
         for tn, arr in zip(tree.nodes, before):
             assert np.array_equal(tn.nodes, new_of_old[arr])
             assert tn.ordered
@@ -69,10 +71,10 @@ class TestNodeChangeSynchronizer:
         # drop graph node 5 (lives in tree leaf 3); survivors keep their order
         entries = [0, 1, 2, 3, 4, 6, 7, 8]
         g_new = SymGraph.from_edges(8, [0, 1], [1, 4])  # edges irrelevant here
-        touched = node_change_synchronizer(tree, NodeMap(np.array(entries)), 8, g_new)
+        touched = node_change_synchronizer(tree, NodeMap(np.array(entries), 9), g_new)
         assert touched == {3}
         assert tree.nodes[3].nodes.size == 0
-        assert tree.total_nodes() == 8
+        assert total_nodes(tree) == 8
 
     def test_added_node_joins_neighbor_leaf(self):
         g1, _ = nine_node_graphs()
@@ -83,7 +85,7 @@ class TestNodeChangeSynchronizer:
         eu, ev = list(eu) + [5], list(ev) + [9]
         g_new = SymGraph.from_edges(10, eu, ev)
         entries = list(range(9)) + [-1]
-        touched = node_change_synchronizer(tree, NodeMap(np.array(entries)), 10, g_new)
+        touched = node_change_synchronizer(tree, NodeMap(np.array(entries), 9), g_new)
         assert touched == {3}
         assert tree.nodes[3].nodes.tolist() == [5, 9]
         assert tree.separator_violations(g_new) == []
@@ -93,9 +95,7 @@ class TestNodeChangeSynchronizer:
         tree = nine_tree(g1)
         eu, ev = g1.edges()
         g_new = SymGraph.from_edges(10, eu, ev)
-        touched = node_change_synchronizer(
-            tree, NodeMap(np.array(list(range(9)) + [-1])), 10, g_new
-        )
+        touched = node_change_synchronizer(tree, NodeMap(np.array(list(range(9)) + [-1]), 9), g_new)
         assert touched == {0}
         assert 9 in tree.nodes[0].nodes.tolist()
 
@@ -103,7 +103,12 @@ class TestNodeChangeSynchronizer:
         g1, _ = nine_node_graphs()
         tree = nine_tree(g1)
         with pytest.raises(InvalidMap):
-            node_change_synchronizer(tree, NodeMap(np.array([0] * 9)), 9, g1)
+            NodeMap(np.array([0] * 9), 9)  # a duplicate never becomes a map
+        before = [tn.nodes.copy() for tn in tree.nodes]
+        for node_map in (NodeMap.identity(8), NodeMap(np.arange(9), 10)):
+            with pytest.raises(InvalidMap):  # sized for another tree or graph
+                node_change_synchronizer(tree, node_map, g1)
+        assert all(np.array_equal(tn.nodes, arr) for tn, arr in zip(tree.nodes, before))
 
 
 class TestMapEdgesToTree:
@@ -118,7 +123,7 @@ class TestMapEdgesToTree:
 
     def test_edge_inside_one_leaf_is_fine_grain(self):
         g1, _ = nine_node_graphs()
-        tree = HgdTree.from_node_sets(1, [[0, 1, 4], [5, 6, 7], [2, 3, 8]], g=g1)
+        tree = tree_from_node_sets(1, [[0, 1, 4], [5, 6, 7], [2, 3, 8]], g=g1)
         changes, fine = map_edges_to_tree(tree, np.array([[5, 7]]), np.empty((0, 2), np.int64))
         assert changes == [] and fine == {1}
 
@@ -263,7 +268,7 @@ class TestSynchronize:
         tree = hgd_build(g_old, 3, engine)
         left, right = tree.subtree_union(1), tree.subtree_union(2)
         u, v = int(left[0]), int(right[0])
-        assert not g_old.has_edge(u, v)
+        assert not has_edge(g_old, u, v)
         p_new = apply_edge_delta(pattern, [(u, v)], [])
         g_new = build_dual(p_new)
         dirty = synchronize(

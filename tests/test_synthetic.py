@@ -13,18 +13,19 @@ from parth import (
     patch_remesh,
     radius_for_fraction,
 )
+from conftest import n_edges
 
 
 class TestGridLaplacian:
     def test_two_by_two(self):
         p, v = grid_laplacian(2, 2)
         assert p.n_rows == 4
-        assert build_dual(p).n_edges == 4
+        assert n_edges(build_dual(p)) == 4
 
     def test_three_by_three(self):
         p, _ = grid_laplacian(3, 3)
         assert p.n_rows == 9
-        assert build_dual(p).n_edges == 12  # 2*nx*ny - nx - ny
+        assert n_edges(build_dual(p)) == 12  # 2*nx*ny - nx - ny
 
     def test_large(self):
         p, _ = grid_laplacian(64, 64)
@@ -49,7 +50,7 @@ class TestInjectContacts:
         p, _ = grid_laplacian(2, 2)
         out = inject_contacts(p, 0, 1, 1, seed=0)
         g = build_dual(out)
-        assert g.n_edges == 5
+        assert n_edges(g) == 5
 
     def test_ball_too_small(self):
         p, _ = grid_laplacian(2, 2)
@@ -80,7 +81,7 @@ class TestPatchRemesh:
         out, node_map = patch_remesh(p, 4, 0, densify=1.0, seed=0)
         assert out.n_rows == 9
         assert int(np.count_nonzero(node_map.entries == -1)) == 1
-        node_map.validate(9)
+        assert node_map.n_old == 9  # checked against the old size when built
 
     def test_map_valid_by_construction(self):
         rng = np.random.default_rng(5)
@@ -88,7 +89,7 @@ class TestPatchRemesh:
         for _ in range(10):
             center = int(rng.integers(p.n_rows))
             out, node_map = patch_remesh(p, center, 2, densify=1.5, seed=int(rng.integers(1 << 30)))
-            node_map.validate(p.n_rows)
+            assert node_map.n_old == p.n_rows
             assert node_map.n_new == out.n_rows
             assert is_structurally_symmetric(out)
 
