@@ -6,7 +6,7 @@ locally, only the affected sub-graphs are reordered and the surviving
 local permutations are spliced back into the global ordering.
 """
 
-from .assembler import AssemblyState, assemble, post_order_indices, reuse_ratio
+from .assembler import AssemblyState, assemble, reuse_ratio
 from .driver import Parth, ParthConfig
 from .errors import (
     AsymmetricPattern,
@@ -44,6 +44,7 @@ from .hgd import (
     is_in_subtree,
     lca_of,
     level_of,
+    post_order_indices,
 )
 from .metrics import CSV_HEADER, StepMetrics, degradation_monitor, step_metrics
 from .oracle import (

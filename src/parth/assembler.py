@@ -31,20 +31,6 @@ class AssemblyState:
     reused_nodes: int
 
 
-def post_order_indices(max_level: int) -> np.ndarray:
-    """Post-order of the complete binary tree with children 2i+1, 2i+2."""
-    out: list[int] = []
-
-    def visit(i: int, level: int) -> None:
-        if level < max_level:
-            visit(2 * i + 1, level + 1)
-            visit(2 * i + 2, level + 1)
-        out.append(i)
-
-    visit(0, 0)
-    return np.array(out, dtype=np.int64)
-
-
 def assemble(tree: HgdTree, g: SymGraph, engine: MinDegreeEngine, dim: int = 1) -> AssemblyState:
     """Produce graph- and matrix-level permutations from the tree.
 
@@ -57,7 +43,7 @@ def assemble(tree: HgdTree, g: SymGraph, engine: MinDegreeEngine, dim: int = 1) 
     """
     parts = []
     reused = 0
-    for i in post_order_indices(tree.max_level):
+    for i in tree.post_order:
         tn = tree.nodes[i]
         if tn.nodes.size == 0:
             continue

@@ -9,7 +9,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 
 from .driver import Parth, ParthConfig
 from .errors import ParthError
+from .graph import block_count
 from .metrics import CSV_HEADER, RESET_RECOMMENDED, degradation_monitor, step_metrics
 from .oracle import symbolic_analyze
 from .ordering import is_permutation
@@ -38,22 +38,14 @@ def _now_us() -> int:
     return time.perf_counter_ns() // 1000
 
 
-def _max_level(text: str) -> int | None:
-    """argparse type of --max-level: 'auto' (None) or an int."""
-    try:
-        return None if text == "auto" else int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, got {text!r}") from None
-
-
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=1, help="matrix rows per graph node")
-    p.add_argument("--max-level", type=_max_level, default=None, help="tree depth, or 'auto'")
-    p.add_argument("--target-leaf", type=int, default=256, help="target graph nodes per leaf")
+    p.add_argument("--dim", type=int, default=ParthConfig.dim, help="matrix rows per graph node")
+    p.add_argument("--target-leaf", type=int, default=ParthConfig.target_leaf,
+                   help="graph nodes per leaf; sets the tree depth")
     p.add_argument(
         "--aggressive-reuse",
         nargs="?",
-        const=0.5,
+        const=ParthConfig.theta,
         default=None,
         type=float,
         metavar="THETA",
@@ -64,10 +56,9 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> ParthConfig:
     return ParthConfig(
         dim=args.dim,
-        max_level=args.max_level,
         target_leaf=args.target_leaf,
         aggressive=args.aggressive_reuse is not None,
-        theta=args.aggressive_reuse if args.aggressive_reuse is not None else 0.5,
+        theta=ParthConfig.theta if args.aggressive_reuse is None else args.aggressive_reuse,
     )
 
 
@@ -105,7 +96,7 @@ def cmd_run(args) -> int:
             else:
                 node_map = None
                 if stp.map_path is not None:
-                    n_new = pattern.n_rows // config.dim
+                    n_new = block_count(pattern.n_rows, config.dim)
                     node_map = read_node_map(stp.map_path, n_new, parth.graph.n_nodes)
                 dirty, state = parth.step(pattern, node_map)
                 if args.baseline == "full":
@@ -189,7 +180,7 @@ def _generate(args) -> Path:
     Every step is built before the first file is written, so an argument
     that fails on a later step leaves no partial sequence behind.
     """
-    rng = np.random.default_rng(int(os.environ.get("PARTH_SEED", args.seed)))
+    rng = np.random.default_rng(args.seed)
     pattern, values = grid_laplacian(args.nx, args.ny)
     built = [(pattern, values, None, "base")]
     for s in range(1, args.steps + 1):
@@ -246,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--patch-frac", type=float, default=0.02)
     p_gen.add_argument("--contacts", type=int, default=16)
     p_gen.add_argument("--densify", type=float, default=1.0, help="remeshed ball growth, in (0, 16]")
-    p_gen.add_argument("--seed", type=int, default=0, help="overridden by the PARTH_SEED variable")
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen)
 
     p_check = sub.add_parser("check", help="audit all invariants on one matrix")

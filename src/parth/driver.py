@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .assembler import AssemblyState, assemble
 from .errors import InvalidArgument, InvalidMap, ParthError
 from .graph import NodeMap, SparsityPattern, SymGraph, build_dual, compress_by_dim
-from .hgd import MAX_LEVEL, HgdTree, default_max_level, hgd_build
+from .hgd import HgdTree, default_max_level, hgd_build
 from .ordering import MinDegreeEngine
 from .separator import LevelSetEngine
 from .synchronizer import DirtyState, synchronize
@@ -18,7 +18,6 @@ from .synchronizer import DirtyState, synchronize
 @dataclass
 class ParthConfig:
     dim: int = 1
-    max_level: int | None = None  # None = derive from graph size
     target_leaf: int = 256
     aggressive: bool = False
     theta: float = 0.5
@@ -26,8 +25,6 @@ class ParthConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidArgument(f"dim must be >= 1, got {self.dim}")
-        if self.max_level is not None and not 0 <= self.max_level <= MAX_LEVEL:
-            raise InvalidArgument(f"max_level must be in [0, {MAX_LEVEL}] or None, got {self.max_level}")
         if self.target_leaf < 1:
             raise InvalidArgument(f"target_leaf must be >= 1, got {self.target_leaf}")
         if not (math.isfinite(self.theta) and 0.0 <= self.theta <= 1.0):
@@ -64,13 +61,8 @@ class Parth:
     def start(self, pattern: SparsityPattern) -> AssemblyState:
         cfg = self.config
         g = self._ingest(pattern)
-        max_level = (
-            cfg.max_level
-            if cfg.max_level is not None
-            else default_max_level(max(g.n_nodes, 1), cfg.target_leaf)
-        )
         t0 = time.perf_counter_ns()
-        self.tree = hgd_build(g, max_level, self.separator_engine)
+        self.tree = hgd_build(g, default_max_level(g.n_nodes, cfg.target_leaf), self.separator_engine)
         self.state = assemble(self.tree, g, self.ordering_engine, cfg.dim)
         # nothing is synchronized on a start: the tree build counts as assembly
         self.last_sync_us = 0

@@ -32,6 +32,15 @@ def _index_array(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
+def _frozen_index_array(a) -> np.ndarray:
+    """`a` as a read-only int64 array for an object to keep; a writable caller array is copied, not frozen."""
+    out = _index_array(a)
+    if out is a and out.flags.writeable:
+        out = out.copy()
+    out.setflags(write=False)
+    return out
+
+
 def _counts_to_starts(counts: np.ndarray) -> np.ndarray:
     starts = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
@@ -104,12 +113,9 @@ class SparsityPattern:
     col_indices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "row_starts", _index_array(self.row_starts))
-        object.__setattr__(self, "col_indices", _index_array(self.col_indices))
-        rs, ci = self.row_starts, self.col_indices
-        _check_csr(self.n_rows, rs, ci, "row_starts", "column")
-        rs.setflags(write=False)
-        ci.setflags(write=False)
+        object.__setattr__(self, "row_starts", _frozen_index_array(self.row_starts))
+        object.__setattr__(self, "col_indices", _frozen_index_array(self.col_indices))
+        _check_csr(self.n_rows, self.row_starts, self.col_indices, "row_starts", "column")
 
     @property
     def nnz(self) -> int:
@@ -152,7 +158,10 @@ def sum_duplicates(n: int, rows, cols, vals=None) -> tuple[SparsityPattern, np.n
         np.add.at(summed, inverse, np.asarray(vals, dtype=np.float64))
     width = max(n, 1)
     starts = _counts_to_starts(np.bincount(keys // width, minlength=n))
-    return SparsityPattern(n, starts, keys % width), summed
+    cols = keys % width
+    starts.setflags(write=False)  # read-only, these fresh arrays are kept without a copy
+    cols.setflags(write=False)
+    return SparsityPattern(n, starts, cols), summed
 
 
 def _is_symmetric_coo(rows: np.ndarray, cols: np.ndarray, n: int) -> bool:
@@ -198,16 +207,13 @@ class SymGraph:
     adj: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "adj_starts", _index_array(self.adj_starts))
-        object.__setattr__(self, "adj", _index_array(self.adj))
-        st, adj = self.adj_starts, self.adj
-        rows = _check_csr(self.n_nodes, st, adj, "adj_starts", "neighbor")
-        if np.any(rows == adj):
+        object.__setattr__(self, "adj_starts", _frozen_index_array(self.adj_starts))
+        object.__setattr__(self, "adj", _frozen_index_array(self.adj))
+        rows = _check_csr(self.n_nodes, self.adj_starts, self.adj, "adj_starts", "neighbor")
+        if np.any(rows == self.adj):
             raise IndexOutOfBounds("self-loops are not allowed")
-        if not _is_symmetric_coo(rows, adj, self.n_nodes):
+        if not _is_symmetric_coo(rows, self.adj, self.n_nodes):
             raise IndexOutOfBounds("adjacency is not symmetric")
-        st.setflags(write=False)
-        adj.setflags(write=False)
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.adj[self.adj_starts[i] : self.adj_starts[i + 1]]
@@ -357,14 +363,20 @@ def build_dual(pattern: SparsityPattern) -> SymGraph:
     return SymGraph._trusted(pattern.n_rows, _counts_to_starts(counts), cols)
 
 
+def block_count(n_rows: int, dim: int) -> int:
+    """Graph nodes of n_rows rows at `dim` rows per node; raises DimMismatch unless dim divides n_rows."""
+    if dim < 1 or n_rows % dim != 0:
+        raise DimMismatch(f"n_rows={n_rows} not divisible by dim={dim}")
+    return n_rows // dim
+
+
 def compress_by_dim(pattern: SparsityPattern, dim: int) -> SymGraph:
     """Merge each run of `dim` consecutive rows into one graph node.
 
     Block b covers rows [b*dim, (b+1)*dim); blocks are adjacent when any
     nonzero couples them.
     """
-    if dim < 1 or pattern.n_rows % dim != 0:
-        raise DimMismatch(f"n_rows={pattern.n_rows} not divisible by dim={dim}")
+    n_blocks = block_count(pattern.n_rows, dim)
     rows, cols = require_symmetric(pattern)
     rb, cb = rows // dim, cols // dim
     # the pattern is symmetric, so the upper half names every block edge
@@ -374,7 +386,7 @@ def compress_by_dim(pattern: SparsityPattern, dim: int) -> SymGraph:
     # adjacent; dropping them here shrinks the sort inside from_edges
     first = np.ones(rb.size, dtype=bool)
     first[1:] = (rb[1:] != rb[:-1]) | (cb[1:] != cb[:-1])
-    return SymGraph.from_edges(pattern.n_rows // dim, rb[first], cb[first])
+    return SymGraph.from_edges(n_blocks, rb[first], cb[first])
 
 
 def induced_subgraph(g: SymGraph, nodes) -> tuple[SymGraph, np.ndarray]:
@@ -413,8 +425,7 @@ class NodeMap:
     is_identity: bool = field(init=False)
 
     def __post_init__(self):
-        e, n_old = _index_array(self.entries), int(self.n_old)
-        e.setflags(write=False)
+        e, n_old = _frozen_index_array(self.entries), int(self.n_old)
         is_identity = e.size == n_old and np.array_equal(e, np.arange(n_old))
         if is_identity:
             o2n = e

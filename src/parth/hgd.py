@@ -31,6 +31,20 @@ def tree_size(max_level: int) -> int:
     return (1 << (max_level + 1)) - 1
 
 
+def post_order_indices(max_level: int) -> np.ndarray:
+    """Post-order of the complete binary tree with children 2i+1, 2i+2."""
+    out: list[int] = []
+
+    def visit(i: int, level: int) -> None:
+        if level < max_level:
+            visit(2 * i + 1, level + 1)
+            visit(2 * i + 2, level + 1)
+        out.append(i)
+
+    visit(0, 0)
+    return np.array(out, dtype=np.int64)
+
+
 def level_of(i: int) -> int:
     return (i + 1).bit_length() - 1
 
@@ -77,12 +91,14 @@ class HgdTree:
     `owner[u]` is the index of the tree node whose array holds graph node u,
     the one record of it: every writer of a node array (`_build_into`, node
     sync, aggressive moves) updates it, the synchronizer reads it, and
-    `validate_partition` audits it against the node arrays.
+    `validate_partition` audits it against the node arrays. The shape is
+    fixed, so `post_order` (slot indices in post-order) is computed once.
     """
 
     def __init__(self, max_level: int):
         self.max_level = int(max_level)
         self.nodes = [HgdNode() for _ in range(tree_size(max_level))]
+        self.post_order = post_order_indices(self.max_level).tolist()
         self.owner = _EMPTY
 
     @property
@@ -200,7 +216,7 @@ def hgd_redecompose(
     _build_into(tree, sub, to_global, level_of(root_index), root_index, engine)
 
 
-def default_max_level(n_nodes: int, target_leaf: int = 256) -> int:
+def default_max_level(n_nodes: int, target_leaf: int) -> int:
     """Depth that aims for roughly target_leaf nodes per leaf, clamped to [0, MAX_LEVEL]."""
     ratio = n_nodes / target_leaf
     level = 0 if ratio < 1.0 else int(math.floor(math.log2(ratio)))

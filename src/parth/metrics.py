@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import median
 
 import numpy as np
@@ -12,11 +12,6 @@ from .assembler import AssemblyState, reuse_ratio
 from .graph import SparsityPattern
 from .oracle import fill_deviation
 from .synchronizer import DirtyState
-
-CSV_HEADER = (
-    "step,label,n,nnz,reuse_ratio,fill_dev,recomp_tree,recomp_nodes,"
-    "t_sync_us,t_assemble_us,t_baseline_us,reset_recommended"
-)
 
 OK = "ok"
 RESET_RECOMMENDED = "reset_recommended"
@@ -38,13 +33,18 @@ class StepMetrics:
     reset_recommended: bool = False
 
     def csv_row(self) -> str:
-        dev = "" if math.isnan(self.fill_dev) else f"{self.fill_dev:.6f}"
-        return (
-            f"{self.step},{self.label},{self.n},{self.nnz},"
-            f"{self.reuse_ratio:.6f},{dev},{self.recomp_tree},{self.recomp_nodes},"
-            f"{self.t_sync_us},{self.t_assemble_us},{self.t_baseline_us},"
-            f"{int(self.reset_recommended)}"
-        )
+        """The fields in `CSV_HEADER` order: floats to 6 decimals (NaN empty), booleans as 0/1."""
+        return ",".join(_csv_cell(getattr(self, f.name), f.type) for f in fields(self))
+
+
+def _csv_cell(value, kind: str) -> str:
+    # `kind` is the field's annotation, a string under postponed evaluation
+    if kind == "float":
+        return "" if math.isnan(value) else f"{value:.6f}"
+    return str(int(value)) if kind == "bool" else str(value)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(StepMetrics))
 
 
 def step_metrics(

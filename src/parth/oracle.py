@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidPermutation, NotPositiveDefinite
 from .graph import SparsityPattern, _counts_to_starts
-from .ordering import invert_permutation, is_permutation
+from .ordering import is_permutation
 
 ROOT = -1
 
@@ -38,9 +38,11 @@ def _permuted_strict_lower(pattern: SparsityPattern, perm: np.ndarray):
     """CSR of the strict lower triangle of the permuted pattern, as Python lists.
 
     The loops below read one scalar at a time, which is several times faster
-    from a list than from a numpy array.
+    from a list than from a numpy array. `perm` is int64 and already checked
+    by the public entry point, so it is inverted directly.
     """
-    inv = invert_permutation(perm)
+    inv = np.empty(perm.size, dtype=np.int64)
+    inv[perm] = np.arange(perm.size, dtype=np.int64)
     rows, cols = pattern.to_coo()
     pr, pc = inv[rows], inv[cols]
     keep = pr > pc
@@ -145,7 +147,8 @@ def numeric_cholesky_solve(
         raise InvalidArgument(f"expected {pattern.nnz} values, got {values.shape}")
     b = np.asarray(b, dtype=np.float64)
 
-    inv = invert_permutation(perm)
+    inv = np.empty(n, dtype=np.int64)
+    inv[perm] = np.arange(n, dtype=np.int64)
     rows, cols = pattern.to_coo()
     pr, pc = inv[rows], inv[cols]
     keep = pr >= pc

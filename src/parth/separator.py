@@ -52,9 +52,8 @@ class LevelSetEngine:
 
         comps = connected_components(g)
         big = max(comps, key=lambda c: (c.size, -int(c.min())))
-        sep = _EMPTY
-        if big.size >= 3 and gather_neighbors(g, big).size:
-            sep = self._level_separator(g, big)
+        # a connected component of 3 or more nodes always has an edge to cut
+        sep = self._level_separator(g, big) if big.size >= 3 else _EMPTY
 
         side = np.zeros(n, dtype=np.int8)
         in_sep = np.zeros(n, dtype=bool)

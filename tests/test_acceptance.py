@@ -66,7 +66,7 @@ def test_criterion_01_correctness_oracle():
     for trial in range(trials):
         n = int(rng.integers(16, 201))
         pattern = random_pattern(rng, n)
-        config = ParthConfig(max_level=4, aggressive=bool(trial % 3 == 0), theta=0.4)
+        config = ParthConfig(target_leaf=n >> 4, aggressive=bool(trial % 3 == 0), theta=0.4)  # depth 4
         parth = Parth(config)
         first = parth.start(pattern)
         assert is_permutation(first.matrix_perm, n)
@@ -98,7 +98,7 @@ def test_criterion_02_fixed_point_reuse():
     g1_pattern, _ = _nine_node_patterns()
     cases.append(g1_pattern)
     for pattern in cases:
-        parth = Parth(ParthConfig(max_level=3))
+        parth = Parth(ParthConfig(target_leaf=pattern.n_rows >> 3))  # depth 3
         first = parth.start(pattern)
         dirty, again = parth.step(pattern)
         assert reuse_ratio(again, parth.graph.n_nodes) == 1.0
@@ -124,7 +124,7 @@ def grid_suite():
     """
     started = time.perf_counter()
     base, _ = grid_laplacian(64, 64)
-    config = ParthConfig(aggressive=True, theta=0.4)  # max_level auto
+    config = ParthConfig(aggressive=True, theta=0.4)
     reuses, deviations = [], []
     for seed in range(50):
         rng = np.random.default_rng(seed)
@@ -217,7 +217,7 @@ def test_criterion_08_dirty_set_completeness():
         n = int(rng.integers(20, 201))
         pattern = random_pattern(rng, n)
         g_old = build_dual(pattern)
-        parth = Parth(ParthConfig(max_level=4))
+        parth = Parth(ParthConfig(target_leaf=n >> 4))  # depth 4
         parth.start(pattern)
         k = int(rng.integers(1, 6))
         add = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(k)]

@@ -53,7 +53,7 @@ def test_traced_step_records_counts(spans):
     changed = inject_contacts(pattern, 27, 3, 12, seed=1)
     tracer = spans.Tracer()
     with spans.instrumented(tracer):
-        engine = spans.instrument_engines(tracer, Parth(ParthConfig(max_level=2)))
+        engine = spans.instrument_engines(tracer, Parth(ParthConfig(target_leaf=64 >> 2)))  # depth 2
         with tracer.op_scope(0):
             engine.start(pattern)
         with tracer.op_scope(1):
@@ -81,12 +81,11 @@ def test_engines_are_per_instance(spans):
     assert not hasattr(plain.ordering_engine.order, "__wrapped__")
 
 
-def test_traced_cli_run_sees_the_oracle(spans, tmp_path, capsys, monkeypatch):
+def test_traced_cli_run_sees_the_oracle(spans, tmp_path, capsys):
     # `parth run --baseline full` measures fill_dev with two symbolic_analyze
     # calls for each row after the first (row 1's start is its own baseline)
     # whose ordering differs from its baseline's; both must go through the
     # hooked module attribute. On this sequence both later rows differ.
-    monkeypatch.delenv("PARTH_SEED", raising=False)
     steps = 2
     out = tmp_path / "seq"
     argv = ["gen", "--out", str(out), "--nx", "24", "--ny", "24", "--steps", str(steps), "--seed", "0"]

@@ -23,7 +23,7 @@ class TestRun:
     def test_single_step(self, tmp_path, grid_file, capsys):
         manifest = tmp_path / "seq.txt"
         write_manifest_lines(manifest, ["matrix=grid.mtx;label=base"])
-        assert main(["run", str(manifest), "--max-level", "2"]) == 0
+        assert main(["run", str(manifest), "--target-leaf", "16"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 2  # header + one row
         row = out[1].split(",")
@@ -33,7 +33,7 @@ class TestRun:
     def test_two_identical_steps(self, tmp_path, grid_file, capsys):
         manifest = tmp_path / "seq.txt"
         write_manifest_lines(manifest, ["matrix=grid.mtx", "matrix=grid.mtx"])
-        assert main(["run", str(manifest), "--max-level", "2"]) == 0
+        assert main(["run", str(manifest), "--target-leaf", "16"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert float(rows[1].split(",")[4]) == 1.0
         assert rows[1].split(",")[6] == "0"  # no tree nodes recomputed
@@ -86,11 +86,25 @@ class TestRun:
         monkeypatch.setattr(parth.driver.Parth, "start", counted_start)
         manifest = tmp_path / "seq.txt"
         write_manifest_lines(manifest, ["matrix=grid.mtx"] * n_rows)
-        assert main(["run", str(manifest), "--max-level", "2"]) == 0
+        assert main(["run", str(manifest), "--target-leaf", "16"]) == 0
         assert len(starts) == n_rows
         first = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert first[5] == "0.000000"
         assert int(first[10]) > 0  # t_baseline_us: that start's wall time
+
+    @pytest.mark.parametrize("with_map", [True, False])
+    def test_size_not_divisible_by_dim_is_named(self, tmp_path, capsys, with_map):
+        # a 15-row remesh row under --dim 2: the size is at fault, not the map
+        write_matrix_market(tmp_path / "a.mtx", grid_laplacian(4, 4)[0])
+        write_matrix_market(tmp_path / "b.mtx", grid_laplacian(3, 5)[0])
+        (tmp_path / "b.map").write_text("".join(f"{i}\n" for i in range(8)))
+        second = "matrix=b.mtx;map=b.map" if with_map else "matrix=b.mtx"
+        manifest = tmp_path / "seq.txt"
+        write_manifest_lines(manifest, ["matrix=a.mtx", second])
+        assert main(["run", str(manifest), "--dim", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("step 2") and err.count("\n") == 1
+        assert "n_rows=15 not divisible by dim=2" in err
 
     @pytest.mark.parametrize("theta", ["nan", "-1", "5", "inf"])
     def test_bad_theta_is_one_line(self, tmp_path, grid_file, capsys, theta):
@@ -150,14 +164,7 @@ class TestCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(MAX_ROWS) in err
 
-    def test_max_level_not_an_int_is_a_usage_error(self, grid_file, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", str(grid_file), "--max-level", "abc"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--max-level" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("flags", [["--max-level", "-1"], ["--target-leaf", "0"], ["--dim", "0"]])
+    @pytest.mark.parametrize("flags", [["--target-leaf", "0"], ["--dim", "0"], ["--aggressive-reuse", "2"]])
     def test_config_out_of_range_is_one_line(self, grid_file, capsys, flags):
         assert main(["check", str(grid_file)] + flags) == 1
         err = capsys.readouterr().err
@@ -172,15 +179,13 @@ class TestGen:
         assert main(argv) == 0
         return {f.name: f.read_bytes() for f in out_dir.iterdir()}
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("PARTH_SEED", raising=False)
+    def test_seed_flag_is_the_only_seed(self, tmp_path, monkeypatch):
         plain_123 = self._gen_files(tmp_path / "plain123", 123)
         plain_7 = self._gen_files(tmp_path / "plain7", 7)
         assert plain_123 != plain_7  # the seed reaches the generator
-        monkeypatch.setenv("PARTH_SEED", "123")
-        env_7 = self._gen_files(tmp_path / "env7", 7)
-        env_8 = self._gen_files(tmp_path / "env8", 8)
-        assert env_7 == env_8 == plain_123
+        # the environment plays no part, not even a non-integer PARTH_SEED
+        monkeypatch.setenv("PARTH_SEED", "abc")
+        assert self._gen_files(tmp_path / "env7", 7) == plain_7
 
     def test_generate_then_run(self, tmp_path, capsys):
         out_dir = tmp_path / "seq"
@@ -191,7 +196,7 @@ class TestGen:
         manifest = out_dir / "manifest.txt"
         assert manifest.exists()
         capsys.readouterr()
-        assert main(["run", str(manifest), "--max-level", "3", "--aggressive-reuse"]) == 0
+        assert main(["run", str(manifest), "--target-leaf", "32", "--aggressive-reuse"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 5  # header + 4 steps
         for row in rows[2:]:
@@ -257,6 +262,6 @@ class TestGen:
         write_matrix_market(f, big)
         manifest = tmp_path / "seq.txt"
         write_manifest_lines(manifest, ["matrix=blocks.mtx", "matrix=blocks.mtx"])
-        assert main(["run", str(manifest), "--dim", "2", "--max-level", "2"]) == 0
+        assert main(["run", str(manifest), "--dim", "2", "--target-leaf", "4"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert float(rows[1].split(",")[4]) == 1.0

@@ -22,7 +22,7 @@ from parth import (
 
 def test_start_then_fixed_point():
     pattern, _ = grid_laplacian(10, 10)
-    parth = Parth(ParthConfig(max_level=3))
+    parth = Parth(ParthConfig(target_leaf=100 >> 3))  # depth 3
     first = parth.start(pattern)
     assert is_permutation(first.matrix_perm, 100)
     dirty, again = parth.step(pattern)
@@ -66,7 +66,7 @@ def test_start_times_tree_build_as_assembly(monkeypatch):
 
     monkeypatch.setattr(parth.driver, "hgd_build", slow_build)
     pattern, _ = grid_laplacian(6, 6)
-    engine = Parth(ParthConfig(max_level=1))
+    engine = Parth(ParthConfig(target_leaf=36 >> 1))  # depth 1
     engine.start(pattern)
     assert engine.last_sync_us == 0
     assert engine.last_assemble_us >= 50_000
@@ -75,7 +75,7 @@ def test_start_times_tree_build_as_assembly(monkeypatch):
 def test_dimension_change_requires_map():
     p1, _ = grid_laplacian(6, 6)
     p2, _ = grid_laplacian(6, 7)
-    parth = Parth(ParthConfig(max_level=2))
+    parth = Parth(ParthConfig(target_leaf=36 >> 2))  # depth 2
     parth.start(p1)
     with pytest.raises(InvalidMap):
         parth.step(p2)
@@ -88,7 +88,8 @@ def test_mis_sized_map_leaves_the_engine_untouched():
     pattern, _ = grid_laplacian(12, 12)
     n = pattern.n_rows
     remeshed, node_map = patch_remesh(pattern, 70, 2, densify=1.2, seed=5)
-    hit, clean = Parth(ParthConfig(max_level=3)), Parth(ParthConfig(max_level=3))
+    config = ParthConfig(target_leaf=n >> 3)  # depth 3
+    hit, clean = Parth(config), Parth(config)
     hit.start(pattern)
     clean.start(pattern)
     bad_steps = [
@@ -108,7 +109,7 @@ def test_mis_sized_map_leaves_the_engine_untouched():
 
 def test_remesh_sequence_stays_consistent():
     pattern, _ = grid_laplacian(16, 16)
-    parth = Parth(ParthConfig(max_level=3, aggressive=True, theta=0.4))
+    parth = Parth(ParthConfig(target_leaf=256 >> 3, aggressive=True, theta=0.4))  # depth 3
     parth.start(pattern)
     rng = np.random.default_rng(3)
     for k in range(5):
@@ -136,7 +137,7 @@ def test_non_monotone_relabel_keeps_bijection():
     from parth import NodeMap
 
     pattern, _ = grid_laplacian(8, 8)
-    parth = Parth(ParthConfig(max_level=2))
+    parth = Parth(ParthConfig(target_leaf=64 >> 2))  # depth 2
     parth.start(pattern)
     rng = np.random.default_rng(13)
     relabel = rng.permutation(64)  # new index of each old node
@@ -166,7 +167,7 @@ def test_pure_relabel_reuses_orderings_of_the_same_nodes(dim):
 
     grid, _ = grid_laplacian(16, 16)
     pattern = _blocks(grid, dim)
-    parth = Parth(ParthConfig(dim=dim, max_level=3))
+    parth = Parth(ParthConfig(dim=dim, target_leaf=256 >> 3))  # depth 3
     first = parth.start(pattern).matrix_perm
     rng = np.random.default_rng(29)
     new_of_old = rng.permutation(256)
@@ -186,9 +187,10 @@ def test_start_after_steps_starts_fresh():
     # start replaces the whole state, also after steps that changed n
     pattern, _ = grid_laplacian(8, 8)
     contacts = inject_contacts(pattern, 10, 2, 4, seed=0)
-    fresh = Parth(ParthConfig(max_level=2))
+    config = ParthConfig(target_leaf=64 >> 2)  # depth 2
+    fresh = Parth(config)
     first = fresh.start(pattern).matrix_perm
-    parth = Parth(ParthConfig(max_level=2))
+    parth = Parth(config)
     parth.start(pattern)
     parth.step(contacts)
     parth.step(*patch_remesh(contacts, 27, 1, densify=1.5, seed=1))
@@ -196,11 +198,8 @@ def test_start_after_steps_starts_fresh():
     assert np.array_equal(parth.step(contacts)[1].matrix_perm, fresh.step(contacts)[1].matrix_perm)
 
 
-@pytest.mark.parametrize(
-    "kwargs", [{"max_level": -1}, {"max_level": 40}, {"target_leaf": 0}, {"dim": 0}, {"dim": -2}]
-)
+@pytest.mark.parametrize("kwargs", [{"target_leaf": 0}, {"dim": 0}, {"dim": -2}])
 def test_config_bounds_checked_at_construction(kwargs):
-    # raised before any tree exists: max_level=40 would ask for 2**41 slots
     with pytest.raises(InvalidArgument) as exc:
         ParthConfig(**kwargs)
     assert isinstance(exc.value, ParthError) and isinstance(exc.value, ValueError)

@@ -277,6 +277,33 @@ class TestConstructorChecks:
             SymGraph(3, [0, 1, 2, 2], [1, 2])
 
 
+class TestCallerArrays:
+    """Constructors keep read-only arrays of their own; the caller's stay writable and unshared."""
+
+    def test_node_map(self):
+        a = np.arange(3)
+        m = NodeMap(a, 3)
+        assert a.flags.writeable and not m.entries.flags.writeable
+        a[0] = 2
+        assert m.entries.tolist() == [0, 1, 2]
+
+    def test_sparsity_pattern(self):
+        starts, cols = np.array([0, 1, 2, 3]), np.array([0, 1, 2])
+        p = SparsityPattern(3, starts, cols)
+        assert starts.flags.writeable and cols.flags.writeable
+        assert not (p.row_starts.flags.writeable or p.col_indices.flags.writeable)
+        cols[0] = 2
+        assert p.col_indices.tolist() == [0, 1, 2]
+
+    def test_sym_graph(self):
+        starts, adj = np.array([0, 1, 2]), np.array([1, 0])
+        g = SymGraph(2, starts, adj)
+        assert starts.flags.writeable and adj.flags.writeable
+        assert not (g.adj_starts.flags.writeable or g.adj.flags.writeable)
+        adj[0] = 0
+        assert g.adj.tolist() == [1, 0]
+
+
 class TestNodeMap:
     def test_identity(self):
         m = NodeMap.identity(4)

@@ -16,7 +16,7 @@ from parth.synchronizer import DirtyState
 
 
 def make_first_call(pattern):
-    parth = Parth(ParthConfig(max_level=3))
+    parth = Parth(ParthConfig(target_leaf=pattern.n_rows >> 3))  # depth 3
     state = parth.start(pattern)
     dirty = DirtyState(
         np.zeros(parth.tree.size, dtype=bool), frozenset(), frozenset(), parth.graph.n_nodes
