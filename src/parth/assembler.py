@@ -31,7 +31,7 @@ class AssemblyState:
     reused_nodes: int
 
 
-def assemble(tree: HgdTree, g: SymGraph, engine: MinDegreeEngine, dim: int = 1) -> AssemblyState:
+def assemble(tree: HgdTree, g: SymGraph, engine: MinDegreeEngine, dim: int) -> AssemblyState:
     """Produce graph- and matrix-level permutations from the tree.
 
     Tree nodes whose `ordered` flag is clear get a fresh local ordering of

@@ -42,29 +42,17 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=ParthConfig.dim, help="matrix rows per graph node")
     p.add_argument("--target-leaf", type=int, default=ParthConfig.target_leaf,
                    help="graph nodes per leaf; sets the tree depth")
-    p.add_argument(
-        "--aggressive-reuse",
-        nargs="?",
-        const=ParthConfig.theta,
-        default=None,
-        type=float,
-        metavar="THETA",
-        help="defuse coarse regions above THETA*n (THETA in [0, 1]) by moving one endpoint into the separator",
-    )
 
 
-def _config_from_args(args) -> ParthConfig:
-    return ParthConfig(
-        dim=args.dim,
-        target_leaf=args.target_leaf,
-        aggressive=args.aggressive_reuse is not None,
-        theta=ParthConfig.theta if args.aggressive_reuse is None else args.aggressive_reuse,
-    )
+def _config_from_args(args, theta: float | None = None) -> ParthConfig:
+    """The engine flags as a config; a theta turns aggressive reuse on."""
+    reuse = {} if theta is None else {"aggressive": True, "theta": theta}
+    return ParthConfig(dim=args.dim, target_leaf=args.target_leaf, **reuse)
 
 
 def cmd_run(args) -> int:
     try:
-        config = _config_from_args(args)
+        config = _config_from_args(args, args.aggressive_reuse)
         steps = read_manifest(args.manifest)
     except (ParthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -224,6 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="replay a manifest, emit metrics CSV")
     p_run.add_argument("manifest")
     _add_engine_flags(p_run)
+    p_run.add_argument(
+        "--aggressive-reuse",
+        nargs="?",
+        const=ParthConfig.theta,
+        default=None,
+        type=float,
+        metavar="THETA",
+        help="defuse coarse regions above THETA*n (THETA in [0, 1]) by moving one endpoint into the separator",
+    )
     p_run.add_argument("--baseline", choices=("full", "none"), default="full")
     p_run.add_argument("--out-csv", default=None)
     p_run.set_defaults(func=cmd_run)

@@ -51,6 +51,8 @@ class Parth:
         self.graph: SymGraph | None = None
         self.tree: HgdTree | None = None
         self.state: AssemblyState | None = None
+        # the map of a step that brings none, kept while n stays the same
+        self._identity = NodeMap.identity(0)
         self.last_sync_us = 0
         self.last_assemble_us = 0
 
@@ -82,7 +84,9 @@ class Parth:
                 raise InvalidMap(
                     f"node count changed {self.graph.n_nodes} -> {g_new.n_nodes}; a node map is required"
                 )
-            node_map = NodeMap.identity(g_new.n_nodes)
+            if self._identity.n_new != g_new.n_nodes:
+                self._identity = NodeMap.identity(g_new.n_nodes)
+            node_map = self._identity
         t0 = time.perf_counter_ns()
         dirty = synchronize(
             self.tree,
@@ -90,8 +94,7 @@ class Parth:
             g_new,
             node_map,
             self.separator_engine,
-            aggressive=cfg.aggressive,
-            theta=cfg.theta,
+            theta=cfg.theta if cfg.aggressive else None,
         )
         t1 = time.perf_counter_ns()
         self.state = assemble(self.tree, g_new, self.ordering_engine, cfg.dim)

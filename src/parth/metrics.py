@@ -15,6 +15,10 @@ from .synchronizer import DirtyState
 
 OK = "ok"
 RESET_RECOMMENDED = "reset_recommended"
+# a reset is recommended once the median of the last RESET_WINDOW fill
+# deviations exceeds RESET_THRESHOLD
+RESET_THRESHOLD = 0.15
+RESET_WINDOW = 5
 
 
 @dataclass
@@ -79,7 +83,7 @@ def step_metrics(
     )
 
 
-def degradation_monitor(history, threshold: float = 0.15, window: int = 5) -> str:
+def degradation_monitor(history) -> str:
     """Flag a recommended reset when the trailing-median deviation drifts high.
 
     The reset itself is left to the caller; this only reports.
@@ -87,5 +91,4 @@ def degradation_monitor(history, threshold: float = 0.15, window: int = 5) -> st
     values = [v for v in history if not math.isnan(v)]
     if not values:
         return OK
-    tail = values[-window:]
-    return RESET_RECOMMENDED if median(tail) > threshold else OK
+    return RESET_RECOMMENDED if median(values[-RESET_WINDOW:]) > RESET_THRESHOLD else OK

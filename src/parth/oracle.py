@@ -34,15 +34,12 @@ class FactorStats:
     flop_estimate: int
 
 
-def _permuted_strict_lower(pattern: SparsityPattern, perm: np.ndarray):
+def _permuted_strict_lower(pattern: SparsityPattern, inv: np.ndarray):
     """CSR of the strict lower triangle of the permuted pattern, as Python lists.
 
     The loops below read one scalar at a time, which is several times faster
-    from a list than from a numpy array. `perm` is int64 and already checked
-    by the public entry point, so it is inverted directly.
+    from a list than from a numpy array. `inv` maps each row to its position.
     """
-    inv = np.empty(perm.size, dtype=np.int64)
-    inv[perm] = np.arange(perm.size, dtype=np.int64)
     rows, cols = pattern.to_coo()
     pr, pc = inv[rows], inv[cols]
     keep = pr > pc
@@ -96,13 +93,27 @@ def _row_subtree_counts(
     return np.array(counts, dtype=np.int64), rows
 
 
+def _setup(pattern: SparsityPattern, perm):
+    """The checked set-up every entry point shares.
+
+    Raises InvalidPermutation, before any cast, unless perm is an integer
+    permutation of the pattern's rows. Returns the permutation as int64, its
+    inverse, the permuted strict lower triangle (`_permuted_strict_lower`)
+    and that triangle's elimination tree.
+    """
+    n = pattern.n_rows
+    if not is_permutation(perm, n):
+        raise InvalidPermutation("permutation does not match the pattern size")
+    perm = np.asarray(perm, dtype=np.int64)
+    inv = np.empty(n, dtype=np.int64)
+    inv[perm] = np.arange(n, dtype=np.int64)
+    starts, cols = _permuted_strict_lower(pattern, inv)
+    return perm, inv, starts, cols, _etree(n, starts, cols)
+
+
 def elimination_tree(pattern: SparsityPattern, perm: np.ndarray) -> np.ndarray:
     """Per-column parent array of the permuted pattern's factor; ROOT marks roots."""
-    n = pattern.n_rows
-    if not is_permutation(np.asarray(perm), n):
-        raise InvalidPermutation("permutation does not match the pattern size")
-    starts, cols = _permuted_strict_lower(pattern, np.asarray(perm, dtype=np.int64))
-    return _etree(n, starts, cols)
+    return _setup(pattern, perm)[4]
 
 
 def symbolic_analyze(pattern: SparsityPattern, perm: np.ndarray) -> FactorStats:
@@ -111,20 +122,9 @@ def symbolic_analyze(pattern: SparsityPattern, perm: np.ndarray) -> FactorStats:
     Computes the elimination tree and per-column counts of P A P^T; returns
     nnz(L) including the diagonal and sum(count^2) as a flop proxy.
     """
-    n = pattern.n_rows
-    if not is_permutation(np.asarray(perm), n):
-        raise InvalidPermutation("permutation does not match the pattern size")
-    starts, cols = _permuted_strict_lower(pattern, np.asarray(perm, dtype=np.int64))
-    parent = _etree(n, starts, cols)
-    counts, _ = _row_subtree_counts(n, starts, cols, parent)
+    _, _, starts, cols, parent = _setup(pattern, perm)
+    counts, _ = _row_subtree_counts(pattern.n_rows, starts, cols, parent)
     return FactorStats(int(counts.sum()), int(np.sum(counts * counts)))
-
-
-def _factor_row_patterns(pattern: SparsityPattern, perm: np.ndarray):
-    starts, cols = _permuted_strict_lower(pattern, perm)
-    parent = _etree(pattern.n_rows, starts, cols)
-    _, rows = _row_subtree_counts(pattern.n_rows, starts, cols, parent, collect_rows=True)
-    return rows
 
 
 def numeric_cholesky_solve(
@@ -139,16 +139,13 @@ def numeric_cholesky_solve(
     storage). Raises NotPositiveDefinite on a nonpositive pivot.
     """
     n = pattern.n_rows
-    perm = np.asarray(perm, dtype=np.int64)
-    if not is_permutation(perm, n):
-        raise InvalidPermutation("permutation does not match the pattern size")
+    perm, inv, lower_starts, lower_cols, parent = _setup(pattern, perm)
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (pattern.nnz,):
         raise InvalidArgument(f"expected {pattern.nnz} values, got {values.shape}")
     b = np.asarray(b, dtype=np.float64)
+    _, row_patterns = _row_subtree_counts(n, lower_starts, lower_cols, parent, collect_rows=True)
 
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n, dtype=np.int64)
     rows, cols = pattern.to_coo()
     pr, pc = inv[rows], inv[cols]
     keep = pr >= pc
@@ -158,7 +155,6 @@ def numeric_cholesky_solve(
     col_counts = np.bincount(lc, minlength=n)
     acol_starts = _counts_to_starts(col_counts)
 
-    row_patterns = _factor_row_patterns(pattern, perm)
     col_rows: list[list[int]] = [[j] for j in range(n)]
     for i in range(n):
         for k in row_patterns[i]:
@@ -218,9 +214,10 @@ def fill_deviation(
     no analysis; so is an empty pattern's, which has no factor to compare.
     """
     if np.array_equal(perm_candidate, perm_baseline):
-        if not is_permutation(np.asarray(perm_candidate), pattern.n_rows):
+        n = pattern.n_rows
+        if not (is_permutation(perm_candidate, n) and is_permutation(perm_baseline, n)):
             raise InvalidPermutation("permutation does not match the pattern size")
         return 0.0
     a = symbolic_analyze(pattern, perm_candidate).nnz_l
     b = symbolic_analyze(pattern, perm_baseline).nnz_l
-    return (a - b) / b if b else 0.0
+    return (a - b) / b  # two different permutations need n >= 2, and nnz(L) >= n

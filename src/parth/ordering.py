@@ -15,8 +15,13 @@ from .graph import SymGraph
 
 
 def is_permutation(perm: np.ndarray, n: int) -> bool:
+    """True when perm is an integer array holding each of 0..n-1 once.
+
+    A float or string array is never a permutation, even when its values
+    would cast to one; an empty array of any dtype is the permutation of 0.
+    """
     perm = np.asarray(perm)
-    if perm.shape != (n,):
+    if perm.shape != (n,) or (n and perm.dtype.kind not in "iu"):
         return False
     seen = np.zeros(n, dtype=bool)
     ok = (perm >= 0) & (perm < n)
@@ -27,7 +32,7 @@ def is_permutation(perm: np.ndarray, n: int) -> bool:
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:
-    perm = np.asarray(perm, dtype=np.int64)
+    perm = np.asarray(perm)
     n = perm.size
     if not is_permutation(perm, n):
         raise InvalidPermutation("array is not a bijection")

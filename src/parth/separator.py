@@ -65,7 +65,9 @@ class LevelSetEngine:
             side[comp] = tgt
             sizes[tgt] += comp.size
 
-        self._shrink(g, side, sizes, sep)
+        # with a side empty nothing is separated; shrinking would only hide that
+        if sizes[_SIDE_LEFT] and sizes[_SIDE_RIGHT]:
+            self._shrink(g, side, sep)
         return SeparatorResult(
             np.flatnonzero(side == _SIDE_SEP) if sep.size else _EMPTY,
             np.flatnonzero(side == _SIDE_LEFT),
@@ -97,17 +99,16 @@ class LevelSetEngine:
         best_t = int(np.argmin(np.abs(before - after)))
         return comp[touches & (level == best_t)]
 
-    def _shrink(self, g: SymGraph, side: np.ndarray, sizes: list[int], sep: np.ndarray) -> None:
+    def _shrink(self, g: SymGraph, side: np.ndarray, sep: np.ndarray) -> None:
         """Move separator nodes touching only one side into that side.
 
-        Only separator nodes change side, and only the separator nodes'
-        neighbor lists are read: the passes run over Python lists (one
-        gathered neighbor list, a list copy of `side`), and the moved
-        sides are written back once at the end.
+        Every separator node touches a side: it has a neighbor on the next
+        BFS level, which is not in the separator and so lies in a component
+        given a side. Only separator nodes change side, and only the
+        separator nodes' neighbor lists are read: the passes run over Python
+        lists (one gathered neighbor list, a list copy of `side`), and the
+        moved sides are written back once at the end.
         """
-        if sizes[_SIDE_LEFT] == 0 or sizes[_SIDE_RIGHT] == 0:
-            # nothing is separated; collapsing the separator would only hide that
-            return
         sep_list = sep.tolist()
         ends = np.cumsum(g.adj_starts[sep + 1] - g.adj_starts[sep]).tolist()
         nbrs = gather_neighbors(g, sep).tolist()
@@ -120,18 +121,10 @@ class LevelSetEngine:
             for s, nb in pending:
                 nb_side = [side_list[y] for y in nb]
                 has_l = _SIDE_LEFT in nb_side
-                has_r = _SIDE_RIGHT in nb_side
-                if has_l and has_r:
+                if has_l and _SIDE_RIGHT in nb_side:
                     still.append((s, nb))
                     continue
-                if has_l:
-                    tgt = _SIDE_LEFT
-                elif has_r:
-                    tgt = _SIDE_RIGHT
-                else:
-                    tgt = _SIDE_LEFT if sizes[_SIDE_LEFT] <= sizes[_SIDE_RIGHT] else _SIDE_RIGHT
-                side_list[s] = tgt
-                sizes[tgt] += 1
+                side_list[s] = _SIDE_LEFT if has_l else _SIDE_RIGHT
                 changed = True
             pending = still
         side[sep] = [side_list[s] for s in sep_list]

@@ -165,7 +165,7 @@ def filter_redundant_subgraphs(fine: set[int], coarse: set[int]) -> tuple[set[in
 
 
 def aggressive_reuse(
-    tree: HgdTree, g_new: SymGraph, changes: list[TreeEdgeChange], theta: float = 0.5
+    tree: HgdTree, g_new: SymGraph, changes: list[TreeEdgeChange], theta: float
 ) -> tuple[list[TreeEdgeChange], set[int]]:
     """Defuse added edges whose coarse region would cover more than theta * n.
 
@@ -241,16 +241,16 @@ def synchronize(
     g_new: SymGraph,
     node_map: NodeMap,
     engine: LevelSetEngine,
-    aggressive: bool = False,
-    theta: float = 0.5,
+    theta: float | None = None,
 ) -> DirtyState:
     """Bring a tree built over g_old up to date with g_new.
 
     After the call the tree's node sets partition the new graph and every
     separator holds on g_new; each tree node's `ordered` flag tells the
     assembler whether its local ordering survived, and the returned mask
-    reports the same. Raises InvalidMap, with the tree untouched, unless
-    the map takes g_old's node count to g_new's.
+    reports the same. A `theta` turns on `aggressive_reuse` with that
+    threshold; None leaves it off. Raises InvalidMap, with the tree
+    untouched, unless the map takes g_old's node count to g_new's.
     """
     node_map.require_sizes(g_old.n_nodes, g_new.n_nodes)
     touched = node_change_synchronizer(tree, node_map, g_new)
@@ -259,7 +259,7 @@ def synchronize(
         removed = node_map.o2n[removed]
     changes, fine_marks = map_edges_to_tree(tree, added, removed)
     extra: set[int] = set()
-    if aggressive:
+    if theta is not None:
         changes, extra = aggressive_reuse(tree, g_new, changes, theta)
     fine, coarse = dirty_subgraph_detection(tree, changes)
     fine |= fine_marks | touched | extra

@@ -87,6 +87,15 @@ def arrowhead_pattern(n: int) -> SparsityPattern:
     return pattern_from_edges(n, [(0, j) for j in range(1, n)])
 
 
+# arrays of 9 that are not integer permutations, though a cast would make
+# each one 0..8: the float ones by truncation, the string one by parsing
+NON_INTEGER_PERMS = {
+    "float": np.arange(9, dtype=np.float64),
+    "float+0.5": np.arange(9) + 0.5,
+    "string": list(range(8)) + ["8"],
+}
+
+
 # Nine-node two-call sequence exercising one coarse re-decomposition: the
 # second pattern gains edges (0,6) and (3,8) and loses (2,8).
 NINE_EDGES_FIRST = [

@@ -35,12 +35,12 @@ class TestAssemble:
         sep_eng, ord_eng = engines
         g1, g2 = nine_node_graphs()
         tree = tree_from_node_sets(2, NINE_TREE_SETS, g=g1)
-        first = assemble(tree, g1, ord_eng)
+        first = assemble(tree, g1, ord_eng, 1)
         assert first.reused_nodes == 0
         assert is_permutation(first.graph_perm, 9)
 
         dirty = synchronize(tree, g1, g2, NodeMap.identity(9), sep_eng)
-        second = assemble(tree, g2, ord_eng)
+        second = assemble(tree, g2, ord_eng, 1)
         # four of the seven tree nodes are reused, covering six graph nodes
         assert int(np.count_nonzero(dirty.reuse_mask)) == 4
         assert second.reused_nodes == 6
@@ -86,8 +86,8 @@ class TestAssemble:
         pattern = random_pattern(rng, 64)
         g = build_dual(pattern)
         tree = hgd_build(g, 3, sep_eng)
-        first = assemble(tree, g, ord_eng)
-        again = assemble(tree, g, ord_eng)
+        first = assemble(tree, g, ord_eng, 1)
+        again = assemble(tree, g, ord_eng, 1)
         assert np.array_equal(first.matrix_perm, again.matrix_perm)
         assert again.reused_nodes == g.n_nodes
 
@@ -98,7 +98,7 @@ class TestAssemble:
         rng = np.random.default_rng(23)
         g = build_dual(random_pattern(rng, 120))
         tree = hgd_build(g, 3, sep_eng)
-        state = assemble(tree, g, ord_eng)
+        state = assemble(tree, g, ord_eng, 1)
         pos = invert_permutation(state.graph_perm)
         for tn in tree.nodes:
             if tn.nodes.size:
@@ -126,7 +126,7 @@ class TestAssemble:
             n = int(rng.integers(5, 120))
             g = build_dual(random_pattern(rng, n))
             tree = hgd_build(g, int(rng.integers(0, 4)), sep_eng)
-            state = assemble(tree, g, ord_eng)
+            state = assemble(tree, g, ord_eng, 1)
             assert is_permutation(state.graph_perm, n)
             inv = invert_permutation(state.graph_perm)
             assert np.array_equal(state.graph_perm[inv], np.arange(n))

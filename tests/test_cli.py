@@ -38,6 +38,13 @@ class TestRun:
         assert float(rows[1].split(",")[4]) == 1.0
         assert rows[1].split(",")[6] == "0"  # no tree nodes recomputed
 
+    @pytest.mark.parametrize("lines", [[], ["# only a comment", ""]])
+    def test_empty_manifest_is_one_line(self, tmp_path, capsys, lines):
+        manifest = tmp_path / "seq.txt"
+        write_manifest_lines(manifest, lines)
+        assert main(["run", str(manifest)]) == 1
+        assert capsys.readouterr().err == "error: manifest has no steps\n"
+
     def test_missing_matrix_names_step(self, tmp_path, grid_file, capsys):
         manifest = tmp_path / "seq.txt"
         write_manifest_lines(manifest, ["matrix=grid.mtx", "matrix=absent.mtx"])
@@ -164,7 +171,14 @@ class TestCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(MAX_ROWS) in err
 
-    @pytest.mark.parametrize("flags", [["--target-leaf", "0"], ["--dim", "0"], ["--aggressive-reuse", "2"]])
+    def test_aggressive_reuse_is_not_a_check_flag(self, grid_file, capsys):
+        # check builds one start, which never synchronizes, so reuse could not act
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(grid_file), "--aggressive-reuse"])
+        assert exc.value.code == 2
+        assert "--aggressive-reuse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--target-leaf", "0"], ["--dim", "0"]])
     def test_config_out_of_range_is_one_line(self, grid_file, capsys, flags):
         assert main(["check", str(grid_file)] + flags) == 1
         err = capsys.readouterr().err

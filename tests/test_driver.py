@@ -72,6 +72,29 @@ def test_start_times_tree_build_as_assembly(monkeypatch):
     assert engine.last_assemble_us >= 50_000
 
 
+def test_no_map_steps_share_one_identity_map(monkeypatch):
+    import parth.driver
+
+    maps = []
+    real_sync = parth.driver.synchronize
+
+    def recording_sync(tree, g_old, g_new, node_map, *args, **kwargs):
+        maps.append(node_map)
+        return real_sync(tree, g_old, g_new, node_map, *args, **kwargs)
+
+    monkeypatch.setattr(parth.driver, "synchronize", recording_sync)
+    pattern, _ = grid_laplacian(8, 8)
+    engine = Parth(ParthConfig(target_leaf=16))
+    engine.start(pattern)
+    engine.step(pattern)
+    engine.step(pattern)
+    assert maps[0] is maps[1] and maps[0].is_identity and maps[0].n_new == 64
+    remeshed, node_map = patch_remesh(pattern, 27, 1, densify=2.0, seed=0)
+    engine.step(remeshed, node_map)
+    engine.step(remeshed)  # the node count changed, so the identity is rebuilt
+    assert maps[3].is_identity and maps[3].n_new == remeshed.n_rows != 64
+
+
 def test_dimension_change_requires_map():
     p1, _ = grid_laplacian(6, 6)
     p2, _ = grid_laplacian(6, 7)

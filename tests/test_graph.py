@@ -276,6 +276,22 @@ class TestConstructorChecks:
         with pytest.raises(IndexOutOfBounds, match="symmetric"):
             SymGraph(3, [0, 1, 2, 2], [1, 2])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SparsityPattern(3, [0, 1, 2], [0, 1]), "not a valid offset array"),
+            (lambda: SparsityPattern(2, [0, 1, 2], [0, 2]), r"column index outside \[0, 2\)"),
+            (lambda: SparsityPattern(2, [0, 2, 2], [1, 0]), "strictly increasing"),
+            (lambda: SparsityPattern.from_coo(3, [3], [0]), "row index outside"),
+            (lambda: SymGraph(2, [0, 1, 1], [0]), "self-loops"),
+            (lambda: SymGraph.from_edges(3, [0], [3]), "edge endpoint outside"),
+        ],
+        ids=["offsets_length", "column_range", "unsorted_row", "coo_row_range", "self_loop", "edge_endpoint"],
+    )
+    def test_malformed_input_rejected(self, build, message):
+        with pytest.raises(IndexOutOfBounds, match=message):
+            build()
+
 
 class TestCallerArrays:
     """Constructors keep read-only arrays of their own; the caller's stay writable and unshared."""

@@ -170,6 +170,14 @@ class TestOwner:
         with pytest.raises(StaleTree):
             tree.validate_partition(g.n_nodes)
 
+    @pytest.mark.parametrize("n_nodes, message", [(10, "do not cover"), (8, "outside")])
+    def test_wrong_graph_size_detected(self, engine, n_nodes, message):
+        # a tree over 9 nodes misses node 9 of 10, and holds node 8 of 8 out of range
+        g, _ = nine_node_graphs()
+        tree = hgd_build(g, 2, engine)
+        with pytest.raises(StaleTree, match=message):
+            tree.validate_partition(n_nodes)
+
 
 class TestFromNodeSets:
     def test_validates_partition(self):

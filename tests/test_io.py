@@ -208,6 +208,20 @@ class TestManifest:
             read_manifest(f)
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("matrix=a.mtx;second", "expected key=value"),
+         ("matrix=a.mtx;label=x;matrix=b.mtx", "duplicate key"),
+         ("label=x;map=a.map", "missing matrix=")],
+    )
+    def test_malformed_line_rejected(self, tmp_path, line, message):
+        # comment and blank lines are skipped but still counted
+        f = tmp_path / "seq.txt"
+        f.write_text(f"matrix=first.mtx\n\n  # comment\n{line}\n")
+        with pytest.raises(ParseError, match=message) as exc:
+            read_manifest(f)
+        assert exc.value.line == 4
+
     def test_write_read(self, tmp_path):
         steps = [
             SequenceStep(tmp_path / "a.mtx", None, "base"),
@@ -257,6 +271,10 @@ MATRIX_CASES = {
     "general_asymmetric": ["%%MatrixMarket matrix coordinate pattern general", "2 2 1", "1 2"],
     "non_square": edited(2, "3 4 4"),
     "bad_header": edited(1, "%%MatrixMarket matrix array real general"),
+    "unsupported_field": edited(1, "%%MatrixMarket matrix coordinate complex symmetric"),
+    "unsupported_symmetry": edited(1, "%%MatrixMarket matrix coordinate real skew-symmetric"),
+    "size_line_token_count": edited(2, "3 3"),
+    "non_integer_size_line": edited(2, "3 3 four"),
 }
 
 

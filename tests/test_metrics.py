@@ -65,11 +65,11 @@ class TestDegradationMonitor:
 
     def test_trending_high(self):
         history = [0.0, 0.05, 0.18, 0.2, 0.22, 0.21, 0.2]
-        assert degradation_monitor(history, threshold=0.15) == RESET_RECOMMENDED
+        assert degradation_monitor(history) == RESET_RECOMMENDED
 
     def test_single_spike_tolerated(self):
         history = [0.0, 0.0, 0.5, 0.0, 0.0, 0.01]
-        assert degradation_monitor(history, threshold=0.15) == OK
+        assert degradation_monitor(history) == OK
 
     def test_empty(self):
         assert degradation_monitor([]) == OK

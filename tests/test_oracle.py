@@ -18,6 +18,7 @@ from parth import (
     symbolic_analyze,
 )
 from conftest import (
+    NON_INTEGER_PERMS,
     arrowhead_pattern,
     dense_factor_structure,
     dense_fill_nnz,
@@ -126,6 +127,26 @@ class TestSymbolicAnalyze:
             assert stats.nnz_l >= n
 
 
+GRID_3, GRID_3_VALUES = grid_laplacian(3, 3)
+
+# every public entry point that takes a permutation, on the 3x3 grid
+PERM_CALLS = {
+    "elimination_tree": lambda perm: elimination_tree(GRID_3, perm),
+    "symbolic_analyze": lambda perm: symbolic_analyze(GRID_3, perm),
+    "numeric_cholesky_solve": lambda perm: numeric_cholesky_solve(GRID_3, GRID_3_VALUES, perm, np.ones(9)),
+    "fill_deviation-candidate": lambda perm: fill_deviation(perm, np.arange(9), GRID_3),
+    "fill_deviation-baseline": lambda perm: fill_deviation(np.arange(9), perm, GRID_3),
+    "fill_deviation-both": lambda perm: fill_deviation(perm, perm, GRID_3),
+}
+
+
+@pytest.mark.parametrize("perm", NON_INTEGER_PERMS.values(), ids=NON_INTEGER_PERMS.keys())
+@pytest.mark.parametrize("call", PERM_CALLS.values(), ids=PERM_CALLS.keys())
+def test_non_integer_permutation_rejected(call, perm):
+    with pytest.raises(InvalidPermutation):
+        call(perm)
+
+
 class TestNumericCholesky:
     def test_identity_matrix(self):
         n = 6
@@ -161,9 +182,10 @@ class TestNumericCholesky:
         pattern, values = grid_laplacian(8, 8)
         rng = np.random.default_rng(2)
         perm = rng.permutation(pattern.n_rows)
-        from parth.oracle import _factor_row_patterns
+        from parth.oracle import _row_subtree_counts, _setup
 
-        rows = _factor_row_patterns(pattern, perm)
+        _, _, starts, cols, parent = _setup(pattern, perm)
+        _, rows = _row_subtree_counts(pattern.n_rows, starts, cols, parent, collect_rows=True)
         produced = pattern.n_rows + sum(len(r) for r in rows)
         assert produced == symbolic_analyze(pattern, perm).nnz_l
 

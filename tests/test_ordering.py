@@ -2,10 +2,12 @@ import hashlib
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parth import (
+    InvalidPermutation,
     MinDegreeEngine,
     SymGraph,
     build_dual,
@@ -14,7 +16,7 @@ from parth import (
     order_subgraph,
     symbolic_analyze,
 )
-from conftest import arrowhead_pattern, dense_fill_nnz, random_pattern
+from conftest import NON_INTEGER_PERMS, arrowhead_pattern, dense_fill_nnz, random_pattern
 
 
 def star_graph(n: int) -> SymGraph:
@@ -83,3 +85,14 @@ def test_always_a_bijection(seed):
     assert is_permutation(perm, g.n_nodes)
     inv = invert_permutation(perm)
     assert np.array_equal(perm[inv], np.arange(g.n_nodes))
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [[0, 0, 1], [1, 2, 3], [[0, 1], [1, 0]], *NON_INTEGER_PERMS.values()],
+    ids=["repeat", "out-of-range", "2d", *NON_INTEGER_PERMS],
+)
+def test_non_permutation_rejected(perm):
+    assert not is_permutation(perm, np.asarray(perm).size)
+    with pytest.raises(InvalidPermutation):
+        invert_permutation(perm)

@@ -11,6 +11,7 @@ from parth import (
     dirty_subgraph_detection,
     edge_set_diff,
     filter_redundant_subgraphs,
+    grid_laplacian,
     hgd_build,
     map_edges_to_tree,
     mark_and_decompose,
@@ -243,6 +244,28 @@ class TestAggressiveReuse:
         assert extra == set()
 
 
+    def test_move_refused_while_the_mover_would_still_cross(self, engine):
+        # u (tree node 3) gains an edge to v (node 4), which crosses at their
+        # LCA, node 1, and a second edge to w in node 2, outside subtree 1.
+        # Moving u into node 1 would leave (u, w) crossing the root, so the
+        # (u, v) change stays coarse. (u, w) is defused by moving w, the
+        # endpoint in the smaller tree node, into the root.
+        pattern, _ = grid_laplacian(8, 8)
+        g_old = build_dual(pattern)
+        tree = hgd_build(g_old, 2, engine)
+        u, v, w = (int(tree.nodes[i].nodes.min()) for i in (3, 4, 2))
+        # u is the mover of (u, v): nodes 3 and 4 tie in size and u is the lower
+        # index; (u, v) comes first in edge order, so it is tried first
+        assert tree.nodes[3].nodes.size == tree.nodes[4].nodes.size > tree.nodes[2].nodes.size
+        assert u < v < w and not has_edge(g_old, u, v) and not has_edge(g_old, u, w)
+        g_new = build_dual(apply_edge_delta(pattern, [(u, v), (u, w)], []))
+        dirty = synchronize(tree, g_old, g_new, NodeMap.identity(64), engine, theta=0.0)
+        assert dirty.coarse == {1}
+        assert tree.owner[w] == 0
+        assert tree.separator_violations(g_new) == []
+        tree.validate_partition(64)
+
+
 class TestSynchronize:
     def test_nine_node_sequence(self, engine):
         g1, g2 = nine_node_graphs()
@@ -271,9 +294,7 @@ class TestSynchronize:
         assert not has_edge(g_old, u, v)
         p_new = apply_edge_delta(pattern, [(u, v)], [])
         g_new = build_dual(p_new)
-        dirty = synchronize(
-            tree, g_old, g_new, NodeMap.identity(200), engine, aggressive=True, theta=0.5
-        )
+        dirty = synchronize(tree, g_old, g_new, NodeMap.identity(200), engine, theta=0.5)
         assert int(np.count_nonzero(~dirty.reuse_mask)) <= 3
         assert tree.separator_violations(g_new) == []
 
@@ -292,7 +313,7 @@ class TestSynchronize:
             rem = [(int(eu[i]), int(ev[i])) for i in picks]
             p_new = apply_edge_delta(p_old, add, rem)
             g_new = build_dual(p_new)
-            aggressive = bool(rng.integers(0, 2))
-            synchronize(tree, g_old, g_new, NodeMap.identity(n), engine, aggressive=aggressive)
+            theta = 0.5 if rng.integers(0, 2) else None
+            synchronize(tree, g_old, g_new, NodeMap.identity(n), engine, theta=theta)
             assert tree.separator_violations(g_new) == []
             tree.validate_partition(n)

@@ -3,6 +3,7 @@ import pytest
 
 from parth import (
     BallTooSmall,
+    IndexOutOfBounds,
     InvalidArgument,
     bfs_distances,
     build_dual,
@@ -13,7 +14,7 @@ from parth import (
     patch_remesh,
     radius_for_fraction,
 )
-from conftest import n_edges
+from conftest import n_edges, pattern_from_edges
 
 
 class TestGridLaplacian:
@@ -56,6 +57,11 @@ class TestInjectContacts:
         p, _ = grid_laplacian(2, 2)
         with pytest.raises(BallTooSmall):
             inject_contacts(p, 0, 0, 1, seed=0)
+
+    def test_ball_already_full_is_unchanged(self):
+        # every pair of the ball is already an entry: there is nothing to add
+        p = pattern_from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        assert inject_contacts(p, 0, 1, 2, seed=0) is p
 
     def test_locality_bfs_oracle(self):
         p, _ = grid_laplacian(64, 64)
@@ -116,6 +122,21 @@ class TestPatchRemesh:
         p, _ = grid_laplacian(8, 8)
         with pytest.raises(InvalidArgument):
             patch_remesh(p, 27, 1, densify=densify, seed=0)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda p: hop_ball(p, 16, 1), IndexOutOfBounds, r"center 16 outside \[0, 16\)"),
+            (lambda p: hop_ball(p, -1, 1), IndexOutOfBounds, "center -1 outside"),
+            (lambda p: patch_remesh(p, 5, -1), BallTooSmall, "empty ball"),
+            (lambda p: patch_remesh(p, 5, 6), BallTooSmall, "no boundary"),  # the ball is the grid
+        ],
+        ids=["hop_ball_center_high", "hop_ball_center_negative", "negative_radius", "no_boundary"],
+    )
+    def test_ball_without_room_rejected(self, call, error, message):
+        p, _ = grid_laplacian(4, 4)
+        with pytest.raises(error, match=message):
+            call(p)
 
     def test_densify_upper_bound_inclusive(self):
         p, _ = grid_laplacian(8, 8)
