@@ -48,6 +48,8 @@ class Parth:
         # one pair per instance: tracing tools patch these methods in place
         self.separator_engine = LevelSetEngine()
         self.ordering_engine = MinDegreeEngine()
+        # the last accepted pattern and its graph, replaced together
+        self.pattern: SparsityPattern | None = None
         self.graph: SymGraph | None = None
         self.tree: HgdTree | None = None
         self.state: AssemblyState | None = None
@@ -56,9 +58,9 @@ class Parth:
         self.last_sync_us = 0
         self.last_assemble_us = 0
 
-    def _ingest(self, pattern: SparsityPattern) -> SymGraph:
+    def _ingest(self, pattern: SparsityPattern, prev=None) -> SymGraph:
         cfg = self.config
-        return build_dual(pattern) if cfg.dim == 1 else compress_by_dim(pattern, cfg.dim)
+        return build_dual(pattern, prev) if cfg.dim == 1 else compress_by_dim(pattern, cfg.dim, prev)
 
     def start(self, pattern: SparsityPattern) -> AssemblyState:
         cfg = self.config
@@ -69,7 +71,7 @@ class Parth:
         # nothing is synchronized on a start: the tree build counts as assembly
         self.last_sync_us = 0
         self.last_assemble_us = (time.perf_counter_ns() - t0) // 1000
-        self.graph = g
+        self.pattern, self.graph = pattern, g
         return self.state
 
     def step(
@@ -78,7 +80,8 @@ class Parth:
         if self.tree is None or self.graph is None:
             raise StateError("step() called before start()")
         cfg = self.config
-        g_new = self._ingest(pattern)
+        # with no map, only the rows that changed since the last pattern are checked and diffed
+        g_new = self._ingest(pattern, (self.pattern, self.graph) if node_map is None else None)
         if node_map is None:
             if g_new.n_nodes != self.graph.n_nodes:
                 raise InvalidMap(
@@ -100,5 +103,5 @@ class Parth:
         self.state = assemble(self.tree, g_new, self.ordering_engine, cfg.dim)
         self.last_sync_us = (t1 - t0) // 1000
         self.last_assemble_us = (time.perf_counter_ns() - t1) // 1000
-        self.graph = g_new
+        self.pattern, self.graph = pattern, g_new
         return dirty, self.state

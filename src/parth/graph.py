@@ -25,6 +25,11 @@ MAX_ROWS = 3_037_000_499
 # 8k-node splits of a 256x256 grid (2 cores, Python 3.11)
 _LIST_BFS_MAX = 8192
 
+# changed_rows gives up past one changed row per this many entries (and
+# at least 64 rows): the row diff pays about 10 us of Python per changed
+# row and the whole-pattern check about 20 ns per entry (65k grid, 2 cores)
+_ENTRIES_PER_CHANGED_ROW = 512
+
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
@@ -79,6 +84,43 @@ def _gather_slices(data: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> 
     first = np.cumsum(counts) - counts
     idx = np.arange(total, dtype=np.int64) + np.repeat(starts - first, counts)
     return data[idx]
+
+
+def _row_entries(starts: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (row, index) entries of the given ascending rows of a CSR array."""
+    counts = starts[rows + 1] - starts[rows]
+    return np.repeat(rows, counts), _gather_slices(idx, starts[rows], counts)
+
+
+def changed_rows(
+    starts_old: np.ndarray, idx_old: np.ndarray, starts_new: np.ndarray, idx_new: np.ndarray
+) -> np.ndarray | None:
+    """Rows, ascending, whose entries differ between two CSR arrays with the same row count.
+
+    Rows that changed length come from one compare of the lengths. Between
+    two of them the offsets differ by a constant, so each stretch is one
+    `array_equal`, and only a stretch that differs is scanned for its rows.
+    Returns None when more than max(64, entries // _ENTRIES_PER_CHANGED_ROW)
+    rows differ: the caller then compares everything at once.
+    """
+    n = starts_old.size - 1
+    limit = max(idx_new.size // _ENTRIES_PER_CHANGED_ROW, 64)
+    resized = np.flatnonzero(np.diff(starts_old) != np.diff(starts_new))
+    if resized.size > limit:
+        return None
+    pieces = []
+    lo = 0
+    for k, hi in enumerate(resized.tolist() + [n]):
+        a, b = starts_old[lo], starts_old[hi]
+        shift = starts_new[lo] - a
+        old, new = idx_old[a:b], idx_new[a + shift : b + shift]
+        if not np.array_equal(old, new):
+            at = np.searchsorted(starts_old, np.flatnonzero(old != new) + a, side="right") - 1
+            pieces.append(at[np.r_[True, at[1:] != at[:-1]]])
+        pieces.append(resized[k : k + 1])
+        lo = hi + 1
+    changed = np.concatenate(pieces)
+    return changed if changed.size <= limit else None
 
 
 def _check_csr(n: int, starts: np.ndarray, idx: np.ndarray, starts_name: str, item: str) -> np.ndarray:
@@ -194,6 +236,32 @@ def require_symmetric(pattern: SparsityPattern) -> tuple[np.ndarray, np.ndarray]
     return rows, cols
 
 
+def _checked_changes(pattern: SparsityPattern, prev) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Rows where `pattern` differs from the symmetric pattern of `prev`, with their (rows, cols) entries.
+
+    `pattern` is symmetric exactly when the entries among changed rows are,
+    and no changed row changed on another column; else AsymmetricPattern.
+    None, with nothing checked, when `prev` is None, of another size, or
+    too far from `pattern` for `changed_rows`.
+    """
+    if prev is None or prev[0].n_rows != pattern.n_rows:
+        return None
+    old = prev[0]
+    changed = changed_rows(old.row_starts, old.col_indices, pattern.row_starts, pattern.col_indices)
+    if changed is None:
+        return None
+    rows, cols = _row_entries(pattern.row_starts, pattern.col_indices, changed)
+    old_rows, old_cols = _row_entries(old.row_starts, old.col_indices, changed)
+    inside, old_inside = _is_member(changed, cols), _is_member(changed, old_cols)
+    if not (
+        np.array_equal(rows[~inside], old_rows[~old_inside])
+        and np.array_equal(cols[~inside], old_cols[~old_inside])
+        and _is_symmetric_coo(rows[inside], cols[inside], pattern.n_rows)
+    ):
+        raise AsymmetricPattern("pattern is not structurally symmetric")
+    return changed, rows, cols
+
+
 @dataclass(frozen=True, eq=False)
 class SymGraph:
     """Undirected graph in compressed adjacency form.
@@ -270,28 +338,32 @@ def gather_neighbors(g: SymGraph, nodes: np.ndarray) -> np.ndarray:
     return _gather_slices(g.adj, g.adj_starts[nodes], counts)
 
 
-def bfs_distances(g: SymGraph, root: int) -> np.ndarray:
+def adjacency_lists(g: SymGraph) -> tuple[list[int], list[int]] | None:
+    """g's (adj_starts, adj) as Python lists for `bfs_distances`, or None above `_LIST_BFS_MAX` nodes."""
+    return (g.adj_starts.tolist(), g.adj.tolist()) if g.n_nodes <= _LIST_BFS_MAX else None
+
+
+def bfs_distances(g: SymGraph, root: int, lists: tuple[list[int], list[int]] | None = None) -> np.ndarray:
     """Hop distances from root; -1 for unreachable nodes.
 
     Distances are unique, so both branches below return the same array.
 
-    - Up to `_LIST_BFS_MAX` nodes the search runs over Python lists: one
-      `tolist` of the adjacency, then a queue that claims each node once.
-      At that size numpy's per-call overhead on every level costs more
-      than the whole search does in Python.
+    - Up to `_LIST_BFS_MAX` nodes the search runs over Python lists:
+      `lists`, or `adjacency_lists(g)`, then a queue that claims each node
+      once. At that size numpy's per-call overhead on every level costs
+      more than the whole search does in Python.
     - Above it the search is level-synchronous in numpy. Each new frontier
       is deduplicated by scattering its candidates' positions into one
       reusable n-length slot array and keeping the candidate whose
       position survived, one per node, with no sort.
     """
     if g.n_nodes <= _LIST_BFS_MAX:
-        return _list_bfs(g, root, [-1] * g.n_nodes)
+        return _list_bfs(lists or adjacency_lists(g), root, [-1] * g.n_nodes)
     return _numpy_bfs(g, root, np.full(g.n_nodes, -1, dtype=np.int64))
 
 
-def _list_bfs(g: SymGraph, root: int, dist: list[int]) -> np.ndarray:
-    starts = g.adj_starts.tolist()
-    adj = g.adj.tolist()
+def _list_bfs(lists: tuple[list[int], list[int]], root: int, dist: list[int]) -> np.ndarray:
+    starts, adj = lists
     dist[root] = 0
     queue = [root]
     for x in queue:  # the loop also visits the nodes appended while it runs
@@ -356,8 +428,33 @@ def connected_components(g: SymGraph, mask: np.ndarray | None = None) -> list[np
     return np.split(order, cuts) if order.size else []
 
 
-def build_dual(pattern: SparsityPattern) -> SymGraph:
-    """Undirected graph sharing the pattern's off-diagonal structure."""
+def _splice(g: SymGraph, nodes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> SymGraph:
+    """g with the neighbour lists of the ascending `nodes` replaced by the row-major (rows, cols), copied segment by segment."""
+    if nodes.size == 0:
+        return g
+    begins, ends = np.searchsorted(rows, nodes), np.searchsorted(rows, nodes, side="right")
+    counts = np.diff(g.adj_starts)
+    counts[nodes] = ends - begins
+    pieces = []
+    kept = 0
+    for node, a, b in zip(nodes.tolist(), begins.tolist(), ends.tolist()):
+        pieces += (g.adj[kept : g.adj_starts[node]], cols[a:b])
+        kept = g.adj_starts[node + 1]
+    pieces.append(g.adj[kept:])
+    return SymGraph._trusted(g.n_nodes, _counts_to_starts(counts), np.concatenate(pieces))
+
+
+def build_dual(pattern: SparsityPattern, prev: tuple[SparsityPattern, SymGraph] | None = None) -> SymGraph:
+    """Undirected graph sharing the pattern's off-diagonal structure.
+
+    `prev`, an earlier symmetric pattern of the same size and its graph,
+    limits the symmetry check and the build to the rows that changed since.
+    """
+    found = _checked_changes(pattern, prev)
+    if found is not None:
+        changed, rows, cols = found
+        off = rows != cols
+        return _splice(prev[1], changed, rows[off], cols[off])
     rows, cols = require_symmetric(pattern)
     counts = np.bincount(rows, minlength=pattern.n_rows)
     return SymGraph._trusted(pattern.n_rows, _counts_to_starts(counts), cols)
@@ -370,23 +467,34 @@ def block_count(n_rows: int, dim: int) -> int:
     return n_rows // dim
 
 
-def compress_by_dim(pattern: SparsityPattern, dim: int) -> SymGraph:
+def compress_by_dim(
+    pattern: SparsityPattern, dim: int, prev: tuple[SparsityPattern, SymGraph] | None = None
+) -> SymGraph:
     """Merge each run of `dim` consecutive rows into one graph node.
 
     Block b covers rows [b*dim, (b+1)*dim); blocks are adjacent when any
-    nonzero couples them.
+    nonzero couples them. `prev` acts as in `build_dual`: only the blocks
+    of changed rows are rebuilt.
     """
     n_blocks = block_count(pattern.n_rows, dim)
-    rows, cols = require_symmetric(pattern)
-    rb, cb = rows // dim, cols // dim
-    # the pattern is symmetric, so the upper half names every block edge
-    upper = rb < cb
-    rb, cb = rb[upper], cb[upper]
-    # entries come out row-major, so a row's repeats of one block pair are
-    # adjacent; dropping them here shrinks the sort inside from_edges
-    first = np.ones(rb.size, dtype=bool)
-    first[1:] = (rb[1:] != rb[:-1]) | (cb[1:] != cb[:-1])
-    return SymGraph.from_edges(n_blocks, rb[first], cb[first])
+    found = _checked_changes(pattern, prev)
+    if found is None:
+        rb, cb = _block_pairs(*require_symmetric(pattern), dim, n_blocks)
+        return SymGraph._trusted(n_blocks, _counts_to_starts(np.bincount(rb, minlength=n_blocks)), cb)
+    blocks = _unique(found[0] // dim)
+    # every row of a changed block, for the block's whole neighbour list
+    rows = (blocks[:, None] * dim + np.arange(dim)).ravel()
+    rb, cb = _block_pairs(*_row_entries(pattern.row_starts, pattern.col_indices, rows), dim, n_blocks)
+    return _splice(prev[1], blocks, rb, cb)
+
+
+def _block_pairs(rows: np.ndarray, cols: np.ndarray, dim: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct off-diagonal (block row, block column) pairs of row-major entries, row-major."""
+    keys = rows // dim * n_blocks + cols // dim
+    # a row's repeats of one block pair are adjacent; dropping them shrinks the sort
+    keys = _unique(keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys)
+    rb, cb = np.divmod(keys, max(n_blocks, 1))
+    return rb[rb != cb], cb[rb != cb]
 
 
 def induced_subgraph(g: SymGraph, nodes) -> tuple[SymGraph, np.ndarray]:
@@ -481,12 +589,9 @@ def edge_set_diff(
     node shows up in the added set.
     """
     node_map.require_sizes(g_old.n_nodes, g_new.n_nodes)
-    if (
-        node_map.is_identity
-        and np.array_equal(g_old.adj_starts, g_new.adj_starts)
-        and np.array_equal(g_old.adj, g_new.adj)
-    ):
-        return np.empty((0, 2), np.int64), np.empty((0, 2), np.int64)
+    diff = _row_diff(g_old, g_new) if node_map.is_identity else None
+    if diff is not None:
+        return diff
     o2n = node_map.o2n
 
     # old edges come out row-major, so the survivors (and with them the
@@ -511,3 +616,22 @@ def edge_set_diff(
     added = np.column_stack([nu[added_mask], nv[added_mask]])
     removed = np.column_stack([su[removed_mask], sv[removed_mask]])
     return added, removed
+
+
+def _row_diff(g_old: SymGraph, g_new: SymGraph) -> tuple[np.ndarray, np.ndarray] | None:
+    """`edge_set_diff` under the identity map, over the changed rows alone: both ends of a changed edge are in them.
+
+    None when `changed_rows` gives up.
+    """
+    if g_old is g_new:
+        return np.empty((0, 2), np.int64), np.empty((0, 2), np.int64)
+    changed = changed_rows(g_old.adj_starts, g_old.adj, g_new.adj_starts, g_new.adj)
+    if changed is None:
+        return None
+    n = np.int64(max(g_new.n_nodes, 1))
+    nu, nv = _row_entries(g_new.adj_starts, g_new.adj, changed)
+    ou, ov = _row_entries(g_old.adj_starts, g_old.adj, changed)
+    new_keys, old_keys = nu * n + nv, ou * n + ov
+    added = (nu < nv) & ~_is_member(old_keys, new_keys)
+    removed = (ou < ov) & ~_is_member(new_keys, old_keys)
+    return np.column_stack([nu[added], nv[added]]), np.column_stack([ou[removed], ov[removed]])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SymGraph, bfs_distances, connected_components, gather_neighbors
+from .graph import SymGraph, adjacency_lists, bfs_distances, connected_components, gather_neighbors
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -30,11 +30,11 @@ class SeparatorResult:
     right: np.ndarray
 
 
-def _pseudo_peripheral(g: SymGraph, comp: np.ndarray) -> int:
+def _pseudo_peripheral(g: SymGraph, comp: np.ndarray, lists) -> int:
     """Two rounds of farthest-node BFS; ties resolved to the lowest index."""
     start = int(comp.min())
     for _ in range(2):
-        dist = bfs_distances(g, start)
+        dist = bfs_distances(g, start, lists)
         far = dist[comp].max()
         start = int(comp[dist[comp] == far].min())
     return start
@@ -83,8 +83,9 @@ class LevelSetEngine:
         differ in number from the nodes after it. The first level with the
         lowest score wins. `comp` is sorted, and so is the result.
         """
-        root = _pseudo_peripheral(g, comp)
-        dist = bfs_distances(g, root)
+        lists = adjacency_lists(g)  # converted once for the three searches
+        root = _pseudo_peripheral(g, comp, lists)
+        dist = bfs_distances(g, root, lists)
         level = dist[comp]
         sizes = np.bincount(level)
         # one gathered neighbor list: which component nodes touch level t+1

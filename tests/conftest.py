@@ -31,6 +31,24 @@ def has_edge(g: SymGraph, u: int, v: int) -> bool:
     return bool(pos < nb.size and nb[pos] == v)
 
 
+def edge_pairs(g: SymGraph) -> set[tuple[int, int]]:
+    u, v = g.edges()
+    return {(int(a), int(b)) for a, b in zip(u, v)}
+
+
+def reference_edge_diff(g_old, g_new, entries):
+    """Added pairs in new-graph edge order; removed old pairs sorted lexicographically."""
+    o2n = {int(old): new for new, old in enumerate(entries) if old >= 0}
+    translated = {}
+    for a, b in edge_pairs(g_old):
+        if a in o2n and b in o2n:
+            translated[tuple(sorted((o2n[a], o2n[b])))] = [a, b]
+    new = edge_pairs(g_new)
+    added = [list(e) for e in sorted(new) if e not in translated]
+    removed = sorted(old for key, old in translated.items() if key not in new)
+    return added, removed
+
+
 def total_nodes(tree: HgdTree) -> int:
     return int(sum(tn.nodes.size for tn in tree.nodes))
 

@@ -60,7 +60,8 @@ def test_traced_step_records_counts(spans):
             engine.step(changed)
     by_op = tracer.self_ms_by_op()
     assert {"hgd.build", "separator.split", "ordering.order", "assembler.assemble"} <= set(by_op[0])
-    assert {"driver.step", "graph.edge_diff", "synchronizer.synchronize"} <= set(by_op[1])
+    # the no-map step's row-diff ingest still goes through the hooked name
+    assert {"driver.step", "graph.ingest", "graph.edge_diff", "synchronizer.synchronize"} <= set(by_op[1])
     counts = tracer.counts
     assert counts["separator.calls"] > 0 and counts["ordering.calls"] > 0
     assert counts["graph.edges_added"] == 12

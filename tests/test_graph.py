@@ -23,17 +23,14 @@ from parth import (
 from parth.graph import _LIST_BFS_MAX, _unique
 from conftest import (
     NINE_EDGES_FIRST,
+    edge_pairs,
     has_edge,
     n_edges,
     nine_node_graphs,
     pattern_from_edges,
     random_pattern,
+    reference_edge_diff,
 )
-
-
-def edge_pairs(g: SymGraph) -> set[tuple[int, int]]:
-    u, v = g.edges()
-    return {(int(a), int(b)) for a, b in zip(u, v)}
 
 
 class TestBuildDual:
@@ -194,19 +191,6 @@ def perturbed_graph(rng: np.random.Generator, g_old: SymGraph, entries: np.ndarr
         u += rng.integers(0, n_new, extra).tolist()
         v += rng.integers(0, n_new, extra).tolist()
     return SymGraph.from_edges(n_new, u, v)
-
-
-def reference_edge_diff(g_old, g_new, entries):
-    """Added pairs in new-graph edge order; removed old pairs sorted lexicographically."""
-    o2n = {int(old): new for new, old in enumerate(entries) if old >= 0}
-    translated = {}
-    for a, b in edge_pairs(g_old):
-        if a in o2n and b in o2n:
-            translated[tuple(sorted((o2n[a], o2n[b])))] = [a, b]
-    new = edge_pairs(g_new)
-    added = [list(e) for e in sorted(new) if e not in translated]
-    removed = sorted(old for key, old in translated.items() if key not in new)
-    return added, removed
 
 
 class TestInducedSubgraph:
