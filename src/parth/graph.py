@@ -97,23 +97,23 @@ def changed_rows(
 ) -> np.ndarray | None:
     """Rows, ascending, whose entries differ between two CSR arrays with the same row count.
 
-    Rows that changed length come from one compare of the lengths. Between
-    two of them the offsets differ by a constant, so each stretch is one
-    `array_equal`, and only a stretch that differs is scanned for its rows.
+    Rows that changed length are where the shift `starts_new - starts_old`
+    changes. Between two of them the shift is constant, so each stretch is
+    one `array_equal`, and only a stretch that differs is scanned for its rows.
     Returns None when more than max(64, entries // _ENTRIES_PER_CHANGED_ROW)
     rows differ: the caller then compares everything at once.
     """
     n = starts_old.size - 1
     limit = max(idx_new.size // _ENTRIES_PER_CHANGED_ROW, 64)
-    resized = np.flatnonzero(np.diff(starts_old) != np.diff(starts_new))
+    shift = starts_new - starts_old
+    resized = np.flatnonzero(shift[1:] != shift[:-1])
     if resized.size > limit:
         return None
     pieces = []
     lo = 0
     for k, hi in enumerate(resized.tolist() + [n]):
-        a, b = starts_old[lo], starts_old[hi]
-        shift = starts_new[lo] - a
-        old, new = idx_old[a:b], idx_new[a + shift : b + shift]
+        a, b, d = starts_old[lo], starts_old[hi], shift[lo]
+        old, new = idx_old[a:b], idx_new[a + d : b + d]
         if not np.array_equal(old, new):
             at = np.searchsorted(starts_old, np.flatnonzero(old != new) + a, side="right") - 1
             pieces.append(at[np.r_[True, at[1:] != at[:-1]]])

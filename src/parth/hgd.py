@@ -10,6 +10,7 @@ tree untouched.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +86,15 @@ class HgdNode:
         self.ordered = False
 
 
+class Layout(NamedTuple):
+    """A tree's last assembly: its read-only permutations, and `offsets[k]`,
+    where post-order slot k starts in `graph_perm` (the last is its size)."""
+
+    graph_perm: np.ndarray
+    matrix_perm: np.ndarray
+    offsets: np.ndarray
+
+
 class HgdTree:
     """Array-backed complete binary tree of sub-graphs.
 
@@ -93,6 +103,9 @@ class HgdTree:
     sync, aggressive moves) updates it, the synchronizer reads it, and
     `validate_partition` audits it against the node arrays. The shape is
     fixed, so `post_order` (slot indices in post-order) is computed once.
+    `layout` is the last assembly, which the next one splices into; a slot
+    whose `ordered` flag is set still holds its stretch of it. None on a
+    fresh tree and after a relabelling, which keeps flags but not arrays.
     """
 
     def __init__(self, max_level: int):
@@ -100,6 +113,7 @@ class HgdTree:
         self.nodes = [HgdNode() for _ in range(tree_size(max_level))]
         self.post_order = post_order_indices(self.max_level).tolist()
         self.owner = _EMPTY
+        self.layout: Layout | None = None
 
     @property
     def size(self) -> int:
@@ -137,9 +151,23 @@ class HgdTree:
         return lookup
 
     def validate_partition(self, n_nodes: int) -> None:
-        """Audit: the node arrays partition [0, n_nodes) and `owner` agrees with them."""
+        """Audit: the node arrays partition [0, n_nodes), and `owner` and `layout` agree with them.
+
+        The layout's offsets must tile its permutation, one stretch per
+        post-order slot, and every ordered slot must hold its stretch: right
+        after an assembly, the post-order concatenation of the node arrays.
+        """
         if not np.array_equal(self.owner, self._node_to_tree(n_nodes)):
             raise StaleTree("owner array disagrees with the tree node sets")
+        if self.layout is None:
+            return
+        perm, _, at = self.layout
+        if at.size != self.size + 1 or at[0] != 0 or at[-1] != perm.size or np.any(np.diff(at) < 0):
+            raise StaleTree("layout offsets do not tile the last assembly")
+        for k, i in enumerate(self.post_order):
+            tn = self.nodes[i]
+            if tn.ordered and not np.array_equal(perm[at[k] : at[k + 1]], tn.nodes):
+                raise StaleTree(f"tree node {i} differs from its stretch of the last assembly")
 
     def separator_violations(self, g: SymGraph) -> list[int]:
         """Edge-scan audit: ancestors whose left/right subtrees are connected.

@@ -73,12 +73,14 @@ def node_change_synchronizer(tree: HgdTree, node_map: NodeMap, g_new: SymGraph) 
     already-placed neighbors (surviving neighbors preferred), falling back
     to the root when isolated. Returns the tree indices whose membership
     changed; their orderings are cleared. `tree.owner` is renumbered and
-    extended alongside. Raises InvalidMap, before any change, unless the map
-    takes the tree's node count to g_new's.
+    extended alongside, and `tree.layout` is dropped: it holds the old
+    labels. Raises InvalidMap, before any change, unless the map takes the
+    tree's node count to g_new's.
     """
     node_map.require_sizes(tree.owner.size, g_new.n_nodes)
     if node_map.is_identity:
         return set()
+    tree.layout = None
     o2n = node_map.o2n
     owner = np.full(node_map.n_new, -1, dtype=np.int64)
     old_kept = o2n >= 0

@@ -140,6 +140,15 @@ def nine_node_graphs() -> tuple[SymGraph, SymGraph]:
     return build_dual(p1), build_dual(p2)
 
 
+def blocks(pattern: SparsityPattern, dim: int) -> SparsityPattern:
+    """Replace every entry by a dense dim-by-dim block (rows b*dim .. b*dim+dim-1)."""
+    rows, cols = pattern.to_coo()
+    offs = np.arange(dim, dtype=np.int64)
+    big_rows = np.repeat(rows[:, None] * dim + offs, dim, axis=1).ravel()
+    big_cols = np.tile(cols[:, None] * dim + offs, dim).ravel()
+    return SparsityPattern.from_coo(pattern.n_rows * dim, big_rows, big_cols)
+
+
 def random_pattern(rng: np.random.Generator, n: int, avg_degree: float = 3.0) -> SparsityPattern:
     """Random connected-ish symmetric pattern with a full diagonal."""
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]  # random spanning tree

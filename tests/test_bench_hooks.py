@@ -69,6 +69,22 @@ def test_traced_step_records_counts(spans):
     assert counts["hgd.region_nodes"] > 0
 
 
+def test_traced_no_op_step_counts_every_node_reused(spans):
+    # a step that re-orders nothing returns the previous permutations, still
+    # through the hooked parth.driver.assemble, with every node counted reused
+    pattern, _ = grid_laplacian(8, 8)
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer):
+        engine = spans.instrument_engines(tracer, Parth(ParthConfig(target_leaf=64 >> 2)))  # depth 2
+        first = engine.start(pattern)
+        with tracer.op_scope(0):
+            _, state = engine.step(pattern)
+    assert "assembler.assemble" in tracer.self_ms_by_op()[0]
+    assert tracer.counts["assembler.reused_nodes"] == 64
+    assert "ordering.calls" not in tracer.counts
+    assert state.graph_perm is first.graph_perm
+
+
 def test_engines_are_per_instance(spans):
     # instrument_engines patches split/order on the instance's engines;
     # engines shared between instances would stack wrappers

@@ -18,6 +18,7 @@ from parth import (
     reuse_ratio,
     step_metrics,
 )
+from conftest import blocks
 
 
 def test_start_then_fixed_point():
@@ -173,14 +174,6 @@ def test_non_monotone_relabel_keeps_bijection():
     assert parth.tree.separator_violations(parth.graph) == []
 
 
-def _blocks(pattern: SparsityPattern, dim: int) -> SparsityPattern:
-    rows, cols = pattern.to_coo()
-    offs = np.arange(dim, dtype=np.int64)
-    big_rows = np.repeat(rows[:, None] * dim + offs, dim, axis=1).ravel()
-    big_cols = np.tile(cols[:, None] * dim + offs, dim).ravel()
-    return SparsityPattern.from_coo(pattern.n_rows * dim, big_rows, big_cols)
-
-
 @pytest.mark.parametrize("dim", [1, 3])
 def test_pure_relabel_reuses_orderings_of_the_same_nodes(dim):
     # a renumbering changes no structure: every stored ordering is reused and
@@ -189,7 +182,7 @@ def test_pure_relabel_reuses_orderings_of_the_same_nodes(dim):
     from parth import NodeMap, symbolic_analyze
 
     grid, _ = grid_laplacian(16, 16)
-    pattern = _blocks(grid, dim)
+    pattern = blocks(grid, dim)
     parth = Parth(ParthConfig(dim=dim, target_leaf=256 >> 3))  # depth 3
     first = parth.start(pattern).matrix_perm
     rng = np.random.default_rng(29)
@@ -197,7 +190,7 @@ def test_pure_relabel_reuses_orderings_of_the_same_nodes(dim):
     entries = np.empty(256, dtype=np.int64)
     entries[new_of_old] = np.arange(256)  # entries[new] = old
     rows, cols = grid.to_coo()
-    relabelled = _blocks(SparsityPattern.from_coo(256, new_of_old[rows], new_of_old[cols]), dim)
+    relabelled = blocks(SparsityPattern.from_coo(256, new_of_old[rows], new_of_old[cols]), dim)
     dirty, state = parth.step(relabelled, NodeMap(entries, 256))
     assert bool(dirty.reuse_mask.all())
     assert state.reused_nodes == 256
