@@ -21,8 +21,8 @@ ABSENT = -1
 MAX_ROWS = 3_037_000_499
 
 # bfs_distances runs over Python lists up to this many nodes and numpy
-# above: the measured crossover, where both took about 4.6 ms on the
-# 8k-node splits of a 256x256 grid (2 cores, Python 3.11)
+# above: whole level-pass builds of grids tie from 4 096 to 8 100 nodes;
+# lists win at 2 304 and below, numpy at 9 216 and above (2 cores, Python 3.11)
 _LIST_BFS_MAX = 8192
 
 # changed_rows gives up past one changed row per this many entries (and
@@ -338,34 +338,36 @@ def gather_neighbors(g: SymGraph, nodes: np.ndarray) -> np.ndarray:
     return _gather_slices(g.adj, g.adj_starts[nodes], counts)
 
 
-def adjacency_lists(g: SymGraph) -> tuple[list[int], list[int]] | None:
-    """g's (adj_starts, adj) as Python lists for `bfs_distances`, or None above `_LIST_BFS_MAX` nodes."""
-    return (g.adj_starts.tolist(), g.adj.tolist()) if g.n_nodes <= _LIST_BFS_MAX else None
+def bfs_distances(g: SymGraph, roots, blocked: np.ndarray | None = None) -> np.ndarray:
+    """Hop distances from the nearest of `roots` (one node or several); -1 where unreachable.
 
+    `blocked`, a boolean mask that leaves out every root, marks nodes the
+    search never enters; they read -1. Distances are unique, so both
+    branches below return the same array.
 
-def bfs_distances(g: SymGraph, root: int, lists: tuple[list[int], list[int]] | None = None) -> np.ndarray:
-    """Hop distances from root; -1 for unreachable nodes.
-
-    Distances are unique, so both branches below return the same array.
-
-    - Up to `_LIST_BFS_MAX` nodes the search runs over Python lists:
-      `lists`, or `adjacency_lists(g)`, then a queue that claims each node
-      once. At that size numpy's per-call overhead on every level costs
-      more than the whole search does in Python.
+    - Up to `_LIST_BFS_MAX` nodes the search runs over Python lists, with
+      a queue that claims each node once. At that size numpy's per-call
+      overhead on every level costs more than the whole search does in
+      Python.
     - Above it the search is level-synchronous in numpy. Each new frontier
-      is deduplicated by scattering its candidates' positions into one
-      reusable n-length slot array and keeping the candidate whose
-      position survived, one per node, with no sort.
+      is deduplicated by scattering its candidates' positions into `dist`
+      itself and keeping the candidate whose position survived, one per
+      node, with no sort; the new distance then overwrites every position.
     """
-    if g.n_nodes <= _LIST_BFS_MAX:
-        return _list_bfs(lists or adjacency_lists(g), root, [-1] * g.n_nodes)
-    return _numpy_bfs(g, root, np.full(g.n_nodes, -1, dtype=np.int64))
+    roots = np.atleast_1d(_index_array(roots))
+    dist = np.full(g.n_nodes, -1, dtype=np.int64)
+    if blocked is not None:
+        dist[blocked] = -2  # never -1, so never claimed
+    dist[roots] = 0
+    small = g.n_nodes <= _LIST_BFS_MAX
+    dist = _list_bfs(g, roots.tolist(), dist.tolist()) if small else _numpy_bfs(g, roots, dist)
+    if blocked is not None:
+        dist[blocked] = -1
+    return dist
 
 
-def _list_bfs(lists: tuple[list[int], list[int]], root: int, dist: list[int]) -> np.ndarray:
-    starts, adj = lists
-    dist[root] = 0
-    queue = [root]
+def _list_bfs(g: SymGraph, queue: list[int], dist: list[int]) -> np.ndarray:
+    starts, adj = g.adj_starts.tolist(), g.adj.tolist()
     for x in queue:  # the loop also visits the nodes appended while it runs
         d = dist[x] + 1
         for y in adj[starts[x] : starts[x + 1]]:
@@ -375,54 +377,58 @@ def _list_bfs(lists: tuple[list[int], list[int]], root: int, dist: list[int]) ->
     return np.array(dist, dtype=np.int64)
 
 
-def _numpy_bfs(g: SymGraph, root: int, dist: np.ndarray) -> np.ndarray:
-    dist[root] = 0
-    slot = np.empty(g.n_nodes, dtype=np.int64)
-    frontier = np.array([root], dtype=np.int64)
+def _numpy_bfs(g: SymGraph, frontier: np.ndarray, dist: np.ndarray) -> np.ndarray:
     d = 0
     while frontier.size:
         nb = gather_neighbors(g, frontier)
         nb = nb[dist[nb] == -1]
-        if nb.size == 0:
-            break
         pos = np.arange(nb.size, dtype=np.int64)
-        slot[nb] = pos
-        frontier = nb[slot[nb] == pos]
+        dist[nb] = pos
+        frontier = nb[dist[nb] == pos]
         d += 1
         dist[frontier] = d
     return dist
 
 
-def connected_components(g: SymGraph, mask: np.ndarray | None = None) -> list[np.ndarray]:
-    """Components as sorted node arrays, ordered by smallest contained node.
+def component_labels(g: SymGraph, mask: np.ndarray | None = None) -> np.ndarray:
+    """Each node's component in the subgraph `mask` induces, named by its smallest node; -1 outside `mask`.
 
     Labels start as the node indices. Each round hooks, over every edge
     whose endpoints disagree, the larger label onto the smaller one, then
-    jumps pointers until every label is its own root. Labels only decrease
-    and stay inside their component, so at the fixed point each node is
-    labelled with its component's smallest node. One stable argsort of the
-    labels then yields the components already sorted and in order.
+    jumps pointers until every label is its own root, and replaces each
+    edge by its ends' labels, dropping those that now agree. Labels only
+    decrease and stay inside their component, so at the fixed point each
+    node is labelled with its component's smallest node.
     """
-    u, v = g.edges()
-    nodes = np.arange(g.n_nodes, dtype=np.int64)
+    rows = np.repeat(np.arange(g.n_nodes, dtype=np.int64), np.diff(g.adj_starts))
+    keep = rows < g.adj
     if mask is not None:
-        keep = mask[u] & mask[v]
-        u, v = u[keep], v[keep]
-        nodes = nodes[mask]
+        keep &= mask[rows]
+        keep &= mask[g.adj]
+    u, v = rows[keep], g.adj[keep]
+    del rows, keep
     label = np.arange(g.n_nodes, dtype=np.int64)
-    while True:
-        lu, lv = label[u], label[v]
-        differ = lu != lv
-        if not differ.any():
-            break
-        lu, lv = lu[differ], lv[differ]
-        low = np.minimum(lu, lv)
-        np.minimum.at(label, np.maximum(lu, lv), low)
+    while u.size:
+        np.minimum.at(label, v, u)
         while True:
             jumped = label[label]
             if np.array_equal(jumped, label):
                 break
             label = jumped
+        # an edge whose ends share a label keeps sharing it; only the rest go on
+        u, v = label[u], label[v]
+        keep = u != v
+        u, v = u[keep], v[keep]
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    if mask is not None:
+        label[~mask] = -1
+    return label
+
+
+def connected_components(g: SymGraph, mask: np.ndarray | None = None) -> list[np.ndarray]:
+    """Components as sorted node arrays, ordered by smallest node: one stable argsort of `component_labels`."""
+    label = component_labels(g, mask)
+    nodes = np.flatnonzero(label >= 0)
     order = nodes[np.argsort(label[nodes], kind="stable")]
     cuts = np.flatnonzero(np.diff(label[order])) + 1
     return np.split(order, cuts) if order.size else []

@@ -2,7 +2,8 @@
 
 A complete binary tree, stored as a flat array with children at 2i+1 and
 2i+2, holds one sub-graph per tree node: internal nodes store vertex
-separators, leaves store the remaining regions. Subtrees can be rebuilt in
+separators, leaves store the remaining regions. The tree is built one level
+at a time, with one separator call per level. Subtrees can be rebuilt in
 place when sparsity changes invalidate a separator, leaving the rest of the
 tree untouched.
 """
@@ -18,7 +19,7 @@ from .errors import RegionMismatch, StaleTree
 from .graph import SymGraph, _unique, induced_subgraph
 from .separator import LevelSetEngine
 
-# Sub-graphs smaller than this stop recursing and are stored whole; splitting
+# Sub-graphs smaller than this are not split but stored whole; splitting
 # fewer than 3 nodes cannot produce a separator worth keeping.
 MIN_SPLIT = 3
 
@@ -99,7 +100,7 @@ class HgdTree:
     """Array-backed complete binary tree of sub-graphs.
 
     `owner[u]` is the index of the tree node whose array holds graph node u,
-    the one record of it: every writer of a node array (`_build_into`, node
+    the one record of it: every writer of a node array (`_store`, node
     sync, aggressive moves) updates it, the synchronizer reads it, and
     `validate_partition` audits it against the node arrays. The shape is
     fixed, so `post_order` (slot indices in post-order) is computed once.
@@ -186,34 +187,48 @@ class HgdTree:
         return sorted(bad)
 
 
-def _build_into(
-    tree: HgdTree,
-    sub: SymGraph,
-    to_global: np.ndarray,
-    level: int,
-    idx: int,
-    engine: LevelSetEngine,
-) -> None:
-    """Decompose `sub` (graph nodes `to_global`) into the empty subtree at idx."""
-    node = tree.nodes[idx]
-    if level == tree.max_level or sub.n_nodes < MIN_SPLIT:
-        node.nodes = to_global
-        tree.owner[to_global] = idx
-        return
-    res = engine.split(sub)
-    node.nodes = to_global[res.sep]
-    tree.owner[node.nodes] = idx
-    left_sub, lsel = induced_subgraph(sub, res.left)
-    _build_into(tree, left_sub, to_global[lsel], level + 1, 2 * idx + 1, engine)
-    right_sub, rsel = induced_subgraph(sub, res.right)
-    _build_into(tree, right_sub, to_global[rsel], level + 1, 2 * idx + 2, engine)
+def _store(tree: HgdTree, nodes: np.ndarray, slot: np.ndarray, to_global: np.ndarray) -> None:
+    """Write the ascending `nodes` into their slots' node arrays, as graph nodes `to_global`, and into `owner`."""
+    at = slot[nodes]
+    order = np.argsort(at, kind="stable")
+    nodes, at = to_global[nodes[order]], at[order]
+    heads = np.flatnonzero(np.diff(at, prepend=-1))
+    for i, piece in zip(at[heads].tolist(), np.split(nodes, heads[1:])):
+        tree.nodes[i].nodes = piece
+    tree.owner[nodes] = at
+
+
+def _build_levels(tree: HgdTree, g: SymGraph, to_global: np.ndarray, root: int, engine: LevelSetEngine) -> None:
+    """Decompose g (graph nodes `to_global`, ascending) into the empty subtree at root.
+
+    One pass per tree level. `slot[u]` is the tree slot whose sub-graph
+    holds node u, -1 once u is stored. A sub-graph is stored whole at the
+    deepest level or when it has fewer than MIN_SPLIT nodes; one
+    `engine.split` call, with the slots as groups, splits all the others,
+    storing their separators and handing their sides to the two children.
+    """
+    slot = np.full(g.n_nodes, root, dtype=np.int64)
+    for level in range(level_of(root), tree.max_level + 1):
+        live = np.flatnonzero(slot >= 0)
+        sizes = np.bincount(slot[live], minlength=tree.size)
+        whole = sizes > 0 if level == tree.max_level else sizes < MIN_SPLIT
+        done = live[whole[slot[live]]]
+        _store(tree, done, slot, to_global)
+        slot[done] = -1
+        if done.size == live.size:
+            return
+        res = engine.split(g, slot)
+        _store(tree, res.sep, slot, to_global)
+        slot[res.sep] = -1
+        slot[res.left] = 2 * slot[res.left] + 1
+        slot[res.right] = 2 * slot[res.right] + 2
 
 
 def hgd_build(g: SymGraph, max_level: int, engine: LevelSetEngine) -> HgdTree:
-    """Recursive separator decomposition of g down to max_level."""
+    """Separator decomposition of g down to max_level, one level at a time."""
     tree = HgdTree(max_level)
     tree.owner = np.empty(g.n_nodes, dtype=np.int64)
-    _build_into(tree, g, np.arange(g.n_nodes, dtype=np.int64), 0, 0, engine)
+    _build_levels(tree, g, np.arange(g.n_nodes, dtype=np.int64), 0, engine)
     return tree
 
 
@@ -241,7 +256,7 @@ def hgd_redecompose(
         tree.nodes[i].nodes = _EMPTY
         tree.nodes[i].ordered = False
     sub, to_global = induced_subgraph(g, region)
-    _build_into(tree, sub, to_global, level_of(root_index), root_index, engine)
+    _build_levels(tree, sub, to_global, root_index, engine)
 
 
 def default_max_level(n_nodes: int, target_leaf: int) -> int:

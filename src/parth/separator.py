@@ -2,8 +2,10 @@
 
 `LevelSetEngine` is dependency-free: BFS level sets from a
 pseudo-peripheral node, the most evenly splitting level as the boundary,
-then a greedy shrink pass. A stronger partitioner replaces it in place,
-behind the same `split` method.
+then a greedy shrink pass. One `split` call splits many disjoint
+sub-graphs at once, named by a group label per node: a tree level's worth.
+A stronger partitioner replaces it in place, behind the same `split(g,
+group)` method.
 """
 
 from __future__ import annotations
@@ -12,13 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SymGraph, adjacency_lists, bfs_distances, connected_components, gather_neighbors
+from .graph import SymGraph, _index_array, bfs_distances, component_labels, gather_neighbors
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 _SIDE_SEP = 0
 _SIDE_LEFT = 1
 _SIDE_RIGHT = 2
+_OUTSIDE = 3  # a node of no group
+
+
+def _components(g: SymGraph, group: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`component_labels(g, mask)`, then the components' names (smallest nodes) and sizes in (group, -size, name) order."""
+    label = component_labels(g, mask)
+    sizes = np.bincount(label[mask], minlength=g.n_nodes)
+    heads = np.flatnonzero(sizes)
+    heads = heads[np.lexsort((heads, -sizes[heads], group[heads]))]
+    return label, heads, sizes[heads]
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,75 +42,102 @@ class SeparatorResult:
     right: np.ndarray
 
 
-def _pseudo_peripheral(g: SymGraph, comp: np.ndarray, lists) -> int:
-    """Two rounds of farthest-node BFS; ties resolved to the lowest index."""
-    start = int(comp.min())
-    for _ in range(2):
-        dist = bfs_distances(g, start, lists)
-        far = dist[comp].max()
-        start = int(comp[dist[comp] == far].min())
-    return start
-
-
 class LevelSetEngine:
-    """BFS level-set bisection with greedy separator shrinking."""
+    """BFS level-set bisection with greedy separator shrinking, one group or many at once."""
 
-    def split(self, g: SymGraph) -> SeparatorResult:
-        """Split g into (sep, left, right); deterministic total function, never raises."""
+    def split(self, g: SymGraph, group: np.ndarray | None = None) -> SeparatorResult:
+        """Split every group of g into (sep, left, right), each sorted; deterministic, never raises.
+
+        `group[u]` labels the sub-graph of node u, -1 for none; None puts
+        every node in one group. No edge may join two groups, so each search
+        runs over the whole graph with the nodes of no group blocked, and
+        restricted to one group the result is the split of that group's
+        induced subgraph. Per group, the components left by the separator go
+        greedily, largest first, to the smaller side.
+        """
         n = g.n_nodes
-        ids = np.arange(n, dtype=np.int64)
-        if n <= 1:
-            return SeparatorResult(_EMPTY, ids, _EMPTY)
-
-        comps = connected_components(g)
-        big = max(comps, key=lambda c: (c.size, -int(c.min())))
-        # a connected component of 3 or more nodes always has an edge to cut
-        sep = self._level_separator(g, big) if big.size >= 3 else _EMPTY
-
-        side = np.zeros(n, dtype=np.int8)
-        in_sep = np.zeros(n, dtype=bool)
-        in_sep[sep] = True
-        sizes = [0, 0, 0]
-        for comp in sorted(connected_components(g, mask=~in_sep),
-                           key=lambda c: (-c.size, int(c.min()))):
-            tgt = _SIDE_LEFT if sizes[_SIDE_LEFT] <= sizes[_SIDE_RIGHT] else _SIDE_RIGHT
-            side[comp] = tgt
-            sizes[tgt] += comp.size
+        group = np.zeros(n, dtype=np.int64) if group is None else _index_array(group)
+        live = group >= 0
+        sep = self._level_separators(g, group, live)
+        keep = live.copy()
+        keep[sep] = False
+        label, heads, sizes = _components(g, group, keep)
+        target = []
+        both = set()  # a group's first component goes left: one with a right side has both
+        cur = None
+        for s, gr in zip(sizes.tolist(), group[heads].tolist()):
+            if gr != cur:
+                cur, halves = gr, [0, 0, 0]
+            tgt = _SIDE_LEFT if halves[_SIDE_LEFT] <= halves[_SIDE_RIGHT] else _SIDE_RIGHT
+            if tgt == _SIDE_RIGHT:
+                both.add(gr)
+            halves[tgt] += s
+            target.append(tgt)
+        side = np.zeros(n + 1, dtype=np.int8)  # label -1 reads the last entry: a separator
+        side[heads] = target
+        side = side[label]
+        side[~live] = _OUTSIDE
 
         # with a side empty nothing is separated; shrinking would only hide that
-        if sizes[_SIDE_LEFT] and sizes[_SIDE_RIGHT]:
-            self._shrink(g, side, sep)
+        if sep.size and both:
+            self._shrink(g, side, sep[np.isin(group[sep], list(both))])
         return SeparatorResult(
-            np.flatnonzero(side == _SIDE_SEP) if sep.size else _EMPTY,
+            np.flatnonzero(side == _SIDE_SEP),
             np.flatnonzero(side == _SIDE_LEFT),
             np.flatnonzero(side == _SIDE_RIGHT),
         )
 
-    def _level_separator(self, g: SymGraph, comp: np.ndarray) -> np.ndarray:
-        """Nodes of the most evenly splitting BFS level that touch the next level.
+    def _level_separators(self, g: SymGraph, group: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Per group, the nodes of a BFS level of its largest component that touch the next level.
 
-        All levels are scored in one pass over the component: level t's
-        separator is its nodes with a neighbor at level t+1, and its score
-        is how far the nodes before it (the rest of level t included)
-        differ in number from the nodes after it. The first level with the
-        lowest score wins. `comp` is sorted, and so is the result.
+        Ties for the largest go to the smallest node, and only a component
+        of 3 or more nodes, and so an edge to cut, is searched: two rounds
+        of farthest-node BFS from its smallest node (ties to the lowest
+        index) find a root, and a third gives the levels. Level t's score
+        is how far the nodes before its separator (the rest of level t
+        included) differ in number from those after level t; the first
+        level with the lowest score wins. Each component's levels are
+        scored in its own stretch of one array.
         """
-        lists = adjacency_lists(g)  # converted once for the three searches
-        root = _pseudo_peripheral(g, comp, lists)
-        dist = bfs_distances(g, root, lists)
-        level = dist[comp]
-        sizes = np.bincount(level)
-        # one gathered neighbor list: which component nodes touch level t+1
-        counts = g.adj_starts[comp + 1] - g.adj_starts[comp]
-        local = np.repeat(np.arange(comp.size), counts)
-        touches = np.zeros(comp.size, dtype=bool)
-        touches[local[dist[gather_neighbors(g, comp)] == level[local] + 1]] = True
-        sep_sizes = np.bincount(level[touches], minlength=sizes.size)
-        before_cum = np.cumsum(sizes) - sizes
-        before = before_cum + sizes - sep_sizes
-        after = comp.size - before_cum - sizes
-        best_t = int(np.argmin(np.abs(before - after)))
-        return comp[touches & (level == best_t)]
+        label, heads, sizes = _components(g, group, live)
+        pick = (np.diff(group[heads], prepend=-1) != 0) & (sizes >= 3)
+        big, big_sizes = heads[pick], sizes[pick]
+        if not big.size:
+            return _EMPTY
+        k = big.size
+        member = np.full(g.n_nodes + 1, -1, dtype=np.int64)
+        member[big] = np.arange(k, dtype=np.int64)
+        member = member[label]  # the index in `big` of each node's component, or -1
+        del label
+        roots = big
+        for _ in range(3):
+            dist = bfs_distances(g, roots, ~live)
+            reached = np.flatnonzero(dist >= 0)
+            level, comp = dist[reached], member[reached]
+            ecc = np.zeros(k, dtype=np.int64)
+            np.maximum.at(ecc, comp, level)
+            far = reached[level == ecc[comp]]
+            roots = np.full(k, g.n_nodes, dtype=np.int64)
+            np.minimum.at(roots, member[far], far)
+        # one pass over the adjacency: the nodes with a neighbour one level on
+        nb = dist[g.adj]
+        nb -= np.repeat(dist, np.diff(g.adj_starts))
+        touches = np.zeros(g.n_nodes, dtype=bool)
+        touches[np.searchsorted(g.adj_starts, np.flatnonzero(nb == 1), side="right") - 1] = True
+        del nb
+        touches = touches[reached]
+        width = ecc + 1
+        first = np.cumsum(width) - width  # where each component's levels start
+        key = first[comp] + level
+        counts = np.bincount(key, minlength=int(width.sum()))
+        sep_counts = np.bincount(key[touches], minlength=counts.size)
+        stretch = np.repeat(np.arange(k, dtype=np.int64), width)
+        before_cum = np.cumsum(counts) - counts
+        before_cum -= before_cum[first][stretch]
+        # (before - after), with after = size - before_cum - counts
+        score = np.abs(2 * (before_cum + counts) - sep_counts - big_sizes[stretch])
+        best = np.lexsort((score, stretch))[first] - first
+        return reached[touches & (level == best[comp])]
 
     def _shrink(self, g: SymGraph, side: np.ndarray, sep: np.ndarray) -> None:
         """Move separator nodes touching only one side into that side.

@@ -154,8 +154,9 @@ def start_digests() -> list[str]:
         _digest(Parth().start(striped).matrix_perm),
         _digest(Parth(ParthConfig(target_leaf=32)).start(striped).matrix_perm),
         _digest(Parth(ParthConfig(dim=3)).start(_expand(blocks, 3)).matrix_perm),
-        # the root split of 16 384 nodes searches with numpy, every deeper
-        # split with Python lists (`graph._LIST_BFS_MAX`)
+        # every level of this 16 384-node start searches with numpy
+        # (`graph._LIST_BFS_MAX`); the starts above and the 48x48
+        # sequence, all below that size, search with Python lists
         _digest(Parth().start(big).matrix_perm),
     ]
 

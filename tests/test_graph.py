@@ -20,7 +20,7 @@ from parth import (
     edge_set_diff,
     induced_subgraph,
 )
-from parth.graph import _LIST_BFS_MAX, _unique
+from parth.graph import _LIST_BFS_MAX, _unique, component_labels
 from conftest import (
     NINE_EDGES_FIRST,
     edge_pairs,
@@ -413,6 +413,20 @@ def reference_components(g: SymGraph, mask) -> list[list[int]]:
     return sorted(groups.values(), key=lambda c: c[0])
 
 
+def reference_multi_bfs(g: SymGraph, roots, blocked) -> list[int]:
+    """Per node the least `reference_bfs` distance over the roots, with the blocked nodes' edges removed."""
+    shut = np.zeros(g.n_nodes, dtype=bool) if blocked is None else np.asarray(blocked)
+    u, v = g.edges()
+    open_edges = ~(shut[u] | shut[v])
+    cut = SymGraph.from_edges(g.n_nodes, u[open_edges], v[open_edges])
+    out = [-1] * g.n_nodes
+    for root in np.asarray(roots).tolist():
+        for x, d in enumerate(reference_bfs(cut, root)):
+            if d >= 0 and not shut[x] and (out[x] < 0 or d < out[x]):
+                out[x] = d
+    return out
+
+
 def shuffled_path(rng: np.random.Generator, n: int) -> SymGraph:
     """A path visiting the nodes in random order: n-1 hops, labels far apart."""
     order = rng.permutation(n)
@@ -486,6 +500,36 @@ class TestTraversal:
         assert bfs_distances(g, end).tolist() == reference_bfs(g, end)
         mask = rng.random(n) < 0.9
         assert [c.tolist() for c in connected_components(g, mask)] == reference_components(g, mask)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_multi_source_blocked_bfs(self, seed):
+        # from several roots the distance is the nearest root's; a blocked
+        # node is never entered, as if its edges were gone, and reads -1
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 70))
+        g = traversal_graph(rng, n)
+        roots = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
+        blocked = None
+        if rng.random() < 0.7:
+            blocked = rng.random(n) < 0.2
+            blocked[roots] = False
+        assert bfs_distances(g, roots, blocked).tolist() == reference_multi_bfs(g, roots, blocked)
+
+    @pytest.mark.parametrize("n", [_LIST_BFS_MAX, _LIST_BFS_MAX + 1])
+    def test_multi_source_blocked_both_branches(self, n):
+        rng = np.random.default_rng(n)
+        g = shuffled_path(rng, n)
+        roots = rng.choice(n, size=3, replace=False)
+        blocked = rng.random(n) < 0.001
+        blocked[roots] = False
+        assert bfs_distances(g, roots, blocked).tolist() == reference_multi_bfs(g, roots, blocked)
+
+    def test_component_labels_name_the_smallest_node(self):
+        g = SymGraph.from_edges(6, [1, 4, 2], [4, 5, 3])
+        assert component_labels(g).tolist() == [0, 1, 2, 2, 1, 1]
+        mask = np.array([True, True, False, True, False, True])
+        assert component_labels(g, mask).tolist() == [0, 1, -1, 3, -1, 5]
 
     @pytest.mark.parametrize("n", [_LIST_BFS_MAX, _LIST_BFS_MAX + 1])
     def test_both_bfs_branches(self, n):

@@ -49,6 +49,25 @@ def test_two_connected_nodes(engine):
     assert verify_separator(g, res)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_too_small_to_cut(engine, n):
+    # no component of fewer than 3 nodes is cut: all of it goes left
+    g = SymGraph.from_edges(n, [0] if n == 2 else [], [1] if n == 2 else [])
+    res = engine.split(g)
+    assert res.sep.size == res.right.size == 0
+    assert res.left.tolist() == list(range(n))
+    assert all(a.dtype == np.int64 for a in (res.sep, res.left, res.right))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_clique_keeps_its_one_sided_separator(engine, n):
+    # the root's level is the best cut and leaves one component: with the
+    # right side empty the separator is not shrunk away
+    u, v = np.triu_indices(n, 1)
+    res = engine.split(SymGraph.from_edges(n, u, v))
+    assert res.sep.tolist() == [0] and res.left.tolist() == list(range(1, n)) and res.right.size == 0
+
+
 def test_empty_graph(engine):
     res = engine.split(SymGraph.empty(0))
     assert res.sep.size == res.left.size == res.right.size == 0
