@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SymGraph, induced_subgraph
-from .hgd import _EMPTY, HgdTree, Layout
+from .graph import _EMPTY, SymGraph, induced_subgraph
+from .hgd import HgdTree, Layout
 from .ordering import MinDegreeEngine, order_subgraph
 
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
 from .assembler import AssemblyState, assemble
-from .errors import InvalidArgument, InvalidMap, ParthError
+from .errors import InvalidArgument, InvalidMap, StateError
 from .graph import NodeMap, SparsityPattern, SymGraph, build_dual, compress_by_dim
 from .hgd import HgdTree, default_max_level, hgd_build
 from .ordering import MinDegreeEngine
@@ -23,16 +24,17 @@ class ParthConfig:
     theta: float = 0.5
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidArgument(f"dim must be >= 1, got {self.dim}")
-        if self.target_leaf < 1:
-            raise InvalidArgument(f"target_leaf must be >= 1, got {self.target_leaf}")
+        for name in ("dim", "target_leaf"):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+            if value < 1:
+                raise InvalidArgument(f"{name} must be >= 1, got {value}")
+            setattr(self, name, value)
         if not (math.isfinite(self.theta) and 0.0 <= self.theta <= 1.0):
             raise InvalidArgument(f"theta must be a finite number in [0, 1], got {self.theta}")
-
-
-class StateError(ParthError, RuntimeError):
-    """A call arrived before the instance was started."""
 
 
 class Parth:

@@ -33,16 +33,16 @@ class StaleTree(ParthError):
     """Decomposition tree is inconsistent with the graph it is applied to."""
 
 
-class NotPositiveDefinite(ParthError):
-    """Numeric factorization hit a nonpositive pivot."""
-
-
 class InvalidPermutation(ParthError):
     """Array is not a bijection over its index range."""
 
 
 class BallTooSmall(ParthError):
     """Hop-ball does not contain enough nodes for the requested operation."""
+
+
+class StateError(ParthError, RuntimeError):
+    """A call arrived before the instance was started."""
 
 
 class ParseError(ParthError):

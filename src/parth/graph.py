@@ -286,9 +286,6 @@ class SymGraph:
     def neighbors(self, i: int) -> np.ndarray:
         return self.adj[self.adj_starts[i] : self.adj_starts[i + 1]]
 
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.adj_starts)
-
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """All edges as (u, v) arrays with u < v."""
         rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.adj_starts))
@@ -423,15 +420,6 @@ def component_labels(g: SymGraph, mask: np.ndarray | None = None) -> np.ndarray:
     if mask is not None:
         label[~mask] = -1
     return label
-
-
-def connected_components(g: SymGraph, mask: np.ndarray | None = None) -> list[np.ndarray]:
-    """Components as sorted node arrays, ordered by smallest node: one stable argsort of `component_labels`."""
-    label = component_labels(g, mask)
-    nodes = np.flatnonzero(label >= 0)
-    order = nodes[np.argsort(label[nodes], kind="stable")]
-    cuts = np.flatnonzero(np.diff(label[order])) + 1
-    return np.split(order, cuts) if order.size else []
 
 
 def _splice(g: SymGraph, nodes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> SymGraph:

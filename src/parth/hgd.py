@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RegionMismatch, StaleTree
-from .graph import SymGraph, _unique, induced_subgraph
+from .graph import _EMPTY, SymGraph, _unique, induced_subgraph
 from .separator import LevelSetEngine
 
 # Sub-graphs smaller than this are not split but stored whole; splitting
@@ -25,8 +25,6 @@ MIN_SPLIT = 3
 
 # Deepest tree accepted; the tree allocates 2**(MAX_LEVEL + 1) - 1 slots.
 MAX_LEVEL = 16
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def tree_size(max_level: int) -> int:

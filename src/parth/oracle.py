@@ -1,10 +1,8 @@
-"""Ground-truth symbolic and numeric checks for ordering quality.
+"""Exact symbolic analysis for judging ordering quality.
 
 Everything here is deliberately simple and exact at desk scale: the
-elimination tree by path compression, per-column counts by row-subtree
-traversal, and a scalar left-looking sparse Cholesky for end-to-end
-verification. The numeric path exists to verify orderings, not to compete
-with production factorization kernels.
+elimination tree by path compression and per-column counts by row-subtree
+traversal.
 
 The symbolic loops run over Python lists (`tolist()`), one scalar at a time;
 their cost is O(nnz(L)) list operations. On a 2-core x86 host with Python
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidPermutation, NotPositiveDefinite
+from .errors import InvalidPermutation
 from .graph import SparsityPattern, _counts_to_starts
 from .ordering import is_permutation
 
@@ -65,36 +63,23 @@ def _etree(n: int, starts: list[int], cols: list[int]) -> np.ndarray:
     return np.array(parent, dtype=np.int64)
 
 
-def _row_subtree_counts(
-    n: int,
-    starts: list[int],
-    cols: list[int],
-    parent: np.ndarray,
-    collect_rows: bool = False,
-):
-    """Exact per-column factor counts; optionally the factor's row patterns."""
+def _row_subtree_counts(n: int, starts: list[int], cols: list[int], parent: np.ndarray) -> np.ndarray:
+    """Exact per-column factor counts, diagonal included."""
     up = parent.tolist()
     counts = [1] * n  # diagonal entries
     mark = [-1] * n
-    rows = [] if collect_rows else None
     for i in range(n):
         mark[i] = i
-        row = [] if collect_rows else None
         for k in cols[starts[i] : starts[i + 1]]:
             while mark[k] != i:
                 mark[k] = i
                 counts[k] += 1
-                if collect_rows:
-                    row.append(k)
                 k = up[k]
-        if collect_rows:
-            row.sort()
-            rows.append(row)
-    return np.array(counts, dtype=np.int64), rows
+    return np.array(counts, dtype=np.int64)
 
 
 def _setup(pattern: SparsityPattern, perm):
-    """The checked set-up every entry point shares.
+    """The checked set-up of `symbolic_analyze`.
 
     Raises InvalidPermutation, before any cast, unless perm is an integer
     permutation of the pattern's rows. Returns the permutation as int64, its
@@ -111,11 +96,6 @@ def _setup(pattern: SparsityPattern, perm):
     return perm, inv, starts, cols, _etree(n, starts, cols)
 
 
-def elimination_tree(pattern: SparsityPattern, perm: np.ndarray) -> np.ndarray:
-    """Per-column parent array of the permuted pattern's factor; ROOT marks roots."""
-    return _setup(pattern, perm)[4]
-
-
 def symbolic_analyze(pattern: SparsityPattern, perm: np.ndarray) -> FactorStats:
     """Exact factor statistics of the permuted pattern.
 
@@ -123,86 +103,8 @@ def symbolic_analyze(pattern: SparsityPattern, perm: np.ndarray) -> FactorStats:
     nnz(L) including the diagonal and sum(count^2) as a flop proxy.
     """
     _, _, starts, cols, parent = _setup(pattern, perm)
-    counts, _ = _row_subtree_counts(pattern.n_rows, starts, cols, parent)
+    counts = _row_subtree_counts(pattern.n_rows, starts, cols, parent)
     return FactorStats(int(counts.sum()), int(np.sum(counts * counts)))
-
-
-def numeric_cholesky_solve(
-    pattern: SparsityPattern,
-    values: np.ndarray,
-    perm: np.ndarray,
-    b: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Factor P A P^T = L L^T, solve A x = b, and report the relative residual.
-
-    `values` must align entry-for-entry with the pattern (full symmetric
-    storage). Raises NotPositiveDefinite on a nonpositive pivot.
-    """
-    n = pattern.n_rows
-    perm, inv, lower_starts, lower_cols, parent = _setup(pattern, perm)
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (pattern.nnz,):
-        raise InvalidArgument(f"expected {pattern.nnz} values, got {values.shape}")
-    b = np.asarray(b, dtype=np.float64)
-    _, row_patterns = _row_subtree_counts(n, lower_starts, lower_cols, parent, collect_rows=True)
-
-    rows, cols = pattern.to_coo()
-    pr, pc = inv[rows], inv[cols]
-    keep = pr >= pc
-    lr, lc, lv = pr[keep], pc[keep], values[keep]
-    order = np.lexsort((lr, lc))  # column-major lower triangle
-    lr, lc, lv = lr[order], lc[order], lv[order]
-    col_counts = np.bincount(lc, minlength=n)
-    acol_starts = _counts_to_starts(col_counts)
-
-    col_rows: list[list[int]] = [[j] for j in range(n)]
-    for i in range(n):
-        for k in row_patterns[i]:
-            col_rows[k].append(i)
-    col_rows_arr = [np.array(r, dtype=np.int64) for r in col_rows]
-    col_vals: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-
-    scratch = np.zeros(n, dtype=np.float64)
-    for j in range(n):
-        a_slice = slice(acol_starts[j], acol_starts[j + 1])
-        scratch[lr[a_slice]] = lv[a_slice]
-        for k in row_patterns[j]:
-            rk, vk = col_rows_arr[k], col_vals[k]
-            pos = int(np.searchsorted(rk, j))
-            scratch[rk[pos:]] -= vk[pos] * vk[pos:]
-        pivot = scratch[j]
-        if not np.isfinite(pivot) or pivot <= 0.0:
-            raise NotPositiveDefinite(f"nonpositive pivot at column {j}: {pivot!r}")
-        rj = col_rows_arr[j]
-        out = np.empty(rj.size, dtype=np.float64)
-        root = np.sqrt(pivot)
-        out[0] = root
-        out[1:] = scratch[rj[1:]] / root
-        col_vals[j] = out
-        scratch[rj] = 0.0
-
-    # forward then backward substitution, column-oriented
-    y = b[perm].astype(np.float64)
-    for j in range(n):
-        rj, vj = col_rows_arr[j], col_vals[j]
-        y[j] /= vj[0]
-        if rj.size > 1:
-            y[rj[1:]] -= y[j] * vj[1:]
-    z = y
-    for j in range(n - 1, -1, -1):
-        rj, vj = col_rows_arr[j], col_vals[j]
-        acc = z[j]
-        if rj.size > 1:
-            acc -= float(np.dot(vj[1:], z[rj[1:]]))
-        z[j] = acc / vj[0]
-
-    x = np.empty(n, dtype=np.float64)
-    x[perm] = z
-    ax = np.zeros(n, dtype=np.float64)
-    np.add.at(ax, rows, values * x[cols])
-    bnorm = float(np.linalg.norm(b))
-    residual = float(np.linalg.norm(ax - b)) / (bnorm if bnorm > 0 else 1.0)
-    return x, residual
 
 
 def fill_deviation(

@@ -31,16 +31,6 @@ def is_permutation(perm: np.ndarray, n: int) -> bool:
     return bool(np.all(seen))
 
 
-def invert_permutation(perm: np.ndarray) -> np.ndarray:
-    perm = np.asarray(perm)
-    n = perm.size
-    if not is_permutation(perm, n):
-        raise InvalidPermutation("array is not a bijection")
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n, dtype=np.int64)
-    return inv
-
-
 class MinDegreeEngine:
     """Exact minimum-degree elimination; deterministic for a fixed graph.
 

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SymGraph, _index_array, bfs_distances, component_labels, gather_neighbors
-
-_EMPTY = np.empty(0, dtype=np.int64)
+from .graph import _EMPTY, SymGraph, _index_array, bfs_distances, component_labels, gather_neighbors
 
 _SIDE_SEP = 0
 _SIDE_LEFT = 1

@@ -37,11 +37,16 @@ def grid_laplacian(nx: int, ny: int) -> tuple[SparsityPattern, np.ndarray]:
     return sum_duplicates(n, rows, cols, vals)
 
 
-def hop_ball(pattern: SparsityPattern, center: int, radius: int) -> np.ndarray:
-    """Nodes within `radius` hops of center in the pattern's graph."""
+def _hop_distances(pattern: SparsityPattern, center: int) -> np.ndarray:
+    """Hop distances from center in the pattern's graph; IndexOutOfBounds unless center is a row."""
     if not 0 <= center < pattern.n_rows:
         raise IndexOutOfBounds(f"center {center} outside [0, {pattern.n_rows})")
-    dist = bfs_distances(build_dual(pattern), center)
+    return bfs_distances(build_dual(pattern), center)
+
+
+def hop_ball(pattern: SparsityPattern, center: int, radius: int) -> np.ndarray:
+    """Nodes within `radius` hops of center in the pattern's graph."""
+    dist = _hop_distances(pattern, center)
     return np.flatnonzero((dist >= 0) & (dist <= radius))
 
 
@@ -53,7 +58,7 @@ def radius_for_fraction(pattern: SparsityPattern, center: int, fraction: float) 
     if not (math.isfinite(fraction) and 0.0 < fraction <= 1.0):
         raise InvalidArgument(f"fraction must be a finite number in (0, 1], got {fraction}")
     target = max(1, int(fraction * pattern.n_rows))
-    dist = bfs_distances(build_dual(pattern), center)
+    dist = _hop_distances(pattern, center)
     # ball[r] = nodes within r hops; past the eccentricity the ball stops growing
     ball = np.cumsum(np.bincount(dist[dist >= 0]))
     over = np.flatnonzero(ball[1:] > target)

@@ -8,17 +8,17 @@ import numpy as np
 
 from parth import (
     AsymmetricPattern,
-    HgdTree,
     InvalidMap,
     NodeMap,
     ParseError,
-    SeparatorResult,
     SparsityPattern,
     StaleTree,
     SymGraph,
     build_dual,
 )
 from parth.graph import is_structurally_symmetric, sum_duplicates
+from parth.hgd import HgdTree
+from parth.separator import SeparatorResult
 
 
 def n_edges(g: SymGraph) -> int:

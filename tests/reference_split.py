@@ -11,12 +11,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from parth import HgdTree, SeparatorResult, SymGraph, bfs_distances, connected_components, induced_subgraph
-from parth.graph import gather_neighbors
-from parth.hgd import MIN_SPLIT, level_of
+from parth import SymGraph
+from parth.graph import _EMPTY, bfs_distances, component_labels, gather_neighbors, induced_subgraph
+from parth.hgd import MIN_SPLIT, HgdTree, level_of
+from parth.separator import SeparatorResult
 
-_EMPTY = np.empty(0, dtype=np.int64)
 SEP, LEFT, RIGHT = 0, 1, 2
+
+
+def connected_components(g: SymGraph, mask: np.ndarray | None = None) -> list[np.ndarray]:
+    """Components as sorted node arrays, ordered by smallest node: one stable argsort of `component_labels`."""
+    label = component_labels(g, mask)
+    nodes = np.flatnonzero(label >= 0)
+    order = nodes[np.argsort(label[nodes], kind="stable")]
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return np.split(order, cuts) if order.size else []
 
 
 def _pseudo_peripheral(g: SymGraph, comp: np.ndarray) -> int:

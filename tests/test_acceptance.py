@@ -12,24 +12,23 @@ import numpy as np
 import pytest
 
 from parth import (
-    LevelSetEngine,
-    MinDegreeEngine,
     NodeMap,
     Parth,
     ParthConfig,
     build_dual,
-    edge_set_diff,
     fill_deviation,
     grid_laplacian,
     inject_contacts,
     is_permutation,
-    numeric_cholesky_solve,
-    order_subgraph,
     patch_remesh,
     reuse_ratio,
     symbolic_analyze,
-    synchronize,
 )
+from parth.graph import edge_set_diff
+from parth.ordering import MinDegreeEngine, order_subgraph
+from parth.separator import LevelSetEngine
+from parth.synchronizer import synchronize
+from reference_cholesky import numeric_cholesky_solve
 from conftest import (
     NINE_TREE_SETS,
     apply_edge_delta,

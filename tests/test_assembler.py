@@ -1,20 +1,12 @@
 import numpy as np
 import pytest
 
-from parth import (
-    LevelSetEngine,
-    MinDegreeEngine,
-    NodeMap,
-    StaleTree,
-    assemble,
-    build_dual,
-    hgd_build,
-    invert_permutation,
-    is_permutation,
-    post_order_indices,
-    reuse_ratio,
-    synchronize,
-)
+from parth import NodeMap, StaleTree, build_dual, is_permutation, reuse_ratio
+from parth.assembler import assemble
+from parth.hgd import hgd_build, post_order_indices
+from parth.ordering import MinDegreeEngine
+from parth.separator import LevelSetEngine
+from parth.synchronizer import synchronize
 from conftest import NINE_TREE_SETS, nine_node_graphs, random_pattern, tree_from_node_sets
 
 
@@ -47,7 +39,8 @@ class TestAssemble:
         assert reuse_ratio(second, 9) == pytest.approx(6 / 9)
         # the reused tree nodes keep their positions: 3, 4 and 1 come first in
         # post-order, the root comes last
-        pos1, pos2 = invert_permutation(first.graph_perm), invert_permutation(second.graph_perm)
+        assert is_permutation(second.graph_perm, 9)
+        pos1, pos2 = np.argsort(first.graph_perm), np.argsort(second.graph_perm)
         for i in (0, 1, 3, 4):
             nodes = tree.nodes[i].nodes
             assert np.array_equal(pos1[nodes], pos2[nodes])
@@ -99,7 +92,8 @@ class TestAssemble:
         g = build_dual(random_pattern(rng, 120))
         tree = hgd_build(g, 3, sep_eng)
         state = assemble(tree, g, ord_eng, 1)
-        pos = invert_permutation(state.graph_perm)
+        assert is_permutation(state.graph_perm, g.n_nodes)
+        pos = np.argsort(state.graph_perm)
         for tn in tree.nodes:
             if tn.nodes.size:
                 assert np.array_equal(pos[tn.nodes], pos[tn.nodes[0]] + np.arange(tn.nodes.size))
@@ -128,5 +122,5 @@ class TestAssemble:
             tree = hgd_build(g, int(rng.integers(0, 4)), sep_eng)
             state = assemble(tree, g, ord_eng, 1)
             assert is_permutation(state.graph_perm, n)
-            inv = invert_permutation(state.graph_perm)
+            inv = np.argsort(state.graph_perm)
             assert np.array_equal(state.graph_perm[inv], np.arange(n))

@@ -6,6 +6,7 @@ src/ would silently drop spans or counts, so this checks the hooks against
 the live package on a tiny grid.
 """
 
+import ast
 import csv
 import importlib.util
 from pathlib import Path
@@ -17,7 +18,8 @@ import parth.driver
 from parth import Parth, ParthConfig, grid_laplacian, inject_contacts
 from parth.cli import main as parth_main
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +33,44 @@ def spans():
 def test_every_hook_resolves(spans):
     for module, attr, _, _ in spans._MODULE_HOOKS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} is gone"
+
+
+def _dotted(node: ast.AST) -> list[str] | None:
+    """["parth", "driver", "Parth"] for the expression `parth.driver.Parth`; None unless it starts at `parth`."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not (isinstance(node, ast.Name) and node.id == "parth"):
+        return None
+    return ["parth", *reversed(parts)]
+
+
+def _resolves(path: list[str]) -> bool:
+    obj = importlib.import_module(path[0])
+    for i, name in enumerate(path[1:], 1):
+        if not hasattr(obj, name):
+            try:
+                importlib.import_module(".".join(path[: i + 1]))
+            except ImportError:
+                return False
+        obj = getattr(obj, name)
+    return True
+
+
+@pytest.mark.parametrize("script", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_benchmark_names_resolve(script):
+    # every parth name the benchmark imports or reads as an attribute exists
+    missing = []
+    for node in ast.walk(ast.parse(script.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "parth":
+            paths = [[*node.module.split("."), alias.name] for alias in node.names]
+        elif isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names if alias.name.split(".")[0] == "parth"]
+        else:
+            paths = [p] if (p := _dotted(node)) else []
+        missing += [".".join(p) for p in paths if not _resolves(p)]
+    assert not missing, f"{script.name} uses names parth does not have: {missing}"
 
 
 def test_instrumented_installs_and_restores(spans):

@@ -1,7 +1,10 @@
 import time
+import types
 
 import numpy as np
 import pytest
+
+import parth
 
 from parth import (
     InvalidArgument,
@@ -11,6 +14,7 @@ from parth import (
     ParthConfig,
     ParthError,
     SparsityPattern,
+    StateError,
     grid_laplacian,
     inject_contacts,
     is_permutation,
@@ -19,6 +23,36 @@ from parth import (
     step_metrics,
 )
 from conftest import blocks
+
+
+# what `import parth` offers a caller; every stage behind it is imported from its module
+PUBLIC_NAMES = {
+    # engine
+    "Parth", "ParthConfig", "AssemblyState", "DirtyState", "reuse_ratio",
+    # patterns, graphs and maps
+    "SparsityPattern", "SymGraph", "NodeMap", "ABSENT", "build_dual", "compress_by_dim", "is_permutation",
+    # errors
+    "ParthError", "InvalidArgument", "AsymmetricPattern", "IndexOutOfBounds", "DimMismatch", "InvalidMap",
+    "RegionMismatch", "StaleTree", "InvalidPermutation", "BallTooSmall", "ParseError", "StateError",
+    # files
+    "SequenceStep", "read_manifest", "read_matrix_market", "read_node_map",
+    "write_manifest", "write_matrix_market", "write_node_map",
+    # synthetic sequences
+    "grid_laplacian", "hop_ball", "inject_contacts", "patch_remesh", "radius_for_fraction",
+    # metrics and the symbolic oracle
+    "CSV_HEADER", "StepMetrics", "step_metrics", "degradation_monitor",
+    "FactorStats", "symbolic_analyze", "fill_deviation",
+}
+
+
+def test_public_names_are_pinned():
+    exposed = {
+        name
+        for name, value in vars(parth).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exposed == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 43
 
 
 def test_start_then_fixed_point():
@@ -32,8 +66,6 @@ def test_start_then_fixed_point():
 
 
 def test_step_before_start_raises():
-    from parth.driver import StateError
-
     pattern, _ = grid_laplacian(4, 4)
     with pytest.raises(StateError):
         Parth().step(pattern)
@@ -214,11 +246,21 @@ def test_start_after_steps_starts_fresh():
     assert np.array_equal(parth.step(contacts)[1].matrix_perm, fresh.step(contacts)[1].matrix_perm)
 
 
-@pytest.mark.parametrize("kwargs", [{"target_leaf": 0}, {"dim": 0}, {"dim": -2}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"target_leaf": 0}, {"dim": 0}, {"dim": -2}, {"dim": 2.0}, {"dim": "3"}, {"target_leaf": 2.5}],
+)
 def test_config_bounds_checked_at_construction(kwargs):
     with pytest.raises(InvalidArgument) as exc:
         ParthConfig(**kwargs)
     assert isinstance(exc.value, ParthError) and isinstance(exc.value, ValueError)
+
+
+def test_config_takes_numpy_integers():
+    config = ParthConfig(dim=np.int64(2), target_leaf=np.int32(16))
+    assert (config.dim, config.target_leaf) == (2, 16)
+    pattern, _ = grid_laplacian(4, 4)
+    assert is_permutation(Parth(config).start(pattern).matrix_perm, 16)
 
 
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-9, 1.0 + 1e-9, 5.0])

@@ -13,14 +13,17 @@ from parth import (
     NodeMap,
     SparsityPattern,
     SymGraph,
-    bfs_distances,
     build_dual,
     compress_by_dim,
-    connected_components,
+)
+from parth.graph import (
+    _LIST_BFS_MAX,
+    _unique,
+    bfs_distances,
+    component_labels,
     edge_set_diff,
     induced_subgraph,
 )
-from parth.graph import _LIST_BFS_MAX, _unique, component_labels
 from conftest import (
     NINE_EDGES_FIRST,
     edge_pairs,
@@ -413,6 +416,15 @@ def reference_components(g: SymGraph, mask) -> list[list[int]]:
     return sorted(groups.values(), key=lambda c: c[0])
 
 
+def reference_labels(g: SymGraph, mask) -> list[int]:
+    """`reference_components` as `component_labels` names them: each node's smallest component node, -1 outside the mask."""
+    label = [-1] * g.n_nodes
+    for comp in reference_components(g, mask):
+        for x in comp:
+            label[x] = comp[0]
+    return label
+
+
 def reference_multi_bfs(g: SymGraph, roots, blocked) -> list[int]:
     """Per node the least `reference_bfs` distance over the roots, with the blocked nodes' edges removed."""
     shut = np.zeros(g.n_nodes, dtype=bool) if blocked is None else np.asarray(blocked)
@@ -451,7 +463,7 @@ def random_mask(rng: np.random.Generator, n: int):
 
 
 class TestTraversal:
-    """bfs_distances and connected_components against plain-Python references."""
+    """bfs_distances and component_labels against plain-Python references."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10_000))
@@ -469,24 +481,24 @@ class TestTraversal:
         n = int(rng.integers(0, 70))
         g = traversal_graph(rng, n)
         mask = random_mask(rng, n)
-        comps = connected_components(g, mask)
-        assert [c.tolist() for c in comps] == reference_components(g, mask)
-        assert all(c.dtype == np.int64 for c in comps)
+        label = component_labels(g, mask)
+        assert label.tolist() == reference_labels(g, mask)
+        assert label.dtype == np.int64
 
     def test_isolated_nodes(self):
         g = SymGraph.from_edges(6, [1], [4])
         assert bfs_distances(g, 0).tolist() == [0, -1, -1, -1, -1, -1]
-        assert [c.tolist() for c in connected_components(g)] == [[0], [1, 4], [2], [3], [5]]
+        assert component_labels(g).tolist() == [0, 1, 2, 3, 1, 5]
         mask = np.array([True, False, True, False, True, True])
-        assert [c.tolist() for c in connected_components(g, mask)] == [[0], [2], [4], [5]]
+        assert component_labels(g, mask).tolist() == [0, -1, 2, -1, 4, 5]
 
     def test_tiny_graphs(self):
-        assert connected_components(SymGraph.empty(0)) == []
-        assert connected_components(SymGraph.empty(0), np.zeros(0, dtype=bool)) == []
+        assert component_labels(SymGraph.empty(0)).tolist() == []
+        assert component_labels(SymGraph.empty(0), np.zeros(0, dtype=bool)).tolist() == []
         one = SymGraph.empty(1)
         assert bfs_distances(one, 0).tolist() == [0]
-        assert [c.tolist() for c in connected_components(one)] == [[0]]
-        assert connected_components(one, np.array([False])) == []
+        assert component_labels(one).tolist() == [0]
+        assert component_labels(one, np.array([False])).tolist() == [-1]
 
     def test_shuffled_long_path(self):
         # label propagation along a path needs as many rounds as the path is
@@ -494,12 +506,11 @@ class TestTraversal:
         rng = np.random.default_rng(11)
         n = 3000
         g = shuffled_path(rng, n)
-        comps = connected_components(g)
-        assert len(comps) == 1 and comps[0].tolist() == list(range(n))
-        end = int(np.flatnonzero(g.degrees() == 1)[0])
+        assert component_labels(g).tolist() == [0] * n
+        end = int(np.flatnonzero(np.diff(g.adj_starts) == 1)[0])
         assert bfs_distances(g, end).tolist() == reference_bfs(g, end)
         mask = rng.random(n) < 0.9
-        assert [c.tolist() for c in connected_components(g, mask)] == reference_components(g, mask)
+        assert component_labels(g, mask).tolist() == reference_labels(g, mask)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -537,6 +548,6 @@ class TestTraversal:
         # searched with numpy; both run to the far end of a long path
         rng = np.random.default_rng(n)
         g = shuffled_path(rng, n)
-        end = int(np.flatnonzero(g.degrees() == 1)[0])
+        end = int(np.flatnonzero(np.diff(g.adj_starts) == 1)[0])
         dist = bfs_distances(g, end)
         assert dist.tolist() == reference_bfs(g, end) and dist.max() == n - 1

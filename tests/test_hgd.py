@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from parth import (
+from parth import RegionMismatch, StaleTree, SymGraph, build_dual
+from parth.hgd import (
     HgdTree,
-    LevelSetEngine,
-    RegionMismatch,
-    StaleTree,
-    SymGraph,
-    build_dual,
     default_max_level,
     hgd_build,
     hgd_redecompose,
@@ -15,6 +11,7 @@ from parth import (
     lca_of,
     level_of,
 )
+from parth.separator import LevelSetEngine
 from conftest import NINE_TREE_SETS, nine_node_graphs, random_pattern, tree_from_node_sets
 
 

@@ -10,8 +10,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parth import LevelSetEngine, SymGraph, build_dual, grid_laplacian, hgd_build, hgd_redecompose, induced_subgraph
-from parth.graph import _LIST_BFS_MAX
+from parth import SymGraph, build_dual, grid_laplacian
+from parth.graph import _LIST_BFS_MAX, induced_subgraph
+from parth.hgd import hgd_build, hgd_redecompose
+from parth.separator import LevelSetEngine
 from reference_split import reference_build, reference_redecompose, reference_split
 
 ENGINE = LevelSetEngine()

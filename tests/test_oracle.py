@@ -6,17 +6,14 @@ from hypothesis import strategies as st
 import parth.oracle
 
 from parth import (
-    ROOT,
     InvalidArgument,
     InvalidPermutation,
-    NotPositiveDefinite,
     SparsityPattern,
-    elimination_tree,
     fill_deviation,
     grid_laplacian,
-    numeric_cholesky_solve,
     symbolic_analyze,
 )
+from parth.oracle import ROOT, _setup
 from conftest import (
     NON_INTEGER_PERMS,
     arrowhead_pattern,
@@ -25,6 +22,12 @@ from conftest import (
     pattern_from_edges,
     random_pattern,
 )
+from reference_cholesky import NotPositiveDefinite, factor_row_patterns, numeric_cholesky_solve
+
+
+def elimination_tree(pattern, perm):
+    """The elimination tree `symbolic_analyze` walks, from its shared set-up."""
+    return _setup(pattern, perm)[4]
 
 
 def assert_matches_dense(n, edges, perm, diagonal=True):
@@ -127,13 +130,11 @@ class TestSymbolicAnalyze:
             assert stats.nnz_l >= n
 
 
-GRID_3, GRID_3_VALUES = grid_laplacian(3, 3)
+GRID_3, _ = grid_laplacian(3, 3)
 
 # every public entry point that takes a permutation, on the 3x3 grid
 PERM_CALLS = {
-    "elimination_tree": lambda perm: elimination_tree(GRID_3, perm),
     "symbolic_analyze": lambda perm: symbolic_analyze(GRID_3, perm),
-    "numeric_cholesky_solve": lambda perm: numeric_cholesky_solve(GRID_3, GRID_3_VALUES, perm, np.ones(9)),
     "fill_deviation-candidate": lambda perm: fill_deviation(perm, np.arange(9), GRID_3),
     "fill_deviation-baseline": lambda perm: fill_deviation(np.arange(9), perm, GRID_3),
     "fill_deviation-both": lambda perm: fill_deviation(perm, perm, GRID_3),
@@ -178,14 +179,12 @@ class TestNumericCholesky:
             numeric_cholesky_solve(p, np.ones(3), np.arange(2), np.ones(2))
 
     def test_structural_agreement_with_symbolic(self):
-        # nnz of the factor actually produced equals the symbolic count
+        # nnz of the factor the numeric path builds equals the symbolic count
         pattern, values = grid_laplacian(8, 8)
         rng = np.random.default_rng(2)
         perm = rng.permutation(pattern.n_rows)
-        from parth.oracle import _row_subtree_counts, _setup
-
         _, _, starts, cols, parent = _setup(pattern, perm)
-        _, rows = _row_subtree_counts(pattern.n_rows, starts, cols, parent, collect_rows=True)
+        rows = factor_row_patterns(pattern.n_rows, starts, cols, parent)
         produced = pattern.n_rows + sum(len(r) for r in rows)
         assert produced == symbolic_analyze(pattern, perm).nnz_l
 

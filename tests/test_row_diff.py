@@ -25,9 +25,8 @@ from parth import (
     compress_by_dim,
     grid_laplacian,
     inject_contacts,
-    is_structurally_symmetric,
 )
-from parth.graph import changed_rows
+from parth.graph import changed_rows, is_structurally_symmetric
 from conftest import random_pattern, reference_edge_diff
 
 

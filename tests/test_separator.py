@@ -3,11 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parth import (
-    LevelSetEngine,
-    SymGraph,
-    build_dual,
-)
+from parth import SymGraph, build_dual
+from parth.separator import LevelSetEngine
 from conftest import nine_node_graphs, random_pattern, verify_separator
 
 

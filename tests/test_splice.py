@@ -15,22 +15,21 @@ from hypothesis import strategies as st
 import parth.driver
 from parth import (
     BallTooSmall,
-    LevelSetEngine,
-    MinDegreeEngine,
     NodeMap,
     Parth,
     ParthConfig,
     SparsityPattern,
     StaleTree,
-    assemble,
     build_dual,
     grid_laplacian,
-    hgd_build,
     inject_contacts,
     patch_remesh,
-    synchronize,
 )
-from parth.synchronizer import node_change_synchronizer
+from parth.assembler import assemble
+from parth.hgd import hgd_build
+from parth.ordering import MinDegreeEngine
+from parth.separator import LevelSetEngine
+from parth.synchronizer import node_change_synchronizer, synchronize
 from conftest import apply_edge_delta, blocks, has_edge
 
 

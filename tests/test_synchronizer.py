@@ -1,24 +1,22 @@
 import numpy as np
 import pytest
 
-from parth import (
-    InvalidMap,
-    LevelSetEngine,
-    NodeMap,
-    SymGraph,
+from parth import InvalidMap, NodeMap, SymGraph, build_dual, grid_laplacian
+from parth.graph import edge_set_diff
+from parth.hgd import hgd_build
+from parth.separator import LevelSetEngine
+from parth.synchronizer import (
+    ADDED,
+    REMOVED,
+    TreeEdgeChange,
     aggressive_reuse,
-    build_dual,
     dirty_subgraph_detection,
-    edge_set_diff,
     filter_redundant_subgraphs,
-    grid_laplacian,
-    hgd_build,
     map_edges_to_tree,
     mark_and_decompose,
     node_change_synchronizer,
     synchronize,
 )
-from parth.synchronizer import ADDED, REMOVED, TreeEdgeChange
 from conftest import (
     NINE_TREE_SETS,
     apply_edge_delta,

@@ -5,15 +5,14 @@ from parth import (
     BallTooSmall,
     IndexOutOfBounds,
     InvalidArgument,
-    bfs_distances,
     build_dual,
     grid_laplacian,
     hop_ball,
     inject_contacts,
-    is_structurally_symmetric,
     patch_remesh,
     radius_for_fraction,
 )
+from parth.graph import bfs_distances, is_structurally_symmetric
 from conftest import n_edges, pattern_from_edges
 
 
@@ -128,10 +127,19 @@ class TestPatchRemesh:
         [
             (lambda p: hop_ball(p, 16, 1), IndexOutOfBounds, r"center 16 outside \[0, 16\)"),
             (lambda p: hop_ball(p, -1, 1), IndexOutOfBounds, "center -1 outside"),
+            (lambda p: radius_for_fraction(p, 16, 0.1), IndexOutOfBounds, r"center 16 outside \[0, 16\)"),
+            (lambda p: radius_for_fraction(p, -1, 0.1), IndexOutOfBounds, "center -1 outside"),
             (lambda p: patch_remesh(p, 5, -1), BallTooSmall, "empty ball"),
             (lambda p: patch_remesh(p, 5, 6), BallTooSmall, "no boundary"),  # the ball is the grid
         ],
-        ids=["hop_ball_center_high", "hop_ball_center_negative", "negative_radius", "no_boundary"],
+        ids=[
+            "hop_ball_center_high",
+            "hop_ball_center_negative",
+            "radius_for_fraction_center_high",
+            "radius_for_fraction_center_negative",
+            "negative_radius",
+            "no_boundary",
+        ],
     )
     def test_ball_without_room_rejected(self, call, error, message):
         p, _ = grid_laplacian(4, 4)
