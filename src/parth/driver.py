@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .assembler import AssemblyState, assemble
 from .errors import InvalidArgument, InvalidMap, StateError
@@ -33,8 +36,15 @@ class ParthConfig:
             if value < 1:
                 raise InvalidArgument(f"{name} must be >= 1, got {value}")
             setattr(self, name, value)
-        if not (math.isfinite(self.theta) and 0.0 <= self.theta <= 1.0):
-            raise InvalidArgument(f"theta must be a finite number in [0, 1], got {self.theta}")
+        if not isinstance(self.aggressive, (bool, np.bool_)):
+            raise InvalidArgument(f"aggressive must be a bool, got {self.aggressive!r}")
+        self.aggressive = bool(self.aggressive)
+        theta = self.theta
+        # bool is an int to Python; numpy's bool is no numbers.Real
+        if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not (
+            math.isfinite(theta) and 0.0 <= theta <= 1.0
+        ):
+            raise InvalidArgument(f"theta must be a finite number in [0, 1], got {theta!r}")
 
 
 class Parth:

@@ -37,9 +37,17 @@ def _index_array(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def _frozen_index_array(a) -> np.ndarray:
-    """`a` as a read-only int64 array for an object to keep; a writable caller array is copied, not frozen."""
-    out = _index_array(a)
+def _checked_index_array(a, name: str) -> np.ndarray:
+    """`a` as an int64 array; InvalidArgument unless it is 1-D and integer (an empty one may have any dtype)."""
+    arr = np.asarray(a)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise InvalidArgument(f"{name} must be a 1-D integer array, got {arr.dtype} of shape {arr.shape}")
+    return _index_array(arr)
+
+
+def _frozen_index_array(a, name: str) -> np.ndarray:
+    """`a` as a checked, read-only int64 array for an object to keep; a writable caller array is copied, not frozen."""
+    out = _checked_index_array(a, name)
     if out is a and out.flags.writeable:
         out = out.copy()
     out.setflags(write=False)
@@ -155,8 +163,8 @@ class SparsityPattern:
     col_indices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "row_starts", _frozen_index_array(self.row_starts))
-        object.__setattr__(self, "col_indices", _frozen_index_array(self.col_indices))
+        object.__setattr__(self, "row_starts", _frozen_index_array(self.row_starts, "row_starts"))
+        object.__setattr__(self, "col_indices", _frozen_index_array(self.col_indices, "col_indices"))
         _check_csr(self.n_rows, self.row_starts, self.col_indices, "row_starts", "column")
 
     @property
@@ -167,13 +175,11 @@ class SparsityPattern:
         rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_starts))
         return rows, self.col_indices
 
-    def entry_keys(self) -> np.ndarray:
-        rows, cols = self.to_coo()
-        return rows * self.n_rows + cols
-
     @classmethod
     def from_coo(cls, n_rows: int, rows, cols) -> "SparsityPattern":
-        rows, cols = _index_array(rows), _index_array(cols)
+        rows, cols = _checked_index_array(rows, "rows"), _checked_index_array(cols, "cols")
+        if rows.size != cols.size:
+            raise InvalidArgument(f"{rows.size} row indices but {cols.size} column indices")
         if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
             raise IndexOutOfBounds("row index outside [0, n_rows)")
         if cols.size and (cols.min() < 0 or cols.max() >= n_rows):
@@ -236,8 +242,8 @@ def require_symmetric(pattern: SparsityPattern) -> tuple[np.ndarray, np.ndarray]
     return rows, cols
 
 
-def _checked_changes(pattern: SparsityPattern, prev) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Rows where `pattern` differs from the symmetric pattern of `prev`, with their (rows, cols) entries.
+def _checked_changes(pattern: SparsityPattern, prev) -> np.ndarray | None:
+    """Rows, ascending, where `pattern` differs from the symmetric pattern of `prev`.
 
     `pattern` is symmetric exactly when the entries among changed rows are,
     and no changed row changed on another column; else AsymmetricPattern.
@@ -248,8 +254,8 @@ def _checked_changes(pattern: SparsityPattern, prev) -> tuple[np.ndarray, np.nda
         return None
     old = prev[0]
     changed = changed_rows(old.row_starts, old.col_indices, pattern.row_starts, pattern.col_indices)
-    if changed is None:
-        return None
+    if changed is None or changed.size == 0:
+        return changed
     rows, cols = _row_entries(pattern.row_starts, pattern.col_indices, changed)
     old_rows, old_cols = _row_entries(old.row_starts, old.col_indices, changed)
     inside, old_inside = _is_member(changed, cols), _is_member(changed, old_cols)
@@ -259,7 +265,7 @@ def _checked_changes(pattern: SparsityPattern, prev) -> tuple[np.ndarray, np.nda
         and _is_symmetric_coo(rows[inside], cols[inside], pattern.n_rows)
     ):
         raise AsymmetricPattern("pattern is not structurally symmetric")
-    return changed, rows, cols
+    return changed
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +281,8 @@ class SymGraph:
     adj: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "adj_starts", _frozen_index_array(self.adj_starts))
-        object.__setattr__(self, "adj", _frozen_index_array(self.adj))
+        object.__setattr__(self, "adj_starts", _frozen_index_array(self.adj_starts, "adj_starts"))
+        object.__setattr__(self, "adj", _frozen_index_array(self.adj, "adj"))
         rows = _check_csr(self.n_nodes, self.adj_starts, self.adj, "adj_starts", "neighbor")
         if np.any(rows == self.adj):
             raise IndexOutOfBounds("self-loops are not allowed")
@@ -306,26 +312,6 @@ class SymGraph:
         adj_starts.setflags(write=False)
         adj.setflags(write=False)
         return g
-
-    @classmethod
-    def empty(cls, n_nodes: int) -> "SymGraph":
-        return cls(n_nodes, np.zeros(n_nodes + 1, np.int64), _EMPTY)
-
-    @classmethod
-    def from_edges(cls, n_nodes: int, u, v) -> "SymGraph":
-        """Build from an edge list; symmetrizes, deduplicates, drops self-loops."""
-        u, v = _index_array(u), _index_array(v)
-        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n_nodes):
-            raise IndexOutOfBounds("edge endpoint outside [0, n_nodes)")
-        keep = u != v
-        u, v = u[keep], v[keep]
-        # both directions as row-major keys, deduplicated by sorting
-        keys = np.sort(np.concatenate([u * np.int64(n_nodes) + v, v * np.int64(n_nodes) + u]))
-        if keys.size:
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        rows, adj = np.divmod(keys, max(n_nodes, 1))
-        counts = np.bincount(rows, minlength=n_nodes)
-        return cls._trusted(n_nodes, _counts_to_starts(counts), adj)
 
 
 def gather_neighbors(g: SymGraph, nodes: np.ndarray) -> np.ndarray:
@@ -424,8 +410,6 @@ def component_labels(g: SymGraph, mask: np.ndarray | None = None) -> np.ndarray:
 
 def _splice(g: SymGraph, nodes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> SymGraph:
     """g with the neighbour lists of the ascending `nodes` replaced by the row-major (rows, cols), copied segment by segment."""
-    if nodes.size == 0:
-        return g
     begins, ends = np.searchsorted(rows, nodes), np.searchsorted(rows, nodes, side="right")
     counts = np.diff(g.adj_starts)
     counts[nodes] = ends - begins
@@ -439,19 +423,8 @@ def _splice(g: SymGraph, nodes: np.ndarray, rows: np.ndarray, cols: np.ndarray) 
 
 
 def build_dual(pattern: SparsityPattern, prev: tuple[SparsityPattern, SymGraph] | None = None) -> SymGraph:
-    """Undirected graph sharing the pattern's off-diagonal structure.
-
-    `prev`, an earlier symmetric pattern of the same size and its graph,
-    limits the symmetry check and the build to the rows that changed since.
-    """
-    found = _checked_changes(pattern, prev)
-    if found is not None:
-        changed, rows, cols = found
-        off = rows != cols
-        return _splice(prev[1], changed, rows[off], cols[off])
-    rows, cols = require_symmetric(pattern)
-    counts = np.bincount(rows, minlength=pattern.n_rows)
-    return SymGraph._trusted(pattern.n_rows, _counts_to_starts(counts), cols)
+    """Undirected graph sharing the pattern's off-diagonal structure: `compress_by_dim` at one row per node."""
+    return compress_by_dim(pattern, 1, prev)
 
 
 def block_count(n_rows: int, dim: int) -> int:
@@ -464,18 +437,22 @@ def block_count(n_rows: int, dim: int) -> int:
 def compress_by_dim(
     pattern: SparsityPattern, dim: int, prev: tuple[SparsityPattern, SymGraph] | None = None
 ) -> SymGraph:
-    """Merge each run of `dim` consecutive rows into one graph node.
+    """Graph with each run of `dim` consecutive rows merged into one node.
 
     Block b covers rows [b*dim, (b+1)*dim); blocks are adjacent when any
-    nonzero couples them. `prev` acts as in `build_dual`: only the blocks
-    of changed rows are rebuilt.
+    off-diagonal nonzero couples them. `prev`, an earlier symmetric pattern
+    of the same size and its graph, limits the symmetry check and the build
+    to the rows that changed since and their blocks; with no changed row it
+    returns `prev`'s graph itself.
     """
     n_blocks = block_count(pattern.n_rows, dim)
-    found = _checked_changes(pattern, prev)
-    if found is None:
+    changed = _checked_changes(pattern, prev)
+    if changed is None:
         rb, cb = _block_pairs(*require_symmetric(pattern), dim, n_blocks)
         return SymGraph._trusted(n_blocks, _counts_to_starts(np.bincount(rb, minlength=n_blocks)), cb)
-    blocks = _unique(found[0] // dim)
+    if changed.size == 0:
+        return prev[1]
+    blocks = _unique(changed // dim)
     # every row of a changed block, for the block's whole neighbour list
     rows = (blocks[:, None] * dim + np.arange(dim)).ravel()
     rb, cb = _block_pairs(*_row_entries(pattern.row_starts, pattern.col_indices, rows), dim, n_blocks)
@@ -527,7 +504,7 @@ class NodeMap:
     is_identity: bool = field(init=False)
 
     def __post_init__(self):
-        e, n_old = _frozen_index_array(self.entries), int(self.n_old)
+        e, n_old = _frozen_index_array(self.entries, "entries"), int(self.n_old)
         is_identity = e.size == n_old and np.array_equal(e, np.arange(n_old))
         if is_identity:
             o2n = e

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import BallTooSmall, IndexOutOfBounds, InvalidArgument
-from .graph import NodeMap, SparsityPattern, _unique, bfs_distances, build_dual, sum_duplicates
+from .graph import NodeMap, SparsityPattern, _is_member, _row_entries, bfs_distances, build_dual, sum_duplicates
 
 # a remeshed ball grows at most this many times; far beyond any refinement
 # a remesher produces, and it keeps a mistyped factor from allocating gigabytes
@@ -46,7 +46,10 @@ def _hop_distances(pattern: SparsityPattern, center: int) -> np.ndarray:
 
 def hop_ball(pattern: SparsityPattern, center: int, radius: int) -> np.ndarray:
     """Nodes within `radius` hops of center in the pattern's graph."""
-    dist = _hop_distances(pattern, center)
+    return _ball(_hop_distances(pattern, center), radius)
+
+
+def _ball(dist: np.ndarray, radius: int) -> np.ndarray:
     return np.flatnonzero((dist >= 0) & (dist <= radius))
 
 
@@ -78,9 +81,10 @@ def inject_contacts(
         raise BallTooSmall(f"ball around {center} has {ball.size} node(s); need at least 2")
     ai, bi = np.triu_indices(ball.size, k=1)
     cu, cv = ball[ai], ball[bi]
-    existing = pattern.entry_keys()
-    keys = cu * np.int64(pattern.n_rows) + cv
-    fresh = ~np.isin(keys, existing)
+    # both ends of a candidate are in the ball, so only the ball's rows can hold it
+    n = np.int64(pattern.n_rows)
+    rows, cols = _row_entries(pattern.row_starts, pattern.col_indices, ball)
+    fresh = ~_is_member(rows * n + cols, cu * n + cv)
     cu, cv = cu[fresh], cv[fresh]
     if cu.size == 0:
         return pattern
@@ -105,17 +109,15 @@ def patch_remesh(
     if not (math.isfinite(densify) and 0.0 < densify <= MAX_DENSIFY):
         raise InvalidArgument(f"densify must be a finite number in (0, {MAX_DENSIFY}], got {densify}")
     n = pattern.n_rows
-    ball = hop_ball(pattern, center, radius)
+    dist = _hop_distances(pattern, center)
+    ball = _ball(dist, radius)
     if ball.size == 0:
         raise BallTooSmall("empty ball")
-    g = build_dual(pattern)
     in_ball = np.zeros(n, dtype=bool)
     in_ball[ball] = True
     survivors = np.flatnonzero(~in_ball)
-    boundary_old = _unique(
-        np.concatenate([g.neighbors(int(b)) for b in ball] or [np.empty(0, np.int64)])
-    )
-    boundary_old = boundary_old[~in_ball[boundary_old]]
+    # the ball's neighbours outside it are exactly the nodes one hop further out
+    boundary_old = np.flatnonzero((dist > radius) & (dist <= radius + 1))
     if boundary_old.size == 0:
         raise BallTooSmall("ball has no boundary to reattach new nodes to")
 

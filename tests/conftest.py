@@ -88,6 +88,15 @@ def verify_separator(g: SymGraph, result: SeparatorResult) -> bool:
     return not bool(np.any(side[u] * side[v] == 2))  # one end left, the other right
 
 
+def graph_from_edges(n: int, u, v) -> SymGraph:
+    """Graph of the pattern with entries (u, v) and (v, u), built by the library's own ingest.
+
+    Repeated edges merge; self-loops are diagonal entries, which the graph leaves out.
+    """
+    u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
+    return build_dual(SparsityPattern.from_coo(n, np.concatenate([u, v]), np.concatenate([v, u])))
+
+
 def pattern_from_edges(n: int, edges, diagonal: bool = True) -> SparsityPattern:
     """Symmetric pattern from an undirected edge list."""
     eu = [e[0] for e in edges]

@@ -7,7 +7,7 @@ from parth.hgd import hgd_build, post_order_indices
 from parth.ordering import MinDegreeEngine
 from parth.separator import LevelSetEngine
 from parth.synchronizer import synchronize
-from conftest import NINE_TREE_SETS, nine_node_graphs, random_pattern, tree_from_node_sets
+from conftest import NINE_TREE_SETS, graph_from_edges, nine_node_graphs, random_pattern, tree_from_node_sets
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +54,8 @@ class TestAssemble:
 
     def test_block_expansion(self, engines):
         _, ord_eng = engines
-        from parth import SymGraph
-
         tree = tree_from_node_sets(0, [[0]])
-        state = assemble(tree, SymGraph.empty(1), ord_eng, dim=3)
+        state = assemble(tree, graph_from_edges(1, [], []), ord_eng, dim=3)
         assert state.graph_perm.tolist() == [0]
         assert state.matrix_perm.tolist() == [0, 1, 2]
 

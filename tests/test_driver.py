@@ -248,7 +248,11 @@ def test_start_after_steps_starts_fresh():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"target_leaf": 0}, {"dim": 0}, {"dim": -2}, {"dim": 2.0}, {"dim": "3"}, {"target_leaf": 2.5}],
+    [
+        {"target_leaf": 0}, {"dim": 0}, {"dim": -2}, {"dim": 2.0}, {"dim": "3"}, {"target_leaf": 2.5},
+        {"theta": "0.5"}, {"theta": None}, {"theta": True}, {"theta": np.True_},
+        {"aggressive": "no"}, {"aggressive": 1}, {"aggressive": None},
+    ],
 )
 def test_config_bounds_checked_at_construction(kwargs):
     with pytest.raises(InvalidArgument) as exc:
@@ -261,6 +265,11 @@ def test_config_takes_numpy_integers():
     assert (config.dim, config.target_leaf) == (2, 16)
     pattern, _ = grid_laplacian(4, 4)
     assert is_permutation(Parth(config).start(pattern).matrix_perm, 16)
+
+
+def test_config_takes_numpy_bool_and_float():
+    config = ParthConfig(aggressive=np.bool_(True), theta=np.float32(0.25))
+    assert config.aggressive is True and config.theta == 0.25
 
 
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-9, 1.0 + 1e-9, 5.0])

@@ -9,6 +9,7 @@ from parth import (
     AsymmetricPattern,
     DimMismatch,
     IndexOutOfBounds,
+    InvalidArgument,
     InvalidMap,
     NodeMap,
     SparsityPattern,
@@ -27,6 +28,7 @@ from parth.graph import (
 from conftest import (
     NINE_EDGES_FIRST,
     edge_pairs,
+    graph_from_edges,
     has_edge,
     n_edges,
     nine_node_graphs,
@@ -105,8 +107,8 @@ class TestCompressByDim:
 
 class TestEdgeSetDiff:
     def test_simple_delta(self):
-        g_old = SymGraph.from_edges(3, [0, 1], [1, 2])
-        g_new = SymGraph.from_edges(3, [0, 0], [1, 2])
+        g_old = graph_from_edges(3, [0, 1], [1, 2])
+        g_new = graph_from_edges(3, [0, 0], [1, 2])
         added, removed = edge_set_diff(g_old, g_new, NodeMap.identity(3))
         assert added.tolist() == [[0, 2]]
         assert removed.tolist() == [[1, 2]]
@@ -124,15 +126,15 @@ class TestEdgeSetDiff:
 
     def test_removed_node_edges_excluded(self):
         # old: path 0-1-2; node 1 removed; new graph = two isolated nodes
-        g_old = SymGraph.from_edges(3, [0, 1], [1, 2])
-        g_new = SymGraph.empty(2)
+        g_old = graph_from_edges(3, [0, 1], [1, 2])
+        g_new = graph_from_edges(2, [], [])
         node_map = NodeMap(np.array([0, 2]), 3)
         added, removed = edge_set_diff(g_old, g_new, node_map)
         assert added.size == 0 and removed.size == 0
 
     def test_added_node_edges_all_added(self):
-        g_old = SymGraph.from_edges(2, [0], [1])
-        g_new = SymGraph.from_edges(3, [0, 0, 1], [1, 2, 2])
+        g_old = graph_from_edges(2, [0], [1])
+        g_new = graph_from_edges(3, [0, 0, 1], [1, 2, 2])
         node_map = NodeMap(np.array([0, 1, -1]), 2)
         added, removed = edge_set_diff(g_old, g_new, node_map)
         assert {tuple(e) for e in added.tolist()} == {(0, 2), (1, 2)}
@@ -163,7 +165,7 @@ class TestEdgeSetDiff:
 
 def random_graph(rng: np.random.Generator, n: int) -> SymGraph:
     m = int(rng.integers(0, 3 * n + 1)) if n else 0
-    return SymGraph.from_edges(n, rng.integers(0, max(n, 1), m), rng.integers(0, max(n, 1), m))
+    return graph_from_edges(n, rng.integers(0, max(n, 1), m), rng.integers(0, max(n, 1), m))
 
 
 def random_node_map(rng: np.random.Generator, n_old: int) -> np.ndarray:
@@ -193,12 +195,12 @@ def perturbed_graph(rng: np.random.Generator, g_old: SymGraph, entries: np.ndarr
         extra = int(rng.integers(0, n_new + 1))
         u += rng.integers(0, n_new, extra).tolist()
         v += rng.integers(0, n_new, extra).tolist()
-    return SymGraph.from_edges(n_new, u, v)
+    return graph_from_edges(n_new, u, v)
 
 
 class TestInducedSubgraph:
     def test_path_endpoints(self):
-        g = SymGraph.from_edges(3, [0, 1], [1, 2])
+        g = graph_from_edges(3, [0, 1], [1, 2])
         sub, back = induced_subgraph(g, [0, 2])
         assert sub.n_nodes == 2 and n_edges(sub) == 0
         assert back.tolist() == [0, 2]
@@ -210,12 +212,12 @@ class TestInducedSubgraph:
         assert back.tolist() == list(range(9))
 
     def test_triangle_pair(self):
-        g = SymGraph.from_edges(3, [0, 0, 1], [1, 2, 2])
+        g = graph_from_edges(3, [0, 0, 1], [1, 2, 2])
         sub, back = induced_subgraph(g, [0, 1])
         assert n_edges(sub) == 1 and back.tolist() == [0, 1]
 
     def test_out_of_bounds(self):
-        g = SymGraph.empty(3)
+        g = graph_from_edges(3, [], [])
         with pytest.raises(IndexOutOfBounds):
             induced_subgraph(g, [5])
 
@@ -241,7 +243,7 @@ class TestUnique:
         assert got is a and inverse.tolist() == [0, 1, 2, 3]
 
     def test_induced_subgraph_keeps_no_reference_to_sorted_nodes(self):
-        g = SymGraph.from_edges(4, [0, 1, 2], [1, 2, 3])
+        g = graph_from_edges(4, [0, 1, 2], [1, 2, 3])
         nodes = np.array([1, 2, 3], dtype=np.int64)
         sub, sel = induced_subgraph(g, nodes)
         nodes[:] = 0
@@ -271,13 +273,44 @@ class TestConstructorChecks:
             (lambda: SparsityPattern(2, [0, 2, 2], [1, 0]), "strictly increasing"),
             (lambda: SparsityPattern.from_coo(3, [3], [0]), "row index outside"),
             (lambda: SymGraph(2, [0, 1, 1], [0]), "self-loops"),
-            (lambda: SymGraph.from_edges(3, [0], [3]), "edge endpoint outside"),
         ],
-        ids=["offsets_length", "column_range", "unsorted_row", "coo_row_range", "self_loop", "edge_endpoint"],
+        ids=["offsets_length", "column_range", "unsorted_row", "coo_row_range", "self_loop"],
     )
     def test_malformed_input_rejected(self, build, message):
         with pytest.raises(IndexOutOfBounds, match=message):
             build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SparsityPattern(2, [0, 1, 2], [0.9, 1.7]),
+            lambda: SparsityPattern(2, [0.0, 1.0, 2.0], [0, 1]),
+            lambda: SparsityPattern(2, [0, 1, 2], [[0], [1]]),
+            lambda: SparsityPattern(2, [0, 1, 2], ["0", "1"]),
+            lambda: SparsityPattern(2, [0, 1, 2], [False, True]),
+            lambda: SparsityPattern.from_coo(3, [0, 1, 2], [0]),
+            lambda: SparsityPattern.from_coo(3, [0, 1], [0, 1, 2]),
+            lambda: SparsityPattern.from_coo(3, [0.5], [1]),
+            lambda: SparsityPattern.from_coo(3, [[0, 1]], [[1, 0]]),
+            lambda: SymGraph(2, [0, 1, 2], [1.0, 0.0]),
+            lambda: NodeMap([0.5, 1.0], 2),
+            lambda: NodeMap(np.zeros((2, 1), np.int64), 2),
+        ],
+        ids=[
+            "float_columns", "float_offsets", "2d_columns", "string_columns", "bool_columns",
+            "coo_one_column", "coo_one_row_short", "coo_float_rows", "coo_2d",
+            "float_neighbors", "float_map", "2d_map",
+        ],
+    )
+    def test_non_index_arrays_rejected(self, build):
+        with pytest.raises(InvalidArgument, match="1-D integer array|row indices but"):
+            build()
+
+    def test_empty_arrays_of_any_dtype_accepted(self):
+        assert SparsityPattern(0, [0], []).nnz == 0
+        assert SymGraph(2, [0, 0, 0], np.empty(0)).n_nodes == 2
+        assert SparsityPattern.from_coo(2, [], []).nnz == 0
+        assert NodeMap([], 0).n_new == 0
 
 
 class TestCallerArrays:
@@ -355,7 +388,7 @@ class TestTrustedGraphs:
         n = int(rng.integers(0, 40))
         m = int(rng.integers(0, 4 * n + 1)) if n else 0
         u, v = rng.integers(0, max(n, 1), m), rng.integers(0, max(n, 1), m)
-        g = SymGraph.from_edges(n, u, v)
+        g = graph_from_edges(n, u, v)
         self.assert_valid(g)
         assert edge_pairs(g) == {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist()) if a != b}
 
@@ -430,7 +463,7 @@ def reference_multi_bfs(g: SymGraph, roots, blocked) -> list[int]:
     shut = np.zeros(g.n_nodes, dtype=bool) if blocked is None else np.asarray(blocked)
     u, v = g.edges()
     open_edges = ~(shut[u] | shut[v])
-    cut = SymGraph.from_edges(g.n_nodes, u[open_edges], v[open_edges])
+    cut = graph_from_edges(g.n_nodes, u[open_edges], v[open_edges])
     out = [-1] * g.n_nodes
     for root in np.asarray(roots).tolist():
         for x, d in enumerate(reference_bfs(cut, root)):
@@ -442,7 +475,7 @@ def reference_multi_bfs(g: SymGraph, roots, blocked) -> list[int]:
 def shuffled_path(rng: np.random.Generator, n: int) -> SymGraph:
     """A path visiting the nodes in random order: n-1 hops, labels far apart."""
     order = rng.permutation(n)
-    return SymGraph.from_edges(n, order[:-1], order[1:])
+    return graph_from_edges(n, order[:-1], order[1:])
 
 
 def traversal_graph(rng: np.random.Generator, n: int) -> SymGraph:
@@ -453,9 +486,9 @@ def traversal_graph(rng: np.random.Generator, n: int) -> SymGraph:
         extra = int(rng.integers(0, 3))
         u = np.concatenate([u, rng.integers(0, n, extra)])
         v = np.concatenate([v, rng.integers(0, n, extra)])
-        return SymGraph.from_edges(n, u, v)
+        return graph_from_edges(n, u, v)
     m = int(rng.integers(0, 2 * n + 1)) if n else 0
-    return SymGraph.from_edges(n, rng.integers(0, max(n, 1), m), rng.integers(0, max(n, 1), m))
+    return graph_from_edges(n, rng.integers(0, max(n, 1), m), rng.integers(0, max(n, 1), m))
 
 
 def random_mask(rng: np.random.Generator, n: int):
@@ -486,16 +519,16 @@ class TestTraversal:
         assert label.dtype == np.int64
 
     def test_isolated_nodes(self):
-        g = SymGraph.from_edges(6, [1], [4])
+        g = graph_from_edges(6, [1], [4])
         assert bfs_distances(g, 0).tolist() == [0, -1, -1, -1, -1, -1]
         assert component_labels(g).tolist() == [0, 1, 2, 3, 1, 5]
         mask = np.array([True, False, True, False, True, True])
         assert component_labels(g, mask).tolist() == [0, -1, 2, -1, 4, 5]
 
     def test_tiny_graphs(self):
-        assert component_labels(SymGraph.empty(0)).tolist() == []
-        assert component_labels(SymGraph.empty(0), np.zeros(0, dtype=bool)).tolist() == []
-        one = SymGraph.empty(1)
+        assert component_labels(graph_from_edges(0, [], [])).tolist() == []
+        assert component_labels(graph_from_edges(0, [], []), np.zeros(0, dtype=bool)).tolist() == []
+        one = graph_from_edges(1, [], [])
         assert bfs_distances(one, 0).tolist() == [0]
         assert component_labels(one).tolist() == [0]
         assert component_labels(one, np.array([False])).tolist() == [-1]
@@ -537,7 +570,7 @@ class TestTraversal:
         assert bfs_distances(g, roots, blocked).tolist() == reference_multi_bfs(g, roots, blocked)
 
     def test_component_labels_name_the_smallest_node(self):
-        g = SymGraph.from_edges(6, [1, 4, 2], [4, 5, 3])
+        g = graph_from_edges(6, [1, 4, 2], [4, 5, 3])
         assert component_labels(g).tolist() == [0, 1, 2, 2, 1, 1]
         mask = np.array([True, True, False, True, False, True])
         assert component_labels(g, mask).tolist() == [0, 1, -1, 3, -1, 5]

@@ -12,7 +12,7 @@ from parth.hgd import (
     level_of,
 )
 from parth.separator import LevelSetEngine
-from conftest import NINE_TREE_SETS, nine_node_graphs, random_pattern, tree_from_node_sets
+from conftest import NINE_TREE_SETS, graph_from_edges, nine_node_graphs, random_pattern, tree_from_node_sets
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ class TestBuild:
         assert_invariants(tree, g)
 
     def test_path_of_three(self, engine):
-        g = SymGraph.from_edges(3, [0, 1], [1, 2])
+        g = graph_from_edges(3, [0, 1], [1, 2])
         tree = hgd_build(g, 1, engine)
         assert tree.nodes[0].nodes.tolist() == [1]
         children = {tuple(tree.nodes[1].nodes.tolist()), tuple(tree.nodes[2].nodes.tolist())}
@@ -135,7 +135,7 @@ class TestRedecompose:
     def test_small_region_below_internal_slot_empties_deeper_slots(self, engine):
         # subtree 2 holds {2} at slot 2 and {3} at slot 5; two nodes are under
         # MIN_SPLIT, so the rebuild stores both at slot 2 and slot 5 must not keep 3
-        g = SymGraph.from_edges(4, [0, 0, 2], [1, 2, 3])
+        g = graph_from_edges(4, [0, 0, 2], [1, 2, 3])
         tree = tree_from_node_sets(2, [[0], [1], [2], [], [], [3], []], g=g)
         hgd_redecompose(tree, 2, g, np.array([2, 3]), engine)
         assert tree.nodes[2].nodes.tolist() == [2, 3]
@@ -182,7 +182,7 @@ class TestFromNodeSets:
             tree_from_node_sets(1, [[0, 1], [1], [2]])
 
     def test_validates_separators(self):
-        g = SymGraph.from_edges(3, [0], [2])  # edge between the two leaves
+        g = graph_from_edges(3, [0], [2])  # edge between the two leaves
         with pytest.raises(StaleTree):
             tree_from_node_sets(1, [[1], [0], [2]], g=g)
 

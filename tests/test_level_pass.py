@@ -14,6 +14,7 @@ from parth import SymGraph, build_dual, grid_laplacian
 from parth.graph import _LIST_BFS_MAX, induced_subgraph
 from parth.hgd import hgd_build, hgd_redecompose
 from parth.separator import LevelSetEngine
+from conftest import graph_from_edges
 from reference_split import reference_build, reference_redecompose, reference_split
 
 ENGINE = LevelSetEngine()
@@ -23,18 +24,18 @@ def random_graph(rng: np.random.Generator, n: int) -> SymGraph:
     """Sparse random edges (isolated nodes likely), or a few disjoint dense-ish blocks, or a path with chords."""
     kind = rng.integers(3)
     if n == 0:
-        return SymGraph.empty(0)
+        return graph_from_edges(0, [], [])
     if kind == 0:
         m = int(rng.integers(0, 2 * n + 1))
-        return SymGraph.from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m))
+        return graph_from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m))
     if kind == 1:
         block = rng.integers(0, max(1, n // 8) + 1, n)  # disconnected: no edge leaves a block
         u, v = rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
         keep = block[u] == block[v]
-        return SymGraph.from_edges(n, u[keep], v[keep])
+        return graph_from_edges(n, u[keep], v[keep])
     order = rng.permutation(n)
     extra = int(rng.integers(0, n // 4 + 1))
-    return SymGraph.from_edges(
+    return graph_from_edges(
         n,
         np.concatenate([order[:-1], rng.integers(0, n, extra)]),
         np.concatenate([order[1:], rng.integers(0, n, extra)]),
@@ -68,7 +69,7 @@ def test_redecompose_matches_reference(n, max_level, seed):
     if region.size:
         u, v = g.edges()
         extra = rng.choice(region, size=(2, int(rng.integers(0, region.size + 1))))
-        g = SymGraph.from_edges(n, np.concatenate([u, extra[0]]), np.concatenate([v, extra[1]]))
+        g = graph_from_edges(n, np.concatenate([u, extra[0]]), np.concatenate([v, extra[1]]))
     hgd_redecompose(got, root, g, region, ENGINE)
     reference_redecompose(want, root, g, region)
     assert_same_tree(got, want)
@@ -80,7 +81,7 @@ def grouped_graph(rng: np.random.Generator, n: int) -> tuple[SymGraph, np.ndarra
     g = random_graph(rng, n)
     u, v = g.edges()
     keep = (group[u] == group[v]) | (group[u] < 0) | (group[v] < 0)
-    return SymGraph.from_edges(n, u[keep], v[keep]), group
+    return graph_from_edges(n, u[keep], v[keep]), group
 
 
 @settings(max_examples=120, deadline=None)
@@ -102,7 +103,7 @@ def test_grouped_split_is_the_per_group_split(n, seed):
 def test_shrink_only_where_both_sides_filled():
     # group 0 is a triangle (one side stays empty, its separator is kept),
     # group 1 a path; node 8, in no group, touches both
-    g = SymGraph.from_edges(9, [0, 0, 1, 3, 4, 5, 6, 8, 8], [1, 2, 2, 4, 5, 6, 7, 0, 3])
+    g = graph_from_edges(9, [0, 0, 1, 3, 4, 5, 6, 8, 8], [1, 2, 2, 4, 5, 6, 7, 0, 3])
     res = ENGINE.split(g, np.array([0, 0, 0, 1, 1, 1, 1, 1, -1]))
     assert res.sep.tolist() == [0, 5]
     assert res.left.tolist() == [1, 2, 3, 4] and res.right.tolist() == [6, 7]
@@ -127,5 +128,5 @@ def test_numpy_search_levels_match_reference():
     u, v = g.edges()
     keep = rng.random(u.size) > 0.05
     extra = rng.integers(0, g.n_nodes, (2, 40))
-    g = SymGraph.from_edges(g.n_nodes, np.concatenate([u[keep], extra[0]]), np.concatenate([v[keep], extra[1]]))
+    g = graph_from_edges(g.n_nodes, np.concatenate([u[keep], extra[0]]), np.concatenate([v[keep], extra[1]]))
     assert_same_tree(hgd_build(g, 6, ENGINE), reference_build(g, 6))

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parth import SymGraph, build_dual
+from parth import build_dual
 from parth.separator import LevelSetEngine
-from conftest import nine_node_graphs, random_pattern, verify_separator
+from conftest import graph_from_edges, nine_node_graphs, random_pattern, verify_separator
 
 
 @pytest.fixture(scope="module")
@@ -14,14 +14,14 @@ def engine():
 
 
 def test_path_of_three(engine):
-    g = SymGraph.from_edges(3, [0, 1], [1, 2])
+    g = graph_from_edges(3, [0, 1], [1, 2])
     res = engine.split(g)
     assert res.sep.tolist() == [1]
     assert {tuple(res.left.tolist()), tuple(res.right.tolist())} == {(0,), (2,)}
 
 
 def test_edgeless_four(engine):
-    g = SymGraph.empty(4)
+    g = graph_from_edges(4, [], [])
     res = engine.split(g)
     assert res.sep.size == 0
     assert res.left.size == 2 and res.right.size == 2
@@ -40,7 +40,7 @@ def test_nine_node_graph_quality(engine):
 
 def test_two_connected_nodes(engine):
     # an edge cannot be split without a separator; both nodes land on one side
-    g = SymGraph.from_edges(2, [0], [1])
+    g = graph_from_edges(2, [0], [1])
     res = engine.split(g)
     assert res.sep.size == 0
     assert verify_separator(g, res)
@@ -49,7 +49,7 @@ def test_two_connected_nodes(engine):
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_too_small_to_cut(engine, n):
     # no component of fewer than 3 nodes is cut: all of it goes left
-    g = SymGraph.from_edges(n, [0] if n == 2 else [], [1] if n == 2 else [])
+    g = graph_from_edges(n, [0] if n == 2 else [], [1] if n == 2 else [])
     res = engine.split(g)
     assert res.sep.size == res.right.size == 0
     assert res.left.tolist() == list(range(n))
@@ -61,12 +61,12 @@ def test_clique_keeps_its_one_sided_separator(engine, n):
     # the root's level is the best cut and leaves one component: with the
     # right side empty the separator is not shrunk away
     u, v = np.triu_indices(n, 1)
-    res = engine.split(SymGraph.from_edges(n, u, v))
+    res = engine.split(graph_from_edges(n, u, v))
     assert res.sep.tolist() == [0] and res.left.tolist() == list(range(1, n)) and res.right.size == 0
 
 
 def test_empty_graph(engine):
-    res = engine.split(SymGraph.empty(0))
+    res = engine.split(graph_from_edges(0, [], []))
     assert res.sep.size == res.left.size == res.right.size == 0
 
 

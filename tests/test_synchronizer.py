@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parth import InvalidMap, NodeMap, SymGraph, build_dual, grid_laplacian
+from parth import InvalidMap, NodeMap, build_dual, grid_laplacian
 from parth.graph import edge_set_diff
 from parth.hgd import hgd_build
 from parth.separator import LevelSetEngine
@@ -20,6 +20,7 @@ from parth.synchronizer import (
 from conftest import (
     NINE_TREE_SETS,
     apply_edge_delta,
+    graph_from_edges,
     has_edge,
     nine_node_graphs,
     random_pattern,
@@ -58,7 +59,7 @@ class TestNodeChangeSynchronizer:
         entries = np.empty(9, dtype=np.int64)
         entries[new_of_old] = np.arange(9)
         rows, cols = g1.edges()
-        g_new = SymGraph.from_edges(9, new_of_old[rows], new_of_old[cols])
+        g_new = graph_from_edges(9, new_of_old[rows], new_of_old[cols])
         assert node_change_synchronizer(tree, NodeMap(entries, 9), g_new) == set()
         for tn, arr in zip(tree.nodes, before):
             assert np.array_equal(tn.nodes, new_of_old[arr])
@@ -69,7 +70,7 @@ class TestNodeChangeSynchronizer:
         tree = nine_tree(g1)
         # drop graph node 5 (lives in tree leaf 3); survivors keep their order
         entries = [0, 1, 2, 3, 4, 6, 7, 8]
-        g_new = SymGraph.from_edges(8, [0, 1], [1, 4])  # edges irrelevant here
+        g_new = graph_from_edges(8, [0, 1], [1, 4])  # edges irrelevant here
         touched = node_change_synchronizer(tree, NodeMap(np.array(entries), 9), g_new)
         assert touched == {3}
         assert tree.nodes[3].nodes.size == 0
@@ -82,7 +83,7 @@ class TestNodeChangeSynchronizer:
         u = [e[0] for e in g1.edges()[0:1]]  # placeholder, rebuilt below
         eu, ev = g1.edges()
         eu, ev = list(eu) + [5], list(ev) + [9]
-        g_new = SymGraph.from_edges(10, eu, ev)
+        g_new = graph_from_edges(10, eu, ev)
         entries = list(range(9)) + [-1]
         touched = node_change_synchronizer(tree, NodeMap(np.array(entries), 9), g_new)
         assert touched == {3}
@@ -93,7 +94,7 @@ class TestNodeChangeSynchronizer:
         g1, _ = nine_node_graphs()
         tree = nine_tree(g1)
         eu, ev = g1.edges()
-        g_new = SymGraph.from_edges(10, eu, ev)
+        g_new = graph_from_edges(10, eu, ev)
         touched = node_change_synchronizer(tree, NodeMap(np.array(list(range(9)) + [-1]), 9), g_new)
         assert touched == {0}
         assert 9 in tree.nodes[0].nodes.tolist()
@@ -211,12 +212,12 @@ class TestMarkAndDecompose:
 class TestAggressiveReuse:
     def test_cross_root_edge_moved(self, engine):
         # two-level tree over a 12-node path; add an edge between opposite halves
-        g = SymGraph.from_edges(12, list(range(11)), list(range(1, 12)))
+        g = graph_from_edges(12, list(range(11)), list(range(1, 12)))
         tree = hgd_build(g, 2, engine)
         u = int(tree.subtree_union(1)[0])
         v = int(tree.subtree_union(2)[0])
         eu, ev = g.edges()
-        g_new = SymGraph.from_edges(12, list(eu) + [u], list(ev) + [v])
+        g_new = graph_from_edges(12, list(eu) + [u], list(ev) + [v])
         changes, _ = map_edges_to_tree(
             tree, np.array([[min(u, v), max(u, v)]]), np.empty((0, 2), np.int64)
         )
