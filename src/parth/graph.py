@@ -75,13 +75,19 @@ def _unique(a: np.ndarray, return_inverse: bool = False):
         s = a[order]
     else:
         s = np.sort(a)
-    first = np.ones(s.size, dtype=bool)
-    first[1:] = s[1:] != s[:-1]
+    first = _run_heads(s)
     if not return_inverse:
         return s[first]
     inverse = np.empty(a.size, dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
     return s[first], inverse
+
+
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """True where an entry differs from the one before it, and at the first."""
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return first
 
 
 def _gather_slices(data: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -314,13 +320,6 @@ class SymGraph:
         return g
 
 
-def gather_neighbors(g: SymGraph, nodes: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of the given nodes (duplicates kept)."""
-    nodes = _index_array(nodes)
-    counts = g.adj_starts[nodes + 1] - g.adj_starts[nodes]
-    return _gather_slices(g.adj, g.adj_starts[nodes], counts)
-
-
 def bfs_distances(g: SymGraph, roots, blocked: np.ndarray | None = None) -> np.ndarray:
     """Hop distances from the nearest of `roots` (one node or several); -1 where unreachable.
 
@@ -361,9 +360,11 @@ def _list_bfs(g: SymGraph, queue: list[int], dist: list[int]) -> np.ndarray:
 
 
 def _numpy_bfs(g: SymGraph, frontier: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    d = 0
-    while frontier.size:
-        nb = gather_neighbors(g, frontier)
+    starts, deg, d = g.adj_starts, np.diff(g.adj_starts), 0
+    while frontier.size:  # entry j of node i's neighbour list is adj[starts[i] + j]
+        counts = deg[frontier]
+        ends = counts.cumsum()
+        nb = g.adj[np.arange(ends[-1]) + (starts[frontier] - ends + counts).repeat(counts)]
         nb = nb[dist[nb] == -1]
         pos = np.arange(nb.size, dtype=np.int64)
         dist[nb] = pos
@@ -460,12 +461,21 @@ def compress_by_dim(
 
 
 def _block_pairs(rows: np.ndarray, cols: np.ndarray, dim: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct off-diagonal (block row, block column) pairs of row-major entries, row-major."""
-    keys = rows // dim * n_blocks + cols // dim
-    # a row's repeats of one block pair are adjacent; dropping them shrinks the sort
-    keys = _unique(keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys)
-    rb, cb = np.divmod(keys, max(n_blocks, 1))
-    return rb[rb != cb], cb[rb != cb]
+    """Distinct off-diagonal (block row, block column) pairs of row-major entries, row-major.
+
+    Overwrites `rows` and `cols` with their blocks: pass arrays the caller does not keep."""
+    rows //= dim
+    cols //= dim
+    keys = rows * n_blocks
+    keys += cols
+    # a row's repeats of one block pair are adjacent; the pairs ride along with their keys
+    first = _run_heads(keys)
+    if np.any(keys[1:] < keys[:-1]):  # the rows of a block interleave their columns
+        at = np.flatnonzero(first)[np.argsort(keys[first], kind="stable")]
+        rows, cols, keys = rows[at], cols[at], keys[at]
+        first = _run_heads(keys)
+    first &= rows != cols
+    return rows[first], cols[first]
 
 
 def induced_subgraph(g: SymGraph, nodes) -> tuple[SymGraph, np.ndarray]:
@@ -473,16 +483,20 @@ def induced_subgraph(g: SymGraph, nodes) -> tuple[SymGraph, np.ndarray]:
     nodes = _unique(np.array(nodes, dtype=np.int64))  # a copy: the result keeps it
     if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n_nodes):
         raise IndexOutOfBounds("subgraph node outside [0, n_nodes)")
+    if nodes.size == g.n_nodes:  # every node: g itself, with no copy
+        return g, nodes
     pos = np.full(g.n_nodes, -1, dtype=np.int64)
     pos[nodes] = np.arange(nodes.size, dtype=np.int64)
-    counts = g.adj_starts[nodes + 1] - g.adj_starts[nodes]
-    flat_rows = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
-    flat_cols = _gather_slices(g.adj, g.adj_starts[nodes], counts)
-    keep = pos[flat_cols] >= 0
-    flat_rows, flat_cols = flat_rows[keep], pos[flat_cols[keep]]
     # pos is monotone on sorted nodes, so per-row sortedness is preserved
-    sub_counts = np.bincount(flat_rows, minlength=nodes.size)
-    return SymGraph._trusted(nodes.size, _counts_to_starts(sub_counts), flat_cols), nodes
+    return SymGraph._trusted(nodes.size, *_rows_within(g, nodes, pos >= 0, pos)), nodes
+
+
+def _rows_within(g: SymGraph, nodes: np.ndarray, label: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR offsets over `nodes` and the `local` names of their neighbours that share their `label`."""
+    counts = g.adj_starts[nodes + 1] - g.adj_starts[nodes]
+    cols = _gather_slices(g.adj, g.adj_starts[nodes], counts)
+    keep = label[cols] == np.repeat(label[nodes], counts)
+    return _counts_to_starts(keep)[_counts_to_starts(counts)], local[cols[keep]]
 
 
 @dataclass(frozen=True, eq=False)

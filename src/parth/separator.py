@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _EMPTY, SymGraph, _index_array, bfs_distances, component_labels, gather_neighbors
+from .graph import _EMPTY, SymGraph, _gather_slices, _index_array, bfs_distances, component_labels
 
 _SIDE_SEP = 0
 _SIDE_LEFT = 1
@@ -148,8 +148,8 @@ class LevelSetEngine:
         moved sides are written back once at the end.
         """
         sep_list = sep.tolist()
-        ends = np.cumsum(g.adj_starts[sep + 1] - g.adj_starts[sep]).tolist()
-        nbrs = gather_neighbors(g, sep).tolist()
+        counts = g.adj_starts[sep + 1] - g.adj_starts[sep]
+        ends, nbrs = np.cumsum(counts).tolist(), _gather_slices(g.adj, g.adj_starts[sep], counts).tolist()
         side_list = side.tolist()
         pending = [(s, nbrs[begin:end]) for s, begin, end in zip(sep_list, [0] + ends, ends)]
         changed = True

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from parth import SymGraph
-from parth.graph import _EMPTY, bfs_distances, component_labels, gather_neighbors, induced_subgraph
+from parth.graph import _EMPTY, _gather_slices, bfs_distances, component_labels, induced_subgraph
 from parth.hgd import MIN_SPLIT, HgdTree, level_of
 from parth.separator import SeparatorResult
 
@@ -46,7 +46,7 @@ def _level_separator(g: SymGraph, comp: np.ndarray) -> np.ndarray:
     counts = g.adj_starts[comp + 1] - g.adj_starts[comp]
     local = np.repeat(np.arange(comp.size), counts)
     touches = np.zeros(comp.size, dtype=bool)
-    touches[local[dist[gather_neighbors(g, comp)] == level[local] + 1]] = True
+    touches[local[dist[_gather_slices(g.adj, g.adj_starts[comp], counts)] == level[local] + 1]] = True
     sep_sizes = np.bincount(level[touches], minlength=sizes.size)
     before_cum = np.cumsum(sizes) - sizes
     before = before_cum + sizes - sep_sizes

@@ -1,13 +1,20 @@
 import hashlib
 import itertools
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parth import SymGraph, build_dual, is_permutation, symbolic_analyze
+import parth.ordering
+from parth import SymGraph, build_dual, grid_laplacian, is_permutation, symbolic_analyze
+from parth.assembler import assemble
+from parth.graph import induced_subgraph
+from parth.hgd import hgd_build
 from parth.ordering import MinDegreeEngine, order_subgraph
+from parth.separator import LevelSetEngine
 from conftest import NON_INTEGER_PERMS, arrowhead_pattern, graph_from_edges, dense_fill_nnz, random_pattern
 
 
@@ -85,3 +92,88 @@ def test_always_a_bijection(seed):
 )
 def test_non_permutation_rejected(perm):
     assert not is_permutation(perm, np.asarray(perm).size)
+
+
+# Each side of the lockstep switch, forced by patching its constants: every
+# batch in lockstep (also in batches of one to four groups, and reading the
+# neighbour lists a few rows at a time), or every group over sets.
+SIDES = {
+    "lockstep": {"_LOCKSTEP_MIN_GROUPS": 1, "_LOCKSTEP_MIN_ROWS": 0},
+    "lockstep-small-batches": {"_LOCKSTEP_MIN_GROUPS": 1, "_LOCKSTEP_MIN_ROWS": 0, "_BATCH_WORDS": 256, "_FILL_ROWS": 7},
+    "sets": {"_LOCKSTEP_MIN_ROWS": 10**9},
+}
+
+
+def forced(side: str, stack: ExitStack) -> mock.Mock:
+    """Patch the switch to one side inside `stack`; returns a spy on the lockstep kernel."""
+    for name, value in SIDES[side].items():
+        stack.enter_context(mock.patch.object(parth.ordering, name, value))
+    return stack.enter_context(mock.patch.object(parth.ordering, "_lockstep", wraps=parth.ordering._lockstep))
+
+
+def one_group_at_a_time(g: SymGraph, group: np.ndarray) -> np.ndarray:
+    """The grouped call's reference: each group's induced subgraph ordered alone, in label order."""
+    parts = [np.empty(0, np.int64)]
+    for label in range(int(group.max(initial=-1)) + 1):
+        sub, sel = induced_subgraph(g, np.flatnonzero(group == label))
+        parts.append(sel[order_subgraph(sub, MinDegreeEngine())])
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from([0, 1, 2, 7, 63, 64, 65, 128]), min_size=1, max_size=6),
+    outside=st.integers(0, 20),
+    hub=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_order_equals_one_group_at_a_time(side, sizes, outside, hub, seed):
+    # groups of 1, 63, 64, 65 and 128 nodes, empty groups, nodes of no group
+    # (-1) and edges between groups, which the grouped call ignores; `hub`
+    # joins node 0 to every other node, an arrowhead whose hub ends last
+    rng = np.random.default_rng(seed)
+    group = rng.permutation(np.repeat(np.arange(-1, len(sizes)), [outside, *sizes]))
+    n = group.size
+    u, v = random_pattern(rng, n, avg_degree=4.0).to_coo() if n else (np.empty(0, np.int64),) * 2
+    if hub:
+        u, v = np.concatenate([u, np.zeros(n, np.int64)]), np.concatenate([v, np.arange(n)])
+    g = graph_from_edges(n, u, v)
+    expect = one_group_at_a_time(g, group)
+    with ExitStack() as stack:
+        spy = forced(side, stack)
+        got = MinDegreeEngine().order(g, group)
+    assert np.array_equal(got, expect)
+    assert spy.called == (side != "sets" and expect.size > 0)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_assemble_with_a_layout_reorders_few_slots_then_many(side):
+    g = build_dual(grid_laplacian(40, 40)[0])
+    tree = hgd_build(g, 4, LevelSetEngine())
+    engine, rng = MinDegreeEngine(), np.random.default_rng(3)
+    assemble(tree, g, engine, 1)
+    for count in (3, tree.size - 2):
+        before = [tn.nodes for tn in tree.nodes]
+        redo = set(rng.choice(tree.size, count, replace=False).tolist())
+        for i in redo:
+            tree.nodes[i].ordered = False
+        expect = np.concatenate([one_group_at_a_time(g, np.isin(np.arange(g.n_nodes), before[i]) - 1)
+                                 if i in redo else before[i] for i in tree.post_order])
+        with ExitStack() as stack:
+            spy = forced(side, stack)
+            state = assemble(tree, g, engine, 1)
+        assert np.array_equal(state.graph_perm, expect)
+        assert spy.called == (side != "sets")
+        tree.validate_partition(g.n_nodes)
+
+
+def test_group_wider_than_a_batch_is_a_batch_of_its_own():
+    # 4 225 nodes take 67 words a row, so one group's rows pass the 2 MB a batch may hold
+    g = build_dual(grid_laplacian(65, 65)[0])
+    expect = order_subgraph(g, MinDegreeEngine())
+    with ExitStack() as stack:
+        spy = forced("lockstep", stack)
+        got = MinDegreeEngine().order(g, np.zeros(g.n_nodes, np.int64))
+    assert np.array_equal(got, expect)
+    assert spy.call_count == 1
