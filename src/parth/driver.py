@@ -91,6 +91,8 @@ class Parth:
     ) -> tuple[DirtyState, AssemblyState]:
         if self.tree is None or self.graph is None:
             raise StateError("step() called before start()")
+        if node_map is not None and not isinstance(node_map, NodeMap):
+            raise InvalidArgument(f"node_map must be a NodeMap or None, got {type(node_map).__name__}")
         cfg = self.config
         # with no map, only the rows that changed since the last pattern are checked and diffed
         g_new = self._ingest(pattern, (self.pattern, self.graph) if node_map is None else None)

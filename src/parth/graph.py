@@ -8,6 +8,7 @@ are deterministic linear scans.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -429,7 +430,11 @@ def build_dual(pattern: SparsityPattern, prev: tuple[SparsityPattern, SymGraph] 
 
 
 def block_count(n_rows: int, dim: int) -> int:
-    """Graph nodes of n_rows rows at `dim` rows per node; raises DimMismatch unless dim divides n_rows."""
+    """Graph nodes of n_rows rows at `dim` rows per node; raises DimMismatch unless the integer dim divides n_rows."""
+    try:
+        dim = operator.index(dim)
+    except TypeError:
+        raise InvalidArgument(f"dim must be an integer, got {dim!r}") from None
     if dim < 1 or n_rows % dim != 0:
         raise DimMismatch(f"n_rows={n_rows} not divisible by dim={dim}")
     return n_rows // dim
@@ -468,13 +473,13 @@ def _block_pairs(rows: np.ndarray, cols: np.ndarray, dim: int, n_blocks: int) ->
     cols //= dim
     keys = rows * n_blocks
     keys += cols
-    # a row's repeats of one block pair are adjacent; the pairs ride along with their keys
+    # a row's repeats of one block pair are adjacent, so on sorted keys the run heads are the distinct pairs
     first = _run_heads(keys)
-    if np.any(keys[1:] < keys[:-1]):  # the rows of a block interleave their columns
-        at = np.flatnonzero(first)[np.argsort(keys[first], kind="stable")]
-        rows, cols, keys = rows[at], cols[at], keys[at]
-        first = _run_heads(keys)
-    first &= rows != cols
+    if np.any(keys[1:] < keys[:-1]):  # the rows of a block interleave their columns: sort the keys alone
+        rows, cols = np.divmod(_unique(keys[first]), n_blocks)
+        first = rows != cols
+    else:
+        first &= rows != cols
     return rows[first], cols[first]
 
 
@@ -519,6 +524,8 @@ class NodeMap:
 
     def __post_init__(self):
         e, n_old = _frozen_index_array(self.entries, "entries"), int(self.n_old)
+        if n_old < 0:
+            raise InvalidMap(f"previous graph of {n_old} nodes")
         is_identity = e.size == n_old and np.array_equal(e, np.arange(n_old))
         if is_identity:
             o2n = e

@@ -6,6 +6,10 @@ separators, leaves store the remaining regions. The tree is built one level
 at a time, with one separator call per level. Subtrees can be rebuilt in
 place when sparsity changes invalidate a separator, leaving the rest of the
 tree untouched.
+
+Topology is read from the heap index, not by walking the tree: the bits of
+i + 1 after its leading 1 spell the path from the root to slot i, so an
+ancestor's index is a binary prefix and a subtree level is a run of slots.
 """
 
 from __future__ import annotations
@@ -32,41 +36,32 @@ def tree_size(max_level: int) -> int:
 
 
 def post_order_indices(max_level: int) -> np.ndarray:
-    """Post-order of the complete binary tree with children 2i+1, 2i+2."""
-    out: list[int] = []
+    """Post-order of the complete binary tree with children 2i+1, 2i+2.
 
-    def visit(i: int, level: int) -> None:
-        if level < max_level:
-            visit(2 * i + 1, level + 1)
-            visit(2 * i + 2, level + 1)
-        out.append(i)
-
-    visit(0, 0)
-    return np.array(out, dtype=np.int64)
+    Slots sort by the last leaf of their subtree, (i + 2) * 2**below - 1 for
+    a slot `below` levels above the leaves, deeper slots first on a tie.
+    """
+    i = np.arange(tree_size(max_level), dtype=np.int64)
+    below = max_level + 1 - np.frexp(i + 1)[1]  # np.frexp's exponent of i + 1 is its bit length
+    return np.lexsort((below, (i + 2) << below))
 
 
 def level_of(i: int) -> int:
     return (i + 1).bit_length() - 1
 
 
-def parent_of(i: int) -> int:
-    return (i - 1) // 2
-
-
 def is_in_subtree(i: int, root: int) -> bool:
     """True when tree index i lies in the subtree rooted at root (inclusive)."""
-    while i > root:
-        i = parent_of(i)
-    return i == root
+    below = level_of(i) - level_of(root)
+    return below >= 0 and (i + 1) >> below == root + 1
 
 
 def lca_of(a: int, b: int) -> int:
-    while a != b:
-        if a > b:
-            a = parent_of(a)
-        else:
-            b = parent_of(b)
-    return a
+    """Lowest common ancestor: the common binary prefix of a + 1 and b + 1, less one."""
+    a, b = a + 1, b + 1
+    below = a.bit_length() - b.bit_length()
+    a, b = (a >> below, b) if below > 0 else (a, b >> -below)
+    return (a >> (a ^ b).bit_length()) - 1
 
 
 class HgdNode:
@@ -101,7 +96,8 @@ class HgdTree:
     the one record of it: every writer of a node array (`_store`, node
     sync, aggressive moves) updates it, the synchronizer reads it, and
     `validate_partition` audits it against the node arrays. The shape is
-    fixed, so `post_order` (slot indices in post-order) is computed once.
+    fixed, so `size` and `post_order` (slot indices in post-order) are
+    computed once.
     `layout` is the last assembly, which the next one splices into; a slot
     whose `ordered` flag is set still holds its stretch of it. None on a
     fresh tree and after a relabelling, which keeps flags but not arrays.
@@ -109,24 +105,20 @@ class HgdTree:
 
     def __init__(self, max_level: int):
         self.max_level = int(max_level)
-        self.nodes = [HgdNode() for _ in range(tree_size(max_level))]
+        self.size = tree_size(self.max_level)
+        self.nodes = [HgdNode() for _ in range(self.size)]
         self.post_order = post_order_indices(self.max_level).tolist()
         self.owner = _EMPTY
         self.layout: Layout | None = None
 
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
     def subtree_indices(self, root: int) -> list[int]:
-        out = []
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            out.append(i)
-            if 2 * i + 2 < self.size:
-                stack.extend((2 * i + 2, 2 * i + 1))
-        return sorted(out)
+        """The slots of root's subtree, ascending: d levels below root, the 2**d slots from (root + 1) * 2**d - 1."""
+        out: list[int] = []
+        first, width = root, 1
+        while first < self.size:
+            out += range(first, first + width)
+            first, width = 2 * first + 1, 2 * width
+        return out
 
     def subtree_union(self, root: int) -> np.ndarray:
         parts = [self.nodes[i].nodes for i in self.subtree_indices(root)]
@@ -172,17 +164,21 @@ class HgdTree:
         """Edge-scan audit: ancestors whose left/right subtrees are connected.
 
         Returns the sorted lowest common ancestors of all offending edges;
-        empty when every separator is intact.
+        empty when every separator is intact. It is `lca_of` on arrays, over
+        every edge at once.
         """
         lookup = self._node_to_tree(g.n_nodes)
-        bad = set()
-        eu, ev = g.edges()
-        for a, b in zip(lookup[eu], lookup[ev]):
-            a, b = int(a), int(b)
-            if a == b or is_in_subtree(a, b) or is_in_subtree(b, a):
-                continue
-            bad.add(lca_of(a, b))
-        return sorted(bad)
+        a, b = g.edges()
+        a = lookup[a]
+        b = lookup[b]
+        cross = a != b
+        a, b = a[cross] + 1, b[cross] + 1
+        below = np.frexp(a)[1] - np.frexp(b)[1]  # the bit lengths
+        a >>= np.maximum(below, 0)
+        b >>= np.maximum(-below, 0)
+        apart = a != b  # else the shallower end is the other's ancestor
+        a = a[apart] >> np.frexp(a[apart] ^ b[apart])[1]
+        return (_unique(a) - 1).tolist()
 
 
 def _store(tree: HgdTree, nodes: np.ndarray, slot: np.ndarray, to_global: np.ndarray) -> None:
@@ -230,13 +226,7 @@ def hgd_build(g: SymGraph, max_level: int, engine: LevelSetEngine) -> HgdTree:
     return tree
 
 
-def hgd_redecompose(
-    tree: HgdTree,
-    root_index: int,
-    g: SymGraph,
-    region,
-    engine: LevelSetEngine,
-) -> None:
+def hgd_redecompose(tree: HgdTree, root_index: int, g: SymGraph, region, engine: LevelSetEngine) -> None:
     """Rebuild the subtree at root_index over `region`, in place.
 
     The region must equal the union of node sets currently stored in that

@@ -34,12 +34,11 @@ def is_permutation(perm: np.ndarray, n: int) -> bool:
     would cast to one; an empty array of any dtype is the permutation of 0.
     """
     perm = np.asarray(perm)
-    if perm.shape != (n,) or (n and perm.dtype.kind not in "iu"):
+    if perm.shape != (n,) or n == 0:  # an empty array of any dtype passes
+        return perm.shape == (n,)
+    if perm.dtype.kind not in "iu" or perm.min() < 0 or perm.max() >= n:
         return False
     seen = np.zeros(n, dtype=bool)
-    ok = (perm >= 0) & (perm < n)
-    if not np.all(ok):
-        return False
     seen[perm] = True
     return bool(np.all(seen))
 

@@ -21,11 +21,11 @@ aggressive_reuse), so classification only ever sees pairs with a != b:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ABSENT, NodeMap, SymGraph, _unique, edge_set_diff
+from .graph import ABSENT, NodeMap, SymGraph, edge_set_diff
 from .hgd import HgdTree, hgd_redecompose, is_in_subtree, lca_of, level_of
 from .separator import LevelSetEngine
 
@@ -60,7 +60,7 @@ class DirtyState:
 
 
 def _related(a: int, b: int) -> bool:
-    return a == b or is_in_subtree(a, b) or is_in_subtree(b, a)
+    return lca_of(a, b) in (a, b)
 
 
 def node_change_synchronizer(tree: HgdTree, node_map: NodeMap, g_new: SymGraph) -> set[int]:
@@ -98,24 +98,19 @@ def node_change_synchronizer(tree: HgdTree, node_map: NodeMap, g_new: SymGraph) 
             tn.ordered = False
         tn.nodes = kept
 
-    added = np.flatnonzero(node_map.entries == ABSENT)
-    if added.size:
-        survivor = node_map.entries >= 0
-        for u in map(int, added):
-            nbrs = g_new.neighbors(u)
-            placed = owner[nbrs] >= 0
-            target = 0
-            for pool in (nbrs[placed & survivor[nbrs]], nbrs[placed]):
-                if pool.size:
-                    cands = _unique(owner[pool])
-                    depths = np.array([level_of(int(c)) for c in cands])
-                    target = int(cands[depths == depths.max()].min())
-                    break
-            tn = tree.nodes[target]
-            tn.nodes = np.append(tn.nodes, u)
-            tn.ordered = False
-            owner[u] = target
-            touched.add(target)
+    survivor = node_map.entries >= 0
+    for u in np.flatnonzero(node_map.entries == ABSENT).tolist():
+        nbrs = g_new.neighbors(u)
+        placed = owner[nbrs] >= 0
+        pool = nbrs[placed & survivor[nbrs]]
+        cands = owner[pool if pool.size else nbrs[placed]]
+        # the lowest slot on the deepest level held (levels grow with the index), else the root
+        target = int(cands[cands >= (1 << level_of(int(cands.max()))) - 1].min()) if cands.size else 0
+        tn = tree.nodes[target]
+        tn.nodes = np.append(tn.nodes, u)
+        tn.ordered = False
+        owner[u] = target
+        touched.add(target)
     return touched
 
 
@@ -128,16 +123,17 @@ def map_edges_to_tree(
     endpoints share a tree node are returned separately as fine-grain marks
     on that node.
     """
-    owner = tree.owner
     changes: list[TreeEdgeChange] = []
     fine: set[int] = set()
     for pairs, kind in ((added, ADDED), (removed, REMOVED)):
-        for u, v in np.asarray(pairs, dtype=np.int64).reshape(-1, 2):
-            a, b = int(owner[u]), int(owner[v])
-            if a == b:
-                fine.add(a)
-            else:
-                changes.append(TreeEdgeChange(a, b, kind, int(u), int(v)))
+        if len(pairs) == 0:
+            continue
+        uv = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        ab = tree.owner[uv]
+        same = ab[:, 0] == ab[:, 1]
+        fine.update(ab[same, 0].tolist())
+        cross = zip(ab[~same].tolist(), uv[~same].tolist())
+        changes += [TreeEdgeChange(a, b, kind, u, v) for (a, b), (u, v) in cross]
     return changes, fine
 
 
@@ -178,10 +174,12 @@ def aggressive_reuse(
     to the moved node would still cross disjoint subtrees; otherwise the
     change is kept and falls back to coarse dirt. Returns the remaining
     changes (tree pairs refreshed) plus the extra fine-dirty tree nodes
-    produced by the moves.
+    produced by the moves. Region sizes sum `sizes`, a count of `owner`
+    taken when the first region is needed and kept current by the moves.
     """
     owner = tree.owner
     n = owner.size
+    sizes = None
     extra: set[int] = set()
     out: list[TreeEdgeChange] = []
     for ch in changes:
@@ -189,17 +187,17 @@ def aggressive_reuse(
         if a == b:
             extra.add(a)
             continue
-        ch = replace(ch, a=a, b=b)
-        if ch.kind != ADDED or _related(a, b):
-            out.append(ch)
-            continue
+        ch = TreeEdgeChange(a, b, ch.kind, ch.u, ch.v)
         anc = lca_of(a, b)
-        region = sum(tree.nodes[i].nodes.size for i in tree.subtree_indices(anc))
-        if region <= theta * n:
+        if ch.kind != ADDED or anc in (a, b):
             out.append(ch)
             continue
-        size_a, size_b = tree.nodes[a].nodes.size, tree.nodes[b].nodes.size
-        if size_a < size_b or (size_a == size_b and ch.u < ch.v):
+        if sizes is None:
+            sizes = np.bincount(owner, minlength=tree.size)
+        if sizes[tree.subtree_indices(anc)].sum() <= theta * n:
+            out.append(ch)
+            continue
+        if (sizes[a], ch.u) < (sizes[b], ch.v):
             mover, src = ch.u, a
         else:
             mover, src = ch.v, b
@@ -209,6 +207,8 @@ def aggressive_reuse(
             anc_tn.nodes = np.append(anc_tn.nodes, mover)
             src_tn.ordered = anc_tn.ordered = False
             owner[mover] = anc
+            sizes[src] -= 1
+            sizes[anc] += 1
             extra.update((src, anc))
         else:
             out.append(ch)

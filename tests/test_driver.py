@@ -157,6 +157,8 @@ def test_mis_sized_map_leaves_the_engine_untouched():
     for p, bad in bad_steps:
         with pytest.raises(InvalidMap):
             hit.step(p, bad)
+    with pytest.raises(InvalidArgument, match="node_map must be a NodeMap"):
+        hit.step(remeshed, node_map.entries)  # the map's entries, not the map
     dirty_hit, state_hit = hit.step(remeshed, node_map)
     dirty_clean, state_clean = clean.step(remeshed, node_map)
     assert np.array_equal(state_hit.matrix_perm, state_clean.matrix_perm)

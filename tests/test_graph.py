@@ -94,6 +94,8 @@ class TestCompressByDim:
         p = pattern_from_edges(5, [(0, 1)])
         with pytest.raises(DimMismatch):
             compress_by_dim(p, 2)
+        with pytest.raises(InvalidArgument, match="dim must be an integer"):
+            compress_by_dim(pattern_from_edges(4, [(0, 1)]), 2.0)  # 2.0 would divide the 4 rows
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -371,6 +373,8 @@ class TestNodeMap:
             NodeMap(np.array([0, 1]), 1)
         with pytest.raises(InvalidMap, match="below -1"):
             NodeMap(np.array([0, -2]), 3)
+        with pytest.raises(InvalidMap, match="previous graph of -1 nodes"):
+            NodeMap(np.array([], dtype=np.int64), -1)
 
 
 class TestTrustedGraphs:

@@ -1,7 +1,23 @@
+from contextlib import ExitStack
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from parth import RegionMismatch, StaleTree, SymGraph, build_dual
+import parth.hgd
+import parth.synchronizer
+import reference_tree as walk
+from parth import (
+    Parth,
+    ParthConfig,
+    RegionMismatch,
+    StaleTree,
+    SymGraph,
+    build_dual,
+    grid_laplacian,
+    inject_contacts,
+    patch_remesh,
+)
 from parth.hgd import (
     HgdTree,
     default_max_level,
@@ -10,8 +26,10 @@ from parth.hgd import (
     is_in_subtree,
     lca_of,
     level_of,
+    post_order_indices,
 )
 from parth.separator import LevelSetEngine
+from parth.synthetic import radius_for_fraction
 from conftest import NINE_TREE_SETS, graph_from_edges, nine_node_graphs, random_pattern, tree_from_node_sets
 
 
@@ -37,6 +55,84 @@ class TestIndexArithmetic:
         assert lca_of(5, 6) == 2
         assert lca_of(3, 5) == 0
         assert lca_of(4, 1) == 1
+
+
+class TestClosedFormsEqualTheWalks:
+    """The heap-index closed forms against the tree walks of `reference_tree`."""
+
+    def test_every_slot_pair_of_a_depth_7_tree(self):
+        tree = HgdTree(7)
+        slots = range(tree.size)
+        for a in slots:
+            assert [is_in_subtree(a, b) for b in slots] == [walk.is_in_subtree(a, b) for b in slots]
+            assert [lca_of(a, b) for b in slots] == [walk.lca_of(a, b) for b in slots]
+            assert tree.subtree_indices(a) == walk.subtree_indices(tree, a)
+
+    @pytest.mark.parametrize("max_level", range(12))
+    def test_post_order(self, max_level):
+        assert np.array_equal(post_order_indices(max_level), walk.post_order_indices(max_level))
+
+    def test_audit_on_planted_crossing_edges(self, engine):
+        # a built tree's graph gains random edges plus, under random internal
+        # slots, edges from the left subtree to the right one
+        rng = np.random.default_rng(20)
+        trials, with_violations = 200, 0
+        for _ in range(trials):
+            n = int(rng.integers(5, 150))
+            g = build_dual(random_pattern(rng, n))
+            tree = hgd_build(g, int(rng.integers(1, 8)), engine)
+            eu, ev = g.edges()
+            eu, ev = [eu, rng.integers(n, size=3)], [ev, rng.integers(n, size=3)]
+            for c in rng.integers(tree.size // 2, size=3).tolist():
+                left, right = tree.subtree_union(2 * c + 1), tree.subtree_union(2 * c + 2)
+                if left.size and right.size:
+                    eu.append(rng.choice(left, 1))
+                    ev.append(rng.choice(right, 1))
+            g2 = graph_from_edges(n, np.concatenate(eu), np.concatenate(ev))
+            bad = tree.separator_violations(g2)
+            assert bad == walk.separator_violations(tree, g2)
+            with_violations += bool(bad)
+        assert with_violations > trials * 3 // 4
+
+
+WALKS = [
+    (parth.hgd, "is_in_subtree", walk.is_in_subtree),
+    (parth.hgd, "lca_of", walk.lca_of),
+    (parth.synchronizer, "is_in_subtree", walk.is_in_subtree),
+    (parth.synchronizer, "lca_of", walk.lca_of),
+    (HgdTree, "subtree_indices", walk.subtree_indices),
+]
+
+
+def stream_outcomes(kind: str, theta: float) -> list[tuple]:
+    """Every step's dirty state and permutation over six steps of a 24x24 contact or remesh stream."""
+    rng = np.random.default_rng([kind == "remesh", 7])
+    pattern, _ = grid_laplacian(24, 24)
+    engine = Parth(ParthConfig(target_leaf=16, aggressive=True, theta=theta))  # depth 5
+    engine.start(pattern)
+    out = []
+    for k in range(6):
+        center = int(rng.integers(pattern.n_rows))
+        if kind == "contacts":
+            pattern, node_map = inject_contacts(pattern, center, 4, 12, seed=k), None
+        else:
+            pattern, node_map = patch_remesh(pattern, center, radius_for_fraction(pattern, center, 0.02), seed=k)
+        dirty, state = engine.step(pattern, node_map)
+        out.append((dirty.reuse_mask.tolist(), dirty.fine, dirty.coarse, dirty.dirty_node_total,
+                    state.matrix_perm.tolist()))
+    return out
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.02, 0.4])
+@pytest.mark.parametrize("kind", ["contacts", "remesh"])
+def test_streams_take_the_same_steps_with_the_walks(kind, theta):
+    closed = stream_outcomes(kind, theta)
+    with ExitStack() as stack:
+        for owner, name, fn in WALKS:
+            stack.enter_context(mock.patch.object(owner, name, fn))
+        walked = stream_outcomes(kind, theta)
+    assert closed == walked
+    assert any(coarse or fine for _, fine, coarse, _, _ in closed)
 
 
 class TestBuild:

@@ -94,6 +94,12 @@ def test_non_permutation_rejected(perm):
     assert not is_permutation(perm, np.asarray(perm).size)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint8, bool, str, object])
+def test_empty_array_of_any_dtype_is_the_permutation_of_zero(dtype):
+    assert is_permutation(np.array([], dtype=dtype), 0)
+    assert not is_permutation(np.array([], dtype=dtype), 1)
+
+
 # Each side of the lockstep switch, forced by patching its constants: every
 # batch in lockstep (also in batches of one to four groups, and reading the
 # neighbour lists a few rows at a time), or every group over sets.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parth import InvalidMap, NodeMap, build_dual, grid_laplacian
+from parth import InvalidMap, NodeMap, Parth, ParthConfig, build_dual, grid_laplacian
 from parth.graph import edge_set_diff
 from parth.hgd import hgd_build
 from parth.separator import LevelSetEngine
@@ -263,6 +263,24 @@ class TestAggressiveReuse:
         assert tree.owner[w] == 0
         assert tree.separator_violations(g_new) == []
         tree.validate_partition(64)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1, 'Refresh the tree pairs of refused changes': a refused change keeps "
+        "the tree pair it was tried with, so a later move of its endpoint goes unseen",
+    )
+    def test_refused_change_sees_a_later_move_of_its_endpoint(self):
+        # node 1 (tree node 3) gains edges to 48 (node 4) and 55 (node 5). The
+        # move for (1, 48) is refused while (1, 55) crosses the root; the move
+        # for (1, 55) then puts node 1 in the root, where (1, 48) breaks no
+        # separator. Its stale pair (3, 4) still rebuilds subtree 1.
+        pattern, _ = grid_laplacian(8, 8)
+        parth = Parth(ParthConfig(target_leaf=16, aggressive=True, theta=0.0))  # depth 2
+        parth.start(pattern)
+        assert parth.tree.owner[[1, 48, 55]].tolist() == [3, 4, 5]
+        dirty, _ = parth.step(apply_edge_delta(pattern, [(1, 48), (1, 55)], []))
+        assert parth.tree.owner[1] == 0
+        assert dirty.coarse == frozenset()
 
 
 class TestSynchronize:
