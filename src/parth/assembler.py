@@ -1,13 +1,12 @@
 """Permutation assembly over the decomposition tree.
 
-Every tree node keeps its node array in local elimination order. A
-post-order traversal concatenates those arrays, which places every
-separator after the two regions it splits (nested dissection). Local
-orderings are recomputed only for tree nodes whose `ordered` flag is
-clear, all at once: one induced subgraph of their nodes and one
-`order(sub, group)` call with a group per tree node. Only their arrays are
-spliced into the previous permutation; block expansion then yields the
-matrix-level permutation.
+The tree's `perm` lists the slots' nodes in post-order, which places every
+separator after the two regions it splits (nested dissection), so once
+each slot's stretch is in local elimination order, `perm` is the graph
+permutation. Only slots whose `ordered` flag is clear are re-ordered, all
+at once: one induced subgraph of their nodes, one `order(sub, group)` call
+with a group per slot, and one scatter back into their own stretches.
+Block expansion then yields the matrix-level permutation.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _EMPTY, SymGraph, induced_subgraph
-from .hgd import HgdTree, Layout
+from .graph import SymGraph, induced_subgraph
+from .hgd import HgdTree
 from .ordering import MinDegreeEngine, order_subgraph
 
 
@@ -26,9 +25,9 @@ class AssemblyState:
     """Result of one assembly call.
 
     graph_perm and matrix_perm follow perm[new_position] = old_index. Both
-    are read-only: the tree keeps them to splice the next assembly into, and
-    a call that re-orders nothing returns them again. reused_nodes counts
-    the graph nodes whose local ordering was reused.
+    are read-only: graph_perm is the tree's `perm`, which later writers
+    copy, and a call that re-orders nothing returns them again.
+    reused_nodes counts the graph nodes whose local ordering was reused.
     """
 
     graph_perm: np.ndarray
@@ -39,47 +38,33 @@ class AssemblyState:
 def assemble(tree: HgdTree, g: SymGraph, engine: MinDegreeEngine, dim: int) -> AssemblyState:
     """Produce graph- and matrix-level permutations from the tree.
 
-    Tree nodes whose `ordered` flag is clear get a fresh local ordering of
-    their induced sub-graph (one `engine.order` call, a group each), stored
-    by rewriting their node array in elimination order, and the flag is set;
-    the rest keep their array as it is. The graph permutation is the node
-    arrays concatenated in post-order: the tree's last layout with the
-    re-ordered slots spliced in, or, on a tree with no layout, every array.
-    A call that re-orders nothing returns the previous arrays. The tree must
-    partition g's nodes: `hgd_build` and `synchronize` leave it so, and
+    The new local orderings are written over their slots' stretches of
+    `perm` (a copy, if the last assembly returned it), and every flag is
+    set. A call that re-orders nothing and finds `perm` as the last one
+    left it returns the previous arrays. The tree must partition g's nodes:
+    `hgd_build` and `synchronize` leave it so, and
     `HgdTree.validate_partition` audits it.
     """
-    post, nodes = tree.post_order, tree.nodes
-    if tree.layout is None:  # every slot is a new piece
-        old, at, redo = _EMPTY, np.zeros(len(post) + 1, dtype=np.int64), range(len(post))
-    else:
-        old, at = tree.layout.graph_perm, tree.layout.offsets
-        redo = [k for k, i in enumerate(post) if not nodes[i].ordered]
-        if not redo and tree.layout.matrix_perm.size == dim * old.size:
-            return AssemblyState(old, tree.layout.matrix_perm, int(old.size))
-    fresh = [nodes[post[k]] for k in redo if not nodes[post[k]].ordered]
-    if fresh:  # one ordering call for all the slots to re-order, one group per slot
-        counts = [tn.nodes.size for tn in fresh]
-        union = np.concatenate([tn.nodes for tn in fresh])
+    perm = tree.perm
+    if tree.ordered.all() and not perm.flags.writeable and tree.matrix_perm.size == dim * perm.size:
+        return AssemblyState(perm, tree.matrix_perm, int(perm.size))
+    sizes, redo = np.diff(tree.offsets), ~tree.ordered[tree.post_order]  # redo: per post-order slot
+    if redo.any():  # one ordering call for all the slots to re-order, one group per slot
+        perm = perm if perm.flags.writeable else perm.copy()
+        at = np.repeat(redo, sizes)
+        union = perm[at]
         group = np.empty(g.n_nodes, dtype=np.int64)
-        group[union] = np.repeat(np.arange(len(fresh)), counts)
+        group[union] = np.repeat(np.arange(np.count_nonzero(redo)), sizes[redo])
         sub, sel = induced_subgraph(g, union)
-        for tn, piece in zip(fresh, np.split(sel[order_subgraph(sub, engine, group[sel])], np.cumsum(counts)[:-1])):
-            tn.nodes, tn.ordered = piece, True
-    # the old stretches between the slots in redo, with those slots' arrays between them
-    parts, sizes, lo = [], np.diff(at), 0
-    for k in redo:
-        tn = nodes[post[k]]
-        parts += (old[lo : at[k]], tn.nodes)
-        sizes[k], lo = tn.nodes.size, at[k + 1]
-    parts.append(old[lo:])
-    graph_perm = np.concatenate(parts)
-    matrix_perm = graph_perm
+        perm[at] = sel[order_subgraph(sub, engine, group[sel])]
+        tree.perm = perm
+        tree.ordered[:] = True
+    matrix_perm = perm
     if dim > 1:
-        matrix_perm = (graph_perm[:, None] * dim + np.arange(dim, dtype=np.int64)).ravel()
-    graph_perm.flags.writeable = matrix_perm.flags.writeable = False
-    tree.layout = Layout(graph_perm, matrix_perm, np.concatenate(([0], np.cumsum(sizes))))
-    return AssemblyState(graph_perm, matrix_perm, int(graph_perm.size) - sum(tn.nodes.size for tn in fresh))
+        matrix_perm = (perm[:, None] * dim + np.arange(dim, dtype=np.int64)).ravel()
+    perm.flags.writeable = matrix_perm.flags.writeable = False
+    tree.matrix_perm = matrix_perm
+    return AssemblyState(perm, matrix_perm, int(perm.size - sizes[redo].sum()))
 
 
 def reuse_ratio(state: AssemblyState, n_nodes: int) -> float:

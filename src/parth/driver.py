@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import time
 from dataclasses import dataclass
 
@@ -12,7 +11,7 @@ import numpy as np
 
 from .assembler import AssemblyState, assemble
 from .errors import InvalidArgument, InvalidMap, StateError
-from .graph import NodeMap, SparsityPattern, SymGraph, build_dual, compress_by_dim
+from .graph import NodeMap, SparsityPattern, SymGraph, _checked_int, build_dual, compress_by_dim
 from .hgd import HgdTree, default_max_level, hgd_build
 from .ordering import MinDegreeEngine
 from .separator import LevelSetEngine
@@ -28,14 +27,7 @@ class ParthConfig:
 
     def __post_init__(self):
         for name in ("dim", "target_leaf"):
-            value = getattr(self, name)
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
-            if value < 1:
-                raise InvalidArgument(f"{name} must be >= 1, got {value}")
-            setattr(self, name, value)
+            setattr(self, name, _checked_int(getattr(self, name), name, 1))
         if not isinstance(self.aggressive, (bool, np.bool_)):
             raise InvalidArgument(f"aggressive must be a bool, got {self.aggressive!r}")
         self.aggressive = bool(self.aggressive)
@@ -71,6 +63,8 @@ class Parth:
         self.last_assemble_us = 0
 
     def _ingest(self, pattern: SparsityPattern, prev=None) -> SymGraph:
+        if not isinstance(pattern, SparsityPattern):
+            raise InvalidArgument(f"pattern must be a SparsityPattern, got {type(pattern).__name__}")
         cfg = self.config
         return build_dual(pattern, prev) if cfg.dim == 1 else compress_by_dim(pattern, cfg.dim, prev)
 

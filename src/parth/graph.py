@@ -46,6 +46,17 @@ def _checked_index_array(a, name: str) -> np.ndarray:
     return _index_array(arr)
 
 
+def _checked_int(value, name: str, least: int) -> int:
+    """`value` as a Python int; InvalidArgument unless it is an integer (`operator.index`) of at least `least`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InvalidArgument(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _frozen_index_array(a, name: str) -> np.ndarray:
     """`a` as a checked, read-only int64 array for an object to keep; a writable caller array is copied, not frozen."""
     out = _checked_index_array(a, name)
@@ -170,6 +181,7 @@ class SparsityPattern:
     col_indices: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_rows", _checked_int(self.n_rows, "n_rows", 0))
         object.__setattr__(self, "row_starts", _frozen_index_array(self.row_starts, "row_starts"))
         object.__setattr__(self, "col_indices", _frozen_index_array(self.col_indices, "col_indices"))
         _check_csr(self.n_rows, self.row_starts, self.col_indices, "row_starts", "column")
@@ -184,6 +196,7 @@ class SparsityPattern:
 
     @classmethod
     def from_coo(cls, n_rows: int, rows, cols) -> "SparsityPattern":
+        n_rows = _checked_int(n_rows, "n_rows", 0)
         rows, cols = _checked_index_array(rows, "rows"), _checked_index_array(cols, "cols")
         if rows.size != cols.size:
             raise InvalidArgument(f"{rows.size} row indices but {cols.size} column indices")

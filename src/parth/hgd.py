@@ -1,11 +1,18 @@
 """Hierarchical graph decomposition.
 
-A complete binary tree, stored as a flat array with children at 2i+1 and
-2i+2, holds one sub-graph per tree node: internal nodes store vertex
-separators, leaves store the remaining regions. The tree is built one level
-at a time, with one separator call per level. Subtrees can be rebuilt in
-place when sparsity changes invalidate a separator, leaving the rest of the
-tree untouched.
+A complete binary tree, with children at 2i+1 and 2i+2, holds one sub-graph
+per slot: internal slots store vertex separators, leaves the remaining
+regions. A nested-dissection ordering is a post-order of its separator
+tree, so `HgdTree` is four flat arrays:
+- `perm`, the graph nodes, post-order slot by slot;
+- `offsets`, where each post-order slot's stretch of `perm` starts;
+- `owner`, graph node -> slot;
+- `ordered`, one flag per slot.
+Between any two stages of a step, slot `post_order[k]` holds exactly
+`perm[offsets[k] : offsets[k + 1]]`, in local elimination order when its
+flag is set, so the slots of a subtree are one run of `perm`. The tree is
+built one level at a time, one separator call per level, and a subtree is
+rebuilt in place when a change breaks its separator.
 
 Topology is read from the heap index, not by walking the tree: the bits of
 i + 1 after its leading 1 spell the path from the root to slot i, so an
@@ -15,7 +22,6 @@ ancestor's index is a binary prefix and a subtree level is a run of slots.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,113 +70,82 @@ def lca_of(a: int, b: int) -> int:
     return (a >> (a ^ b).bit_length()) - 1
 
 
-class HgdNode:
-    """One tree slot: its global node set, in elimination order once ordered.
-
-    `ordered` is True when `nodes` holds the node set in the local
-    elimination order computed by the last assembly; any change of
-    membership clears it. Relabelling maps the array entry by entry, so the
-    order survives a renumbering of the unknowns.
-    """
-
-    __slots__ = ("nodes", "ordered")
-
-    def __init__(self):
-        self.nodes = _EMPTY
-        self.ordered = False
-
-
-class Layout(NamedTuple):
-    """A tree's last assembly: its read-only permutations, and `offsets[k]`,
-    where post-order slot k starts in `graph_perm` (the last is its size)."""
-
-    graph_perm: np.ndarray
-    matrix_perm: np.ndarray
-    offsets: np.ndarray
-
-
 class HgdTree:
-    """Array-backed complete binary tree of sub-graphs.
+    """The four arrays of the module docstring; `validate_partition` audits them.
 
-    `owner[u]` is the index of the tree node whose array holds graph node u,
-    the one record of it: every writer of a node array (`_store`, node
-    sync, aggressive moves) updates it, the synchronizer reads it, and
-    `validate_partition` audits it against the node arrays. The shape is
-    fixed, so `size` and `post_order` (slot indices in post-order) are
-    computed once.
-    `layout` is the last assembly, which the next one splices into; a slot
-    whose `ordered` flag is set still holds its stretch of it. None on a
-    fresh tree and after a relabelling, which keeps flags but not arrays.
+    The shape is fixed, so `size`, `post_order` and its inverse `rank` are
+    computed once. `perm` is read-only exactly when it is the permutation
+    the last assembly returned, and `matrix_perm` is that assembly's `dim`
+    expansion: a writer makes a new array rather than write into it.
     """
 
     def __init__(self, max_level: int):
         self.max_level = int(max_level)
         self.size = tree_size(self.max_level)
-        self.nodes = [HgdNode() for _ in range(self.size)]
-        self.post_order = post_order_indices(self.max_level).tolist()
-        self.owner = _EMPTY
-        self.layout: Layout | None = None
+        self.post_order = post_order_indices(self.max_level)
+        self.rank = np.argsort(self.post_order)
+        self.perm = self.owner = self.matrix_perm = _EMPTY
+        self.offsets = np.zeros(self.size + 1, dtype=np.int64)
+        self.ordered = np.zeros(self.size, dtype=bool)
 
-    def subtree_indices(self, root: int) -> list[int]:
-        """The slots of root's subtree, ascending: d levels below root, the 2**d slots from (root + 1) * 2**d - 1."""
-        out: list[int] = []
-        first, width = root, 1
-        while first < self.size:
-            out += range(first, first + width)
-            first, width = 2 * first + 1, 2 * width
-        return out
+    def subtree_run(self, root: int) -> tuple[int, int]:
+        """Post-order positions [lo, hi) of root's subtree: one run, root last."""
+        hi = int(self.rank[root]) + 1
+        return hi - tree_size(self.max_level - level_of(root)), hi
+
+    def slot_nodes(self, i: int) -> np.ndarray:
+        """Slot i's nodes: a read-only view of its stretch of `perm`."""
+        k = self.rank[i]
+        view = self.perm[self.offsets[k] : self.offsets[k + 1]]
+        view.flags.writeable = False
+        return view
 
     def subtree_union(self, root: int) -> np.ndarray:
-        parts = [self.nodes[i].nodes for i in self.subtree_indices(root)]
-        return np.sort(np.concatenate(parts)) if parts else _EMPTY
+        """The nodes of root's subtree, sorted."""
+        lo, hi = self.subtree_run(root)
+        return np.sort(self.perm[self.offsets[lo] : self.offsets[hi]])
 
-    def _node_to_tree(self, n_nodes: int) -> np.ndarray:
-        """Graph node -> tree index, rebuilt from the node arrays; raises StaleTree on bad coverage."""
-        sets = [tn.nodes for tn in self.nodes]
-        flat = np.concatenate(sets)
-        owner = np.repeat(np.arange(self.size, dtype=np.int64), [s.size for s in sets])
-        if flat.size and (flat.min() < 0 or flat.max() >= n_nodes):
-            idx = int(owner[np.argmax((flat < 0) | (flat >= n_nodes))])
-            raise StaleTree(f"tree node {idx} references a graph node outside [0, {n_nodes})")
-        counts = np.bincount(flat, minlength=n_nodes)
-        if flat.size and counts.max() > 1:
-            raise StaleTree("tree node sets overlap")
-        if flat.size != n_nodes:
-            raise StaleTree("tree node sets do not cover the graph")
-        lookup = np.empty(n_nodes, dtype=np.int64)
-        lookup[flat] = owner
-        return lookup
+    def splice(self, perm: np.ndarray, out: np.ndarray, joined: np.ndarray) -> set[int]:
+        """Make `perm` the given one less its positions `out`, plus each of `joined` at the end of its slot's stretch.
+
+        `offsets` describes the given array and follows; `owner` already
+        names the slots of `joined`, which keep their given order within a
+        slot. The slots whose membership changed are un-ordered and returned.
+        """
+        cut = np.searchsorted(self.offsets, out, side="right") - 1
+        self.offsets[1:] -= np.cumsum(np.bincount(cut, minlength=self.size))
+        k = self.rank[self.owner[joined]]
+        self.perm = np.insert(np.delete(perm, out), self.offsets[k + 1], joined)
+        self.offsets[1:] += np.cumsum(np.bincount(k, minlength=self.size))
+        changed = self.post_order[np.concatenate((cut, k))]
+        self.ordered[changed] = False
+        return set(changed.tolist())
 
     def validate_partition(self, n_nodes: int) -> None:
-        """Audit: the node arrays partition [0, n_nodes), and `owner` and `layout` agree with them.
-
-        The layout's offsets must tile its permutation, one stretch per
-        post-order slot, and every ordered slot must hold its stretch: right
-        after an assembly, the post-order concatenation of the node arrays.
-        """
-        if not np.array_equal(self.owner, self._node_to_tree(n_nodes)):
+        """Audit: `perm` is a permutation of [0, n_nodes) that `offsets` tiles, and `owner` agrees with it."""
+        perm, at = self.perm, self.offsets
+        if at.shape != (self.size + 1,) or at[0] != 0 or at[-1] != perm.size or np.any(np.diff(at) < 0):
+            raise StaleTree("offsets do not tile the permutation")
+        slots = np.repeat(self.post_order, np.diff(at))
+        if perm.size and (perm.min() < 0 or perm.max() >= n_nodes):
+            idx = int(slots[np.argmax((perm < 0) | (perm >= n_nodes))])
+            raise StaleTree(f"tree node {idx} references a graph node outside [0, {n_nodes})")
+        if perm.size and np.bincount(perm).max() > 1:
+            raise StaleTree("tree node sets overlap")
+        if perm.size != n_nodes:
+            raise StaleTree("tree node sets do not cover the graph")
+        if self.owner.size != n_nodes or not np.array_equal(self.owner[perm], slots):
             raise StaleTree("owner array disagrees with the tree node sets")
-        if self.layout is None:
-            return
-        perm, _, at = self.layout
-        if at.size != self.size + 1 or at[0] != 0 or at[-1] != perm.size or np.any(np.diff(at) < 0):
-            raise StaleTree("layout offsets do not tile the last assembly")
-        for k, i in enumerate(self.post_order):
-            tn = self.nodes[i]
-            if tn.ordered and not np.array_equal(perm[at[k] : at[k + 1]], tn.nodes):
-                raise StaleTree(f"tree node {i} differs from its stretch of the last assembly")
 
     def separator_violations(self, g: SymGraph) -> list[int]:
         """Edge-scan audit: ancestors whose left/right subtrees are connected.
 
         Returns the sorted lowest common ancestors of all offending edges;
         empty when every separator is intact. It is `lca_of` on arrays, over
-        every edge at once.
+        every edge at once, after `validate_partition`.
         """
-        lookup = self._node_to_tree(g.n_nodes)
-        a, b = g.edges()
-        a = lookup[a]
-        b = lookup[b]
+        self.validate_partition(g.n_nodes)
+        a, b = (self.owner[ends] for ends in g.edges())
         cross = a != b
         a, b = a[cross] + 1, b[cross] + 1
         below = np.frexp(a)[1] - np.frexp(b)[1]  # the bit lengths
@@ -181,46 +156,46 @@ class HgdTree:
         return (_unique(a) - 1).tolist()
 
 
-def _store(tree: HgdTree, nodes: np.ndarray, slot: np.ndarray, to_global: np.ndarray) -> None:
-    """Write the ascending `nodes` into their slots' node arrays, as graph nodes `to_global`, and into `owner`."""
-    at = slot[nodes]
-    order = np.argsort(at, kind="stable")
-    nodes, at = to_global[nodes[order]], at[order]
-    heads = np.flatnonzero(np.diff(at, prepend=-1))
-    for i, piece in zip(at[heads].tolist(), np.split(nodes, heads[1:])):
-        tree.nodes[i].nodes = piece
-    tree.owner[nodes] = at
-
-
 def _build_levels(tree: HgdTree, g: SymGraph, to_global: np.ndarray, root: int, engine: LevelSetEngine) -> None:
-    """Decompose g (graph nodes `to_global`, ascending) into the empty subtree at root.
+    """Decompose g (graph nodes `to_global`, ascending) into the subtree at root.
 
     One pass per tree level. `slot[u]` is the tree slot whose sub-graph
-    holds node u, -1 once u is stored. A sub-graph is stored whole at the
-    deepest level or when it has fewer than MIN_SPLIT nodes; one
-    `engine.split` call, with the slots as groups, splits all the others,
-    storing their separators and handing their sides to the two children.
+    holds node u, -1 once u is stored in `at[u]`. A sub-graph is stored
+    whole at the deepest level or when it has fewer than MIN_SPLIT nodes;
+    one `engine.split` call, with the slots as groups, splits all the
+    others, storing their separators and handing their sides to the two
+    children. Then the subtree's run of `perm` is written once, ascending
+    within each slot, and its slots are un-ordered.
     """
     slot = np.full(g.n_nodes, root, dtype=np.int64)
+    at = np.empty_like(slot)
     for level in range(level_of(root), tree.max_level + 1):
         live = np.flatnonzero(slot >= 0)
         sizes = np.bincount(slot[live], minlength=tree.size)
         whole = sizes > 0 if level == tree.max_level else sizes < MIN_SPLIT
         done = live[whole[slot[live]]]
-        _store(tree, done, slot, to_global)
+        at[done] = slot[done]
         slot[done] = -1
         if done.size == live.size:
-            return
+            break
         res = engine.split(g, slot)
-        _store(tree, res.sep, slot, to_global)
+        at[res.sep] = slot[res.sep]
         slot[res.sep] = -1
         slot[res.left] = 2 * slot[res.left] + 1
         slot[res.right] = 2 * slot[res.right] + 2
+    lo, hi = tree.subtree_run(root)
+    k = tree.rank[at]
+    start = tree.offsets[lo]
+    tree.perm[start : start + k.size] = to_global[np.argsort(k, kind="stable")]
+    tree.offsets[lo + 1 : hi + 1] = start + np.cumsum(np.bincount(k - lo, minlength=hi - lo))
+    tree.owner[to_global] = at
+    tree.ordered[tree.post_order[lo:hi]] = False
 
 
 def hgd_build(g: SymGraph, max_level: int, engine: LevelSetEngine) -> HgdTree:
     """Separator decomposition of g down to max_level, one level at a time."""
     tree = HgdTree(max_level)
+    tree.perm = np.empty(g.n_nodes, dtype=np.int64)
     tree.owner = np.empty(g.n_nodes, dtype=np.int64)
     _build_levels(tree, g, np.arange(g.n_nodes, dtype=np.int64), 0, engine)
     return tree
@@ -230,9 +205,8 @@ def hgd_redecompose(tree: HgdTree, root_index: int, g: SymGraph, region, engine:
     """Rebuild the subtree at root_index over `region`, in place.
 
     The region must equal the union of node sets currently stored in that
-    subtree; every tree node outside the subtree is left untouched. The
-    subtree is emptied and un-ordered first, so slots the new decomposition
-    does not reach stay empty, then rebuilt directly into the tree.
+    subtree. Only the subtree's run of `perm` is rewritten (in a copy if
+    the last assembly returned it), so every slot outside it is untouched.
     """
     region = _unique(np.asarray(region, dtype=np.int64))
     current = tree.subtree_union(root_index)
@@ -240,9 +214,8 @@ def hgd_redecompose(tree: HgdTree, root_index: int, g: SymGraph, region, engine:
         raise RegionMismatch(
             f"region ({region.size} nodes) differs from subtree {root_index} contents ({current.size} nodes)"
         )
-    for i in tree.subtree_indices(root_index):
-        tree.nodes[i].nodes = _EMPTY
-        tree.nodes[i].ordered = False
+    if not tree.perm.flags.writeable:
+        tree.perm = tree.perm.copy()
     sub, to_global = induced_subgraph(g, region)
     _build_levels(tree, sub, to_global, root_index, engine)
 

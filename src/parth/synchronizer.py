@@ -6,6 +6,10 @@ as fine dirt (local ordering stale) or coarse dirt (separator broken), drop
 redundant entries, and rebuild the remaining coarse regions. Every tree node
 whose local ordering went stale ends the call with its `ordered` flag
 cleared; the returned reuse mask reports the same facts per tree node.
+Each stage writes the tree's flat arrays in one pass, and every slot holds
+exactly its stretch of `perm` between stages: node sync is one gather of
+`perm` and one splice, `aggressive_reuse` splices all its moves at its end,
+and a rebuild writes its subtree's run once.
 
 An edge whose endpoints share one tree node lies inside one sub-graph: its
 local ordering must be recomputed, nothing structural changed. Such edges
@@ -64,54 +68,34 @@ def _related(a: int, b: int) -> bool:
 
 
 def node_change_synchronizer(tree: HgdTree, node_map: NodeMap, g_new: SymGraph) -> set[int]:
-    """Relabel tree node sets to the new indexing and settle added/removed nodes.
+    """Relabel the tree to the new indexing and settle added/removed nodes.
 
-    Surviving nodes are renumbered entry by entry, so a node array keeps its
-    elimination order and a tree node whose membership is unchanged keeps
-    its ordering; removed nodes are deleted from their arrays; each added
-    node is appended to the deepest tree node holding one of its
-    already-placed neighbors (surviving neighbors preferred), falling back
-    to the root when isolated. Returns the tree indices whose membership
-    changed; their orderings are cleared. `tree.owner` is renumbered and
-    extended alongside, and `tree.layout` is dropped: it holds the old
-    labels. Raises InvalidMap, before any change, unless the map takes the
-    tree's node count to g_new's.
+    `perm` is renumbered entry by entry, so a stretch keeps its elimination
+    order and a slot whose membership is unchanged keeps its ordering. One
+    splice then cuts the removed nodes and appends each added one to the
+    deepest slot holding one of its already-placed neighbors (surviving
+    neighbors preferred), or to the root when isolated. Returns the slots
+    whose membership changed; their orderings are cleared. `tree.owner` is
+    renumbered and extended alongside. Raises InvalidMap, before any
+    change, unless the map takes the tree's node count to g_new's.
     """
     node_map.require_sizes(tree.owner.size, g_new.n_nodes)
     if node_map.is_identity:
         return set()
-    tree.layout = None
-    o2n = node_map.o2n
-    owner = np.full(node_map.n_new, -1, dtype=np.int64)
-    old_kept = o2n >= 0
-    owner[o2n[old_kept]] = tree.owner[old_kept]
-    tree.owner = owner
-
-    touched: set[int] = set()
-    for idx, tn in enumerate(tree.nodes):
-        if tn.nodes.size == 0:
-            continue
-        mapped = o2n[tn.nodes]
-        kept = mapped[mapped >= 0]
-        if kept.size != tn.nodes.size:
-            touched.add(idx)
-            tn.ordered = False
-        tn.nodes = kept
-
     survivor = node_map.entries >= 0
-    for u in np.flatnonzero(node_map.entries == ABSENT).tolist():
+    owner = np.full(node_map.n_new, -1, dtype=np.int64)
+    owner[survivor] = tree.owner[node_map.entries[survivor]]
+    tree.owner = owner
+    added = np.flatnonzero(node_map.entries == ABSENT)
+    for u in added.tolist():
         nbrs = g_new.neighbors(u)
         placed = owner[nbrs] >= 0
         pool = nbrs[placed & survivor[nbrs]]
         cands = owner[pool if pool.size else nbrs[placed]]
         # the lowest slot on the deepest level held (levels grow with the index), else the root
-        target = int(cands[cands >= (1 << level_of(int(cands.max()))) - 1].min()) if cands.size else 0
-        tn = tree.nodes[target]
-        tn.nodes = np.append(tn.nodes, u)
-        tn.ordered = False
-        owner[u] = target
-        touched.add(target)
-    return touched
+        owner[u] = cands[cands >= (1 << level_of(int(cands.max()))) - 1].min() if cands.size else 0
+    mapped = node_map.o2n[tree.perm]
+    return tree.splice(mapped, np.flatnonzero(mapped < 0), added)
 
 
 def map_edges_to_tree(
@@ -174,12 +158,13 @@ def aggressive_reuse(
     to the moved node would still cross disjoint subtrees; otherwise the
     change is kept and falls back to coarse dirt. Returns the remaining
     changes (tree pairs refreshed) plus the extra fine-dirty tree nodes
-    produced by the moves. Region sizes sum `sizes`, a count of `owner`
-    taken when the first region is needed and kept current by the moves.
+    produced by the moves. `owner` and `sizes`, the slot sizes in
+    post-order, follow every move, so a region's size is the sum of one
+    run of `sizes`; `perm` takes all the moves in one splice at the end.
     """
-    owner = tree.owner
-    n = owner.size
-    sizes = None
+    owner, rank = tree.owner, tree.rank
+    sizes = np.diff(tree.offsets)
+    moved: list[int] = []  # a moved node keeps no crossing edge, so it never moves twice
     extra: set[int] = set()
     out: list[TreeEdgeChange] = []
     for ch in changes:
@@ -192,26 +177,24 @@ def aggressive_reuse(
         if ch.kind != ADDED or anc in (a, b):
             out.append(ch)
             continue
-        if sizes is None:
-            sizes = np.bincount(owner, minlength=tree.size)
-        if sizes[tree.subtree_indices(anc)].sum() <= theta * n:
+        if sizes[slice(*tree.subtree_run(anc))].sum() <= theta * owner.size:
             out.append(ch)
             continue
-        if (sizes[a], ch.u) < (sizes[b], ch.v):
+        if (sizes[rank[a]], ch.u) < (sizes[rank[b]], ch.v):
             mover, src = ch.u, a
         else:
             mover, src = ch.v, b
         if all(_related(anc, int(owner[w])) for w in g_new.neighbors(mover)):
-            src_tn, anc_tn = tree.nodes[src], tree.nodes[anc]
-            src_tn.nodes = src_tn.nodes[src_tn.nodes != mover]
-            anc_tn.nodes = np.append(anc_tn.nodes, mover)
-            src_tn.ordered = anc_tn.ordered = False
             owner[mover] = anc
-            sizes[src] -= 1
-            sizes[anc] += 1
+            sizes[rank[src]] -= 1
+            sizes[rank[anc]] += 1
+            moved.append(mover)
             extra.update((src, anc))
         else:
             out.append(ch)
+    if moved:
+        joined = np.array(moved, dtype=np.int64)
+        tree.splice(tree.perm, np.flatnonzero(np.isin(tree.perm, joined, kind="table")), joined)
     return out, extra
 
 
@@ -229,11 +212,10 @@ def mark_and_decompose(
         region = tree.subtree_union(root)
         total += int(region.size)
         hgd_redecompose(tree, root, g_new, region, engine)
-        reuse_mask[tree.subtree_indices(root)] = False
-    for f in sorted(fine):
-        tree.nodes[f].ordered = False
-        reuse_mask[f] = False
-        total += int(tree.nodes[f].nodes.size)
+        reuse_mask[tree.post_order[slice(*tree.subtree_run(root))]] = False
+    for f in fine:
+        tree.ordered[f] = reuse_mask[f] = False
+        total += tree.slot_nodes(f).size
     return DirtyState(reuse_mask, frozenset(fine), frozenset(coarse), total)
 
 

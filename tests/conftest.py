@@ -50,11 +50,11 @@ def reference_edge_diff(g_old, g_new, entries):
 
 
 def total_nodes(tree: HgdTree) -> int:
-    return int(sum(tn.nodes.size for tn in tree.nodes))
+    return int(tree.perm.size)
 
 
 def tree_from_node_sets(max_level: int, sets, g: SymGraph | None = None) -> HgdTree:
-    """Build a tree directly from per-index node sets.
+    """Build a tree directly from per-index node sets, each stored ascending.
 
     Partition is always validated; when a graph is supplied the separator
     property is checked too.
@@ -62,12 +62,13 @@ def tree_from_node_sets(max_level: int, sets, g: SymGraph | None = None) -> HgdT
     tree = HgdTree(max_level)
     if len(sets) != tree.size:
         raise StaleTree(f"expected {tree.size} node sets, got {len(sets)}")
-    for idx, s in enumerate(sets):
-        tree.nodes[idx].nodes = np.unique(np.array(s, dtype=np.int64))
-    tree.owner = np.empty(total_nodes(tree), dtype=np.int64)
-    for idx, tn in enumerate(tree.nodes):
-        np.put(tree.owner, tn.nodes, idx, mode="clip")  # the audit rejects a clipped entry
-    tree.validate_partition(tree.owner.size)
+    parts = [np.unique(np.array(sets[i], dtype=np.int64)) for i in tree.post_order]
+    sizes = [p.size for p in parts]
+    tree.perm = np.concatenate(parts)
+    tree.offsets = np.cumsum([0] + sizes)
+    tree.owner = np.empty(tree.perm.size, dtype=np.int64)
+    np.put(tree.owner, tree.perm, np.repeat(tree.post_order, sizes), mode="clip")
+    tree.validate_partition(tree.owner.size)  # the audit rejects a clipped entry
     if g is not None:
         bad = tree.separator_violations(g)
         if bad:

@@ -3,8 +3,9 @@
 `reference_split` splits one graph the way `LevelSetEngine.split` did
 before it split a whole tree level per call, and `reference_build` /
 `reference_redecompose` recurse depth-first, one `reference_split` and one
-induced subgraph per tree slot. The batched code must match them slot by
-slot.
+induced subgraph per tree slot, into per-slot node sets that
+`conftest.tree_from_node_sets` turns into a tree. The batched code must
+match them slot by slot.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import numpy as np
 
 from parth import SymGraph
 from parth.graph import _EMPTY, _gather_slices, bfs_distances, component_labels, induced_subgraph
-from parth.hgd import MIN_SPLIT, HgdTree, level_of
+from parth.hgd import MIN_SPLIT, HgdTree, level_of, tree_size
 from parth.separator import SeparatorResult
+from conftest import tree_from_node_sets
+from reference_tree import subtree_indices
 
 SEP, LEFT, RIGHT = 0, 1, 2
 
@@ -98,32 +101,29 @@ def reference_split(g: SymGraph) -> SeparatorResult:
     )
 
 
-def _build_into(tree: HgdTree, sub: SymGraph, to_global: np.ndarray, level: int, idx: int) -> None:
-    node = tree.nodes[idx]
-    if level == tree.max_level or sub.n_nodes < MIN_SPLIT:
-        node.nodes = to_global
-        tree.owner[to_global] = idx
+def _build_into(sets: list, max_level: int, sub: SymGraph, to_global: np.ndarray, level: int, idx: int) -> None:
+    if level == max_level or sub.n_nodes < MIN_SPLIT:
+        sets[idx] = to_global
         return
     res = reference_split(sub)
-    node.nodes = to_global[res.sep]
-    tree.owner[node.nodes] = idx
+    sets[idx] = to_global[res.sep]
     left_sub, lsel = induced_subgraph(sub, res.left)
-    _build_into(tree, left_sub, to_global[lsel], level + 1, 2 * idx + 1)
+    _build_into(sets, max_level, left_sub, to_global[lsel], level + 1, 2 * idx + 1)
     right_sub, rsel = induced_subgraph(sub, res.right)
-    _build_into(tree, right_sub, to_global[rsel], level + 1, 2 * idx + 2)
+    _build_into(sets, max_level, right_sub, to_global[rsel], level + 1, 2 * idx + 2)
 
 
 def reference_build(g: SymGraph, max_level: int) -> HgdTree:
-    tree = HgdTree(max_level)
-    tree.owner = np.empty(g.n_nodes, dtype=np.int64)
-    _build_into(tree, g, np.arange(g.n_nodes, dtype=np.int64), 0, 0)
-    return tree
+    sets = [_EMPTY] * tree_size(max_level)
+    _build_into(sets, max_level, g, np.arange(g.n_nodes, dtype=np.int64), 0, 0)
+    return tree_from_node_sets(max_level, sets)
 
 
-def reference_redecompose(tree: HgdTree, root: int, g: SymGraph, region: np.ndarray) -> None:
-    """Empty the subtree at root, then recurse over the sorted `region` into it."""
-    for i in tree.subtree_indices(root):
-        tree.nodes[i].nodes = _EMPTY
-        tree.nodes[i].ordered = False
+def reference_redecompose(tree: HgdTree, root: int, g: SymGraph, region: np.ndarray) -> HgdTree:
+    """The tree with the subtree at root emptied, then recursed over the sorted `region`."""
+    sets = [tree.slot_nodes(i) for i in range(tree.size)]
+    for i in subtree_indices(tree, root):
+        sets[i] = _EMPTY
     sub, to_global = induced_subgraph(g, region)
-    _build_into(tree, sub, to_global, level_of(root), root)
+    _build_into(sets, tree.max_level, sub, to_global, level_of(root), root)
+    return tree_from_node_sets(tree.max_level, sets)

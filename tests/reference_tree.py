@@ -2,9 +2,10 @@
 
 `parth.hgd` answers every topology question from the heap index in closed
 form. These are the walks it replaced: subtree membership and lowest common
-ancestors step up through parents, subtree slots come from a stack, the
-post-order from a recursion and the separator audit from a loop over every
-edge. The closed forms must agree with them everywhere.
+ancestors step up through parents, subtree slots come from a stack (and
+their post-order run from those slots' ranks), the post-order from a
+recursion and the separator audit from a loop over every edge. The closed
+forms must agree with them everywhere.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ def subtree_indices(tree: HgdTree, root: int) -> list[int]:
     return sorted(out)
 
 
+def subtree_run(tree: HgdTree, root: int) -> tuple[int, int]:
+    """Post-order positions [lo, hi) of the walked subtree slots, which must be contiguous."""
+    ranks = sorted(tree.rank[subtree_indices(tree, root)].tolist())
+    assert ranks == list(range(ranks[0], ranks[-1] + 1)), f"subtree {root} is not one post-order run"
+    return ranks[0], ranks[-1] + 1
+
+
 def post_order_indices(max_level: int) -> np.ndarray:
     out: list[int] = []
 
@@ -60,7 +68,8 @@ def post_order_indices(max_level: int) -> np.ndarray:
 
 def separator_violations(tree: HgdTree, g: SymGraph) -> list[int]:
     """The lowest common ancestors of the edges between disjoint subtrees, one edge at a time."""
-    lookup = tree._node_to_tree(g.n_nodes)
+    tree.validate_partition(g.n_nodes)
+    lookup = tree.owner
     bad = set()
     eu, ev = g.edges()
     for a, b in zip(lookup[eu].tolist(), lookup[ev].tolist()):

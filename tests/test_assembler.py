@@ -42,7 +42,7 @@ class TestAssemble:
         assert is_permutation(second.graph_perm, 9)
         pos1, pos2 = np.argsort(first.graph_perm), np.argsort(second.graph_perm)
         for i in (0, 1, 3, 4):
-            nodes = tree.nodes[i].nodes
+            nodes = tree.slot_nodes(i)
             assert np.array_equal(pos1[nodes], pos2[nodes])
 
     def test_dim_one_matrix_equals_graph(self, engines):
@@ -92,22 +92,22 @@ class TestAssemble:
         state = assemble(tree, g, ord_eng, 1)
         assert is_permutation(state.graph_perm, g.n_nodes)
         pos = np.argsort(state.graph_perm)
-        for tn in tree.nodes:
-            if tn.nodes.size:
-                assert np.array_equal(pos[tn.nodes], pos[tn.nodes[0]] + np.arange(tn.nodes.size))
+        for i in range(tree.size):
+            nodes = tree.slot_nodes(i)
+            if nodes.size:
+                assert np.array_equal(pos[nodes], pos[nodes[0]] + np.arange(nodes.size))
         for i in range(tree.size // 2):  # internal indices
-            tn = tree.nodes[i]
-            if tn.nodes.size == 0:
+            nodes = tree.slot_nodes(i)
+            if nodes.size == 0:
                 continue
-            below = [tree.nodes[j].nodes for c in (2 * i + 1, 2 * i + 2) for j in tree.subtree_indices(c)]
-            below = np.concatenate(below)
+            below = np.concatenate([tree.subtree_union(c) for c in (2 * i + 1, 2 * i + 2)])
             if below.size:
-                assert pos[below].max() < pos[tn.nodes].min()
+                assert pos[below].max() < pos[nodes].min()
 
     def test_stale_tree_detected(self):
         # assemble trusts the tree it is given; the partition audit catches a stale one
         tree = tree_from_node_sets(2, NINE_TREE_SETS)
-        tree.nodes[3].nodes = np.array([40])  # points outside the graph
+        tree.perm[tree.offsets[tree.rank[3]]] = 40  # slot 3's node points outside the graph
         with pytest.raises(StaleTree):
             tree.validate_partition(9)
 

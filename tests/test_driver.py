@@ -139,8 +139,9 @@ def test_dimension_change_requires_map():
 
 def test_mis_sized_map_leaves_the_engine_untouched():
     # a map of the wrong length, or one built for another previous size, is
-    # refused before node sync relabels anything: the next valid step matches
-    # that of an engine that never saw the bad calls
+    # refused before node sync relabels anything, and so is a pattern that is
+    # no SparsityPattern: the next valid step matches that of an engine that
+    # never saw the bad calls
     pattern, _ = grid_laplacian(12, 12)
     n = pattern.n_rows
     remeshed, node_map = patch_remesh(pattern, 70, 2, densify=1.2, seed=5)
@@ -159,6 +160,9 @@ def test_mis_sized_map_leaves_the_engine_untouched():
             hit.step(p, bad)
     with pytest.raises(InvalidArgument, match="node_map must be a NodeMap"):
         hit.step(remeshed, node_map.entries)  # the map's entries, not the map
+    for call, bad in ((hit.step, "x"), (hit.step, None), (hit.start, "x"), (hit.start, remeshed.row_starts)):
+        with pytest.raises(InvalidArgument, match="pattern must be a SparsityPattern"):
+            call(bad)
     dirty_hit, state_hit = hit.step(remeshed, node_map)
     dirty_clean, state_clean = clean.step(remeshed, node_map)
     assert np.array_equal(state_hit.matrix_perm, state_clean.matrix_perm)

@@ -1,3 +1,4 @@
+import operator
 from collections import deque
 
 import numpy as np
@@ -36,6 +37,9 @@ from conftest import (
     random_pattern,
     reference_edge_diff,
 )
+
+# the message of an index array that is not 1-D and integer
+ARRAY = "1-D integer array"
 
 
 class TestBuildDual:
@@ -283,30 +287,44 @@ class TestConstructorChecks:
             build()
 
     @pytest.mark.parametrize(
-        "build",
+        "build, message",
         [
-            lambda: SparsityPattern(2, [0, 1, 2], [0.9, 1.7]),
-            lambda: SparsityPattern(2, [0.0, 1.0, 2.0], [0, 1]),
-            lambda: SparsityPattern(2, [0, 1, 2], [[0], [1]]),
-            lambda: SparsityPattern(2, [0, 1, 2], ["0", "1"]),
-            lambda: SparsityPattern(2, [0, 1, 2], [False, True]),
-            lambda: SparsityPattern.from_coo(3, [0, 1, 2], [0]),
-            lambda: SparsityPattern.from_coo(3, [0, 1], [0, 1, 2]),
-            lambda: SparsityPattern.from_coo(3, [0.5], [1]),
-            lambda: SparsityPattern.from_coo(3, [[0, 1]], [[1, 0]]),
-            lambda: SymGraph(2, [0, 1, 2], [1.0, 0.0]),
-            lambda: NodeMap([0.5, 1.0], 2),
-            lambda: NodeMap(np.zeros((2, 1), np.int64), 2),
+            (lambda: SparsityPattern(2, [0, 1, 2], [0.9, 1.7]), ARRAY),
+            (lambda: SparsityPattern(2, [0.0, 1.0, 2.0], [0, 1]), ARRAY),
+            (lambda: SparsityPattern(2, [0, 1, 2], [[0], [1]]), ARRAY),
+            (lambda: SparsityPattern(2, [0, 1, 2], ["0", "1"]), ARRAY),
+            (lambda: SparsityPattern(2, [0, 1, 2], [False, True]), ARRAY),
+            (lambda: SparsityPattern.from_coo(3, [0, 1, 2], [0]), "row indices but"),
+            (lambda: SparsityPattern.from_coo(3, [0, 1], [0, 1, 2]), "row indices but"),
+            (lambda: SparsityPattern.from_coo(3, [0.5], [1]), ARRAY),
+            (lambda: SparsityPattern.from_coo(3, [[0, 1]], [[1, 0]]), ARRAY),
+            (lambda: SymGraph(2, [0, 1, 2], [1.0, 0.0]), ARRAY),
+            (lambda: NodeMap([0.5, 1.0], 2), ARRAY),
+            (lambda: NodeMap(np.zeros((2, 1), np.int64), 2), ARRAY),
+            (lambda: SparsityPattern.from_coo(-1, [], []), "n_rows must be >= 0"),
+            (lambda: SparsityPattern.from_coo(2.5, [0], [0]), "n_rows must be an integer"),
+            (lambda: SparsityPattern.from_coo("3", [0], [0]), "n_rows must be an integer"),
+            (lambda: SparsityPattern.from_coo(None, [], []), "n_rows must be an integer"),
+            (lambda: SparsityPattern(-1, [0], []), "n_rows must be >= 0"),
+            (lambda: SparsityPattern(2.0, [0, 0, 0], []), "n_rows must be an integer"),
         ],
         ids=[
             "float_columns", "float_offsets", "2d_columns", "string_columns", "bool_columns",
             "coo_one_column", "coo_one_row_short", "coo_float_rows", "coo_2d",
             "float_neighbors", "float_map", "2d_map",
+            "coo_negative_n", "coo_float_n", "coo_string_n", "coo_none_n", "negative_n", "float_n",
         ],
     )
-    def test_non_index_arrays_rejected(self, build):
-        with pytest.raises(InvalidArgument, match="1-D integer array|row indices but"):
+    def test_non_index_arrays_rejected(self, build, message):
+        with pytest.raises(InvalidArgument, match=message):
             build()
+
+    @pytest.mark.parametrize("n_rows", [True, np.int64(3), np.uint8(3)])
+    def test_row_count_is_stored_as_an_int(self, n_rows):
+        n = operator.index(n_rows)
+        pattern = SparsityPattern(n_rows, [0] * (n + 1), [])
+        assert type(pattern.n_rows) is int and pattern.n_rows == n
+        assert type(SparsityPattern.from_coo(n_rows, [], []).n_rows) is int
 
     def test_empty_arrays_of_any_dtype_accepted(self):
         assert SparsityPattern(0, [0], []).nnz == 0

@@ -66,7 +66,7 @@ class TestClosedFormsEqualTheWalks:
         for a in slots:
             assert [is_in_subtree(a, b) for b in slots] == [walk.is_in_subtree(a, b) for b in slots]
             assert [lca_of(a, b) for b in slots] == [walk.lca_of(a, b) for b in slots]
-            assert tree.subtree_indices(a) == walk.subtree_indices(tree, a)
+            assert tree.subtree_run(a) == walk.subtree_run(tree, a)
 
     @pytest.mark.parametrize("max_level", range(12))
     def test_post_order(self, max_level):
@@ -100,7 +100,7 @@ WALKS = [
     (parth.hgd, "lca_of", walk.lca_of),
     (parth.synchronizer, "is_in_subtree", walk.is_in_subtree),
     (parth.synchronizer, "lca_of", walk.lca_of),
-    (HgdTree, "subtree_indices", walk.subtree_indices),
+    (HgdTree, "subtree_run", walk.subtree_run),
 ]
 
 
@@ -140,20 +140,20 @@ class TestBuild:
         g, _ = nine_node_graphs()
         tree = hgd_build(g, 0, engine)
         assert tree.size == 1
-        assert tree.nodes[0].nodes.tolist() == list(range(9))
+        assert tree.slot_nodes(0).tolist() == list(range(9))
 
     def test_nine_node_two_levels(self, engine):
         g, _ = nine_node_graphs()
         tree = hgd_build(g, 2, engine)
         assert tree.size == 7
-        assert 0 < tree.nodes[0].nodes.size <= 3  # no bigger than the hand-built layout
+        assert 0 < tree.slot_nodes(0).size <= 3  # no bigger than the hand-built layout
         assert_invariants(tree, g)
 
     def test_path_of_three(self, engine):
         g = graph_from_edges(3, [0, 1], [1, 2])
         tree = hgd_build(g, 1, engine)
-        assert tree.nodes[0].nodes.tolist() == [1]
-        children = {tuple(tree.nodes[1].nodes.tolist()), tuple(tree.nodes[2].nodes.tolist())}
+        assert tree.slot_nodes(0).tolist() == [1]
+        children = {tuple(tree.slot_nodes(1).tolist()), tuple(tree.slot_nodes(2).tolist())}
         assert children == {(0,), (2,)}
 
     def test_determinism(self, engine):
@@ -161,8 +161,8 @@ class TestBuild:
         g = build_dual(random_pattern(rng, 120))
         t1 = hgd_build(g, 3, engine)
         t2 = hgd_build(g, 3, engine)
-        for a, b in zip(t1.nodes, t2.nodes):
-            assert np.array_equal(a.nodes, b.nodes)
+        for name in ("perm", "offsets", "owner"):
+            assert np.array_equal(getattr(t1, name), getattr(t2, name))
 
     def test_partition_and_separators_random(self, engine):
         rng = np.random.default_rng(3)
@@ -179,7 +179,7 @@ class TestBuild:
             merged = np.sort(
                 np.concatenate(
                     [
-                        tree.nodes[i].nodes,
+                        tree.slot_nodes(i),
                         tree.subtree_union(2 * i + 1),
                         tree.subtree_union(2 * i + 2),
                     ]
@@ -194,24 +194,24 @@ class TestRedecompose:
         tree = hgd_build(g, 2, engine)
         fresh = hgd_build(g, 2, engine)
         hgd_redecompose(tree, 0, g, np.arange(9), engine)
-        for a, b in zip(tree.nodes, fresh.nodes):
-            assert np.array_equal(a.nodes, b.nodes)
+        for name in ("perm", "offsets", "owner", "ordered"):
+            assert np.array_equal(getattr(tree, name), getattr(fresh, name))
 
     def test_single_leaf_unchanged(self, engine):
         g, _ = nine_node_graphs()
         tree = tree_from_node_sets(2, NINE_TREE_SETS, g=g)
-        before = tree.nodes[5].nodes.copy()
+        before = tree.slot_nodes(5).copy()
         hgd_redecompose(tree, 5, g, before, engine)
-        assert np.array_equal(tree.nodes[5].nodes, before)
+        assert np.array_equal(tree.slot_nodes(5), before)
 
     def test_three_node_region_split(self, engine):
         # after the second call's delta the region {2,3,8} is a path 2-3-8
         g1, g2 = nine_node_graphs()
         tree = tree_from_node_sets(2, NINE_TREE_SETS, g=g1)
         hgd_redecompose(tree, 2, g2, np.array([2, 3, 8]), engine)
-        assert tree.nodes[2].nodes.tolist() == [3]
-        assert tree.nodes[5].nodes.tolist() == [2]
-        assert tree.nodes[6].nodes.tolist() == [8]
+        assert tree.slot_nodes(2).tolist() == [3]
+        assert tree.slot_nodes(5).tolist() == [2]
+        assert tree.slot_nodes(6).tolist() == [8]
         assert tree.separator_violations(g2) == []
 
     def test_region_mismatch(self, engine):
@@ -223,10 +223,10 @@ class TestRedecompose:
     def test_untouched_outside_subtree(self, engine):
         g, _ = nine_node_graphs()
         tree = tree_from_node_sets(2, NINE_TREE_SETS, g=g)
-        outside = {i: tree.nodes[i].nodes.copy() for i in (0, 1, 3, 4)}
+        outside = {i: tree.slot_nodes(i).copy() for i in (0, 1, 3, 4)}
         hgd_redecompose(tree, 2, g, np.array([2, 3, 8]), engine)
         for i, arr in outside.items():
-            assert np.array_equal(tree.nodes[i].nodes, arr)
+            assert np.array_equal(tree.slot_nodes(i), arr)
 
     def test_small_region_below_internal_slot_empties_deeper_slots(self, engine):
         # subtree 2 holds {2} at slot 2 and {3} at slot 5; two nodes are under
@@ -234,8 +234,8 @@ class TestRedecompose:
         g = graph_from_edges(4, [0, 0, 2], [1, 2, 3])
         tree = tree_from_node_sets(2, [[0], [1], [2], [], [], [3], []], g=g)
         hgd_redecompose(tree, 2, g, np.array([2, 3]), engine)
-        assert tree.nodes[2].nodes.tolist() == [2, 3]
-        assert [tree.nodes[i].nodes.size for i in (5, 6)] == [0, 0]
+        assert tree.slot_nodes(2).tolist() == [2, 3]
+        assert [tree.slot_nodes(i).size for i in (5, 6)] == [0, 0]
         assert_invariants(tree, g)
 
 
@@ -286,4 +286,4 @@ class TestFromNodeSets:
         sets = [np.array([1], dtype=np.int64), np.array([0], dtype=np.int64), np.array([2], dtype=np.int64)]
         tree = tree_from_node_sets(1, sets)
         sets[1][:] = 2
-        assert tree.nodes[1].nodes.tolist() == [0]
+        assert tree.slot_nodes(1).tolist() == [0]

@@ -44,10 +44,11 @@ def random_graph(rng: np.random.Generator, n: int) -> SymGraph:
 
 def assert_same_tree(got, want):
     assert got.size == want.size
-    for i, (a, b) in enumerate(zip(got.nodes, want.nodes)):
-        assert a.nodes.dtype == np.int64
-        assert np.array_equal(a.nodes, b.nodes), f"slot {i}"
-    assert np.array_equal(got.owner, want.owner)
+    assert got.perm.dtype == np.int64
+    for i in range(got.size):
+        assert np.array_equal(got.slot_nodes(i), want.slot_nodes(i)), f"slot {i}"
+    for name in ("perm", "offsets", "owner", "ordered"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 @settings(max_examples=120, deadline=None)
@@ -71,8 +72,7 @@ def test_redecompose_matches_reference(n, max_level, seed):
         extra = rng.choice(region, size=(2, int(rng.integers(0, region.size + 1))))
         g = graph_from_edges(n, np.concatenate([u, extra[0]]), np.concatenate([v, extra[1]]))
     hgd_redecompose(got, root, g, region, ENGINE)
-    reference_redecompose(want, root, g, region)
-    assert_same_tree(got, want)
+    assert_same_tree(got, reference_redecompose(want, root, g, region))
 
 
 def grouped_graph(rng: np.random.Generator, n: int) -> tuple[SymGraph, np.ndarray]:

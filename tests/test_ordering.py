@@ -160,10 +160,9 @@ def test_assemble_with_a_layout_reorders_few_slots_then_many(side):
     engine, rng = MinDegreeEngine(), np.random.default_rng(3)
     assemble(tree, g, engine, 1)
     for count in (3, tree.size - 2):
-        before = [tn.nodes for tn in tree.nodes]
+        before = [tree.slot_nodes(i) for i in range(tree.size)]
         redo = set(rng.choice(tree.size, count, replace=False).tolist())
-        for i in redo:
-            tree.nodes[i].ordered = False
+        tree.ordered[list(redo)] = False
         expect = np.concatenate([one_group_at_a_time(g, np.isin(np.arange(g.n_nodes), before[i]) - 1)
                                  if i in redo else before[i] for i in tree.post_order])
         with ExitStack() as stack:

@@ -1,10 +1,13 @@
-"""`assemble` splices the slots it re-orders into the previous permutation.
+"""`assemble` writes the slots it re-orders into the tree's permutation and keeps the rest.
 
-Every spliced result is compared with an assembly from scratch: the
-post-order concatenation of the tree's node arrays, and a second engine
-whose tree layout is dropped before each `assemble`.
+After every step of a stream the paper's reuse invariant is checked: each
+slot the step reports as reused holds the stretch it held in the previous
+permutation, relabelled through the node map, and `reused_nodes` counts
+exactly the nodes of those slots. The returned permutation is the tree's
+`perm`, and no step writes into one it returned before.
 """
 
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import parth.driver
+import parth.synchronizer
 from parth import (
     BallTooSmall,
     NodeMap,
@@ -33,42 +36,35 @@ from parth.synchronizer import node_change_synchronizer, synchronize
 from conftest import apply_edge_delta, blocks, has_edge
 
 
-def assemble_from_scratch(tree, g, engine, dim):
-    tree.layout = None
-    return assemble(tree, g, engine, dim)
-
-
-class Pair:
-    """Two engines on one stream: one splices, the other assembles from scratch."""
+class Checked:
+    """One engine on a stream, its reuse invariant checked after every step."""
 
     def __init__(self, config: ParthConfig):
         self.dim = config.dim
-        self.splice, self.scratch = Parth(config), Parth(config)
+        self.engine = Parth(config)
 
     def start(self, base: SparsityPattern):
-        with mock.patch.object(parth.driver, "assemble", assemble_from_scratch):
-            self.scratch.start(blocks(base, self.dim))
-        return self.check(self.splice.start(blocks(base, self.dim)))
+        return self.check(self.engine.start(blocks(base, self.dim)))
 
     def step(self, base: SparsityPattern, node_map: NodeMap | None = None):
-        pattern = blocks(base, self.dim)
-        with mock.patch.object(parth.driver, "assemble", assemble_from_scratch):
-            _, ref = self.scratch.step(pattern, node_map)
-        dirty, state = self.splice.step(pattern, node_map)
-        assert np.array_equal(state.graph_perm, ref.graph_perm)
-        assert np.array_equal(state.matrix_perm, ref.matrix_perm)
-        assert state.reused_nodes == ref.reused_nodes
+        tree = self.engine.tree
+        before, at = tree.perm, tree.offsets.copy()
+        kept = before.copy()
+        o2n = np.arange(before.size) if node_map is None else node_map.o2n
+        dirty, state = self.engine.step(blocks(base, self.dim), node_map)
+        assert np.array_equal(before, kept)
+        reused = np.flatnonzero(dirty.reuse_mask)
+        for i, k in zip(reused.tolist(), tree.rank[reused].tolist()):
+            assert np.array_equal(tree.slot_nodes(i), o2n[before[at[k] : at[k + 1]]]), f"slot {i}"
+        assert state.reused_nodes == int(np.diff(tree.offsets)[tree.rank[reused]].sum())
         return dirty, self.check(state)
 
     def check(self, state):
-        tree = self.splice.tree
-        arrays = [tree.nodes[i].nodes for i in tree.post_order]
-        assert np.array_equal(state.graph_perm, np.concatenate(arrays))
+        tree = self.engine.tree
+        assert state.graph_perm is tree.perm and tree.ordered.all()
         expanded = (state.graph_perm[:, None] * self.dim + np.arange(self.dim)).ravel()
         assert np.array_equal(state.matrix_perm, expanded)
-        assert tree.layout.offsets.tolist() == np.cumsum([0] + [a.size for a in arrays]).tolist()
-        assert tree.layout.graph_perm is state.graph_perm
-        tree.validate_partition(self.splice.graph.n_nodes)
+        tree.validate_partition(self.engine.graph.n_nodes)
         return state
 
 
@@ -79,16 +75,21 @@ def edge_removal(rng, base: SparsityPattern) -> SparsityPattern:
 
 
 class TestSpliceEqualsScratch:
-    @pytest.mark.parametrize("aggressive", [False, True])
+    """The reused slots of every step hold what the previous assembly gave them."""
+
+    # theta 0 tries a move for every crossing added edge
+    @pytest.mark.parametrize(
+        "aggressive, theta", [(False, 0.4), (True, 0.4), (True, 0.0)], ids=["False", "True", "theta0"]
+    )
     @pytest.mark.parametrize("dim", [1, 3])
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), kinds=st.lists(st.sampled_from("ncrm"), min_size=1, max_size=6))
-    def test_random_stream(self, dim, aggressive, seed, kinds):
+    def test_random_stream(self, dim, aggressive, theta, seed, kinds):
         # n: no-op, c: contacts, r: edge removal, m: remesh with a node map
         rng = np.random.default_rng(seed)
         base, _ = grid_laplacian(int(rng.integers(4, 9)), int(rng.integers(4, 9)))
-        pair = Pair(ParthConfig(dim=dim, target_leaf=4, aggressive=aggressive, theta=0.4))
-        prev = pair.start(base)
+        stream = Checked(ParthConfig(dim=dim, target_leaf=4, aggressive=aggressive, theta=theta))
+        prev = stream.start(base)
         for kind in kinds:
             node_map = None
             center = int(rng.integers(base.n_rows))
@@ -103,27 +104,27 @@ class TestSpliceEqualsScratch:
                                                   seed=int(rng.integers(2**31)))
             except BallTooSmall:  # a remesh can cut a node off; the step then repeats the pattern
                 kind = "n"
-            _, state = pair.step(base, node_map)
+            _, state = stream.step(base, node_map)
             if kind == "n":
                 assert state.graph_perm is prev.graph_perm and state.matrix_perm is prev.matrix_perm
             prev = state
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_relabel_then_no_map_step(self, dim):
-        # the relabel drops the layout; the next, map-free step splices into
-        # the layout the relabelled assembly rebuilt
+        # the relabel maps every stretch, and the next, map-free step
+        # re-orders a copy of the permutation the relabelled assembly returned
         base, _ = grid_laplacian(8, 8)
-        pair = Pair(ParthConfig(dim=dim, target_leaf=64 >> 3))  # depth 3
-        first = pair.start(base)
+        stream = Checked(ParthConfig(dim=dim, target_leaf=64 >> 3))  # depth 3
+        first = stream.start(base)
         new_of_old = np.random.default_rng(5).permutation(64)
         entries = np.empty(64, dtype=np.int64)
         entries[new_of_old] = np.arange(64)  # entries[new] = old
         rows, cols = base.to_coo()
         relabelled = SparsityPattern.from_coo(64, new_of_old[rows], new_of_old[cols])
-        _, state = pair.step(relabelled, NodeMap(entries, 64))
+        _, state = stream.step(relabelled, NodeMap(entries, 64))
         assert state.reused_nodes == 64
         assert np.array_equal(state.graph_perm, new_of_old[first.graph_perm])
-        dirty, state = pair.step(inject_contacts(relabelled, int(new_of_old[27]), 2, 3, seed=4))
+        dirty, state = stream.step(inject_contacts(relabelled, int(new_of_old[27]), 2, 3, seed=4))
         assert state.reused_nodes < 64
 
     def test_aggressive_move_resizes_two_slots(self):
@@ -131,20 +132,20 @@ class TestSpliceEqualsScratch:
         # the root separator: its leaf shrinks by one and the root grows by
         # one, and every slot between them in post-order shifts left
         base, _ = grid_laplacian(8, 8)
-        pair = Pair(ParthConfig(target_leaf=64 >> 2, aggressive=True, theta=0.0))  # depth 2
-        pair.start(base)
-        tree = pair.splice.tree
-        before = np.diff(tree.layout.offsets)
-        u, v = (int(tree.nodes[i].nodes.min()) for i in (3, 6))
-        assert not has_edge(pair.splice.graph, u, v)
-        size_u, size_v = tree.nodes[3].nodes.size, tree.nodes[6].nodes.size
+        stream = Checked(ParthConfig(target_leaf=64 >> 2, aggressive=True, theta=0.0))  # depth 2
+        stream.start(base)
+        tree = stream.engine.tree
+        before = np.diff(tree.offsets)
+        u, v = (int(tree.slot_nodes(i).min()) for i in (3, 6))
+        assert not has_edge(stream.engine.graph, u, v)
+        size_u, size_v = tree.slot_nodes(3).size, tree.slot_nodes(6).size
         src = 3 if size_u < size_v or (size_u == size_v and u < v) else 6
-        dirty, state = pair.step(apply_edge_delta(base, [(u, v)], []))
+        dirty, state = stream.step(apply_edge_delta(base, [(u, v)], []))
         assert dirty.coarse == frozenset() and dirty.fine == {src, 0}
-        slot = {i: k for k, i in enumerate(tree.post_order)}
-        resized = np.flatnonzero(np.diff(tree.layout.offsets) != before)
+        slot = {i: k for k, i in enumerate(tree.post_order.tolist())}
+        resized = np.flatnonzero(np.diff(tree.offsets) != before)
         assert sorted(resized.tolist()) == sorted([slot[src], slot[0]])
-        assert state.reused_nodes == 64 - tree.nodes[src].nodes.size - tree.nodes[0].nodes.size
+        assert state.reused_nodes == 64 - tree.slot_nodes(src).size - tree.slot_nodes(0).size
 
 
 class TestLayout:
@@ -174,22 +175,28 @@ class TestLayout:
         assert np.array_equal(state.graph_perm, first.graph_perm)
         assert np.array_equal(state.matrix_perm, (first.graph_perm[:, None] * 2 + np.arange(2)).ravel())
 
-    def test_relabel_drops_the_layout(self):
+    def test_relabel_is_one_gather(self):
+        # a renumbering maps the returned permutation entry by entry into a
+        # new array and keeps every stretch and flag; the identity keeps it all
         g = build_dual(grid_laplacian(6, 6)[0])
         tree = hgd_build(g, 2, LevelSetEngine())
-        assemble(tree, g, MinDegreeEngine(), 1)
+        first = assemble(tree, g, MinDegreeEngine(), 1).graph_perm
+        kept, offsets = first.copy(), tree.offsets.copy()
         node_change_synchronizer(tree, NodeMap.identity(36), g)
-        assert tree.layout is not None
-        node_change_synchronizer(tree, NodeMap(np.arange(36)[::-1].copy(), 36), g)
-        assert tree.layout is None
+        assert tree.perm is first
+        reverse = np.arange(36)[::-1].copy()
+        assert node_change_synchronizer(tree, NodeMap(reverse, 36), g) == set()
+        assert np.array_equal(tree.perm, reverse[first]) and np.array_equal(first, kept)
+        assert np.array_equal(tree.offsets, offsets) and tree.ordered.all()
+        tree.validate_partition(36)
 
     def test_empty_slots_are_marked_ordered(self):
         # a 6-node grid at depth 3 leaves slots empty; a second call re-orders nothing
         g = build_dual(grid_laplacian(3, 2)[0])
         tree = hgd_build(g, 3, LevelSetEngine())
-        assert any(tn.nodes.size == 0 for tn in tree.nodes)
+        assert (np.diff(tree.offsets) == 0).any()
         first = assemble(tree, g, MinDegreeEngine(), 1)
-        assert all(tn.ordered for tn in tree.nodes)
+        assert tree.ordered.all()
         assert assemble(tree, g, MinDegreeEngine(), 1).graph_perm is first.graph_perm
 
 
@@ -207,34 +214,50 @@ class TestLayoutAudit:
         # an inner offset moves two stretches; the last no longer ends the permutation
         tree = tree_and_graph[0]
         tree.validate_partition(64)
-        offsets = tree.layout.offsets.copy()
-        offsets[k] += 1
-        tree.layout = tree.layout._replace(offsets=offsets)
+        tree.offsets[k] += 1
         with pytest.raises(StaleTree):
             tree.validate_partition(64)
 
     def test_tampered_permutation_raises(self, tree_and_graph):
         tree = tree_and_graph[0]
-        perm = tree.layout.graph_perm.copy()
-        perm[[0, -1]] = perm[[-1, 0]]
-        tree.layout = tree.layout._replace(graph_perm=perm)
-        with pytest.raises(StaleTree):
-            tree.validate_partition(64)
-
-    def test_an_ordered_slot_that_changed_raises(self, tree_and_graph):
-        # the one precondition of the splice: an ordered slot keeps its array
-        tree = tree_and_graph[0]
-        tn = tree.nodes[3]
-        tn.nodes = tn.nodes[::-1].copy()
+        tree.perm = tree.perm[[-1, *range(1, 63), 0]]  # the first and last entries swapped
         with pytest.raises(StaleTree):
             tree.validate_partition(64)
 
     def test_stale_slots_pass_between_sync_and_assembly(self, tree_and_graph):
-        # slots the synchronizer cleared may differ from their stretch until the next assembly
+        # slots the synchronizer cleared hold their nodes in no particular order until the next assembly
         tree, g, pattern = tree_and_graph
         g_new = build_dual(inject_contacts(pattern, 27, 3, 12, seed=1))
         synchronize(tree, g, g_new, NodeMap.identity(64), LevelSetEngine())
-        assert not all(tn.ordered for tn in tree.nodes)
+        assert not tree.ordered.all()
         tree.validate_partition(64)
         assemble(tree, g_new, MinDegreeEngine(), 1)
         tree.validate_partition(64)
+
+    def test_every_stage_leaves_the_invariant(self):
+        # each stage of a step that writes the tree is audited as it returns, on
+        # a remesh stream at theta 0: node sync, the moves, rebuilds, the marks
+        stages = ("node_change_synchronizer", "aggressive_reuse", "hgd_redecompose", "mark_and_decompose")
+        base, _ = grid_laplacian(16, 16)
+        engine = Parth(ParthConfig(target_leaf=4, aggressive=True, theta=0.0))
+        engine.start(base)
+        n_nodes, audited = [base.n_rows], []
+
+        def audit(name, stage):
+            def run(tree, *args):
+                out = stage(tree, *args)
+                tree.validate_partition(n_nodes[0])
+                audited.append(name)
+                return out
+            return run
+
+        rng = np.random.default_rng(2)
+        with ExitStack() as stack:
+            for name in stages:
+                stage = audit(name, getattr(parth.synchronizer, name))
+                stack.enter_context(mock.patch.object(parth.synchronizer, name, stage))
+            for seed in range(6):
+                base, node_map = patch_remesh(base, int(rng.integers(base.n_rows)), 1, densify=1.5, seed=seed)
+                n_nodes[0] = base.n_rows
+                engine.step(base, node_map)
+        assert set(audited) == set(stages)

@@ -42,28 +42,28 @@ class TestNodeChangeSynchronizer:
     def test_identity_touches_nothing(self):
         g1, _ = nine_node_graphs()
         tree = nine_tree(g1)
-        before = [tn.nodes.copy() for tn in tree.nodes]
+        before = [tree.slot_nodes(i).copy() for i in range(tree.size)]
         touched = node_change_synchronizer(tree, NodeMap.identity(9), g1)
         assert touched == set()
-        for tn, arr in zip(tree.nodes, before):
-            assert np.array_equal(tn.nodes, arr)
+        for i, arr in enumerate(before):
+            assert np.array_equal(tree.slot_nodes(i), arr)
 
     def test_relabel_maps_arrays_in_order(self):
         # a pure renumbering keeps each array's order and its ordered flag
         g1, _ = nine_node_graphs()
         tree = nine_tree(g1)
-        for tn in tree.nodes:
-            tn.nodes, tn.ordered = tn.nodes[::-1].copy(), True
-        before = [tn.nodes.copy() for tn in tree.nodes]
+        tree.perm = np.concatenate([tree.slot_nodes(i)[::-1] for i in tree.post_order])
+        tree.ordered[:] = True
+        before = [tree.slot_nodes(i).copy() for i in range(tree.size)]
         new_of_old = np.array([4, 7, 0, 8, 2, 6, 1, 3, 5])
         entries = np.empty(9, dtype=np.int64)
         entries[new_of_old] = np.arange(9)
         rows, cols = g1.edges()
         g_new = graph_from_edges(9, new_of_old[rows], new_of_old[cols])
         assert node_change_synchronizer(tree, NodeMap(entries, 9), g_new) == set()
-        for tn, arr in zip(tree.nodes, before):
-            assert np.array_equal(tn.nodes, new_of_old[arr])
-            assert tn.ordered
+        for i, arr in enumerate(before):
+            assert np.array_equal(tree.slot_nodes(i), new_of_old[arr])
+        assert tree.ordered.all()
 
     def test_removed_node_reported(self):
         g1, _ = nine_node_graphs()
@@ -73,7 +73,7 @@ class TestNodeChangeSynchronizer:
         g_new = graph_from_edges(8, [0, 1], [1, 4])  # edges irrelevant here
         touched = node_change_synchronizer(tree, NodeMap(np.array(entries), 9), g_new)
         assert touched == {3}
-        assert tree.nodes[3].nodes.size == 0
+        assert tree.slot_nodes(3).size == 0
         assert total_nodes(tree) == 8
 
     def test_added_node_joins_neighbor_leaf(self):
@@ -87,7 +87,7 @@ class TestNodeChangeSynchronizer:
         entries = list(range(9)) + [-1]
         touched = node_change_synchronizer(tree, NodeMap(np.array(entries), 9), g_new)
         assert touched == {3}
-        assert tree.nodes[3].nodes.tolist() == [5, 9]
+        assert tree.slot_nodes(3).tolist() == [5, 9]
         assert tree.separator_violations(g_new) == []
 
     def test_isolated_added_node_joins_root(self):
@@ -97,18 +97,18 @@ class TestNodeChangeSynchronizer:
         g_new = graph_from_edges(10, eu, ev)
         touched = node_change_synchronizer(tree, NodeMap(np.array(list(range(9)) + [-1]), 9), g_new)
         assert touched == {0}
-        assert 9 in tree.nodes[0].nodes.tolist()
+        assert 9 in tree.slot_nodes(0).tolist()
 
     def test_bad_map_rejected(self):
         g1, _ = nine_node_graphs()
         tree = nine_tree(g1)
         with pytest.raises(InvalidMap):
             NodeMap(np.array([0] * 9), 9)  # a duplicate never becomes a map
-        before = [tn.nodes.copy() for tn in tree.nodes]
+        before = [tree.slot_nodes(i).copy() for i in range(tree.size)]
         for node_map in (NodeMap.identity(8), NodeMap(np.arange(9), 10)):
             with pytest.raises(InvalidMap):  # sized for another tree or graph
                 node_change_synchronizer(tree, node_map, g1)
-        assert all(np.array_equal(tn.nodes, arr) for tn, arr in zip(tree.nodes, before))
+        assert all(np.array_equal(tree.slot_nodes(i), arr) for i, arr in enumerate(before))
 
 
 class TestMapEdgesToTree:
@@ -252,10 +252,10 @@ class TestAggressiveReuse:
         pattern, _ = grid_laplacian(8, 8)
         g_old = build_dual(pattern)
         tree = hgd_build(g_old, 2, engine)
-        u, v, w = (int(tree.nodes[i].nodes.min()) for i in (3, 4, 2))
+        u, v, w = (int(tree.slot_nodes(i).min()) for i in (3, 4, 2))
         # u is the mover of (u, v): nodes 3 and 4 tie in size and u is the lower
         # index; (u, v) comes first in edge order, so it is tried first
-        assert tree.nodes[3].nodes.size == tree.nodes[4].nodes.size > tree.nodes[2].nodes.size
+        assert tree.slot_nodes(3).size == tree.slot_nodes(4).size > tree.slot_nodes(2).size
         assert u < v < w and not has_edge(g_old, u, v) and not has_edge(g_old, u, w)
         g_new = build_dual(apply_edge_delta(pattern, [(u, v), (u, w)], []))
         dirty = synchronize(tree, g_old, g_new, NodeMap.identity(64), engine, theta=0.0)
@@ -294,11 +294,11 @@ class TestSynchronize:
     def test_idempotent_on_unchanged_graph(self, engine):
         g1, _ = nine_node_graphs()
         tree = nine_tree(g1)
-        before = [tn.nodes.copy() for tn in tree.nodes]
+        before = [tree.slot_nodes(i).copy() for i in range(tree.size)]
         dirty = synchronize(tree, g1, g1, NodeMap.identity(9), engine)
         assert bool(dirty.reuse_mask.all())
-        for tn, arr in zip(tree.nodes, before):
-            assert np.array_equal(tn.nodes, arr)
+        for i, arr in enumerate(before):
+            assert np.array_equal(tree.slot_nodes(i), arr)
 
     def test_cross_root_edge_with_heuristic_stays_local(self, engine):
         # one added edge across the root split touches at most 3 tree nodes
