@@ -42,8 +42,7 @@ def assemble(tree: HgdTree, g: SymGraph, engine: MinDegreeEngine, dim: int) -> A
     `perm` (a copy, if the last assembly returned it), and every flag is
     set. A call that re-orders nothing and finds `perm` as the last one
     left it returns the previous arrays. The tree must partition g's nodes:
-    `hgd_build` and `synchronize` leave it so, and
-    `HgdTree.validate_partition` audits it.
+    `hgd_build` and `synchronize` leave it so, and `validate_partition` audits it.
     """
     perm = tree.perm
     if tree.ordered.all() and not perm.flags.writeable and tree.matrix_perm.size == dim * perm.size:

@@ -108,12 +108,13 @@ class HgdTree:
     def splice(self, perm: np.ndarray, out: np.ndarray, joined: np.ndarray) -> set[int]:
         """Make `perm` the given one less its positions `out`, plus each of `joined` at the end of its slot's stretch.
 
-        `offsets` describes the given array and follows; `owner` already
-        names the slots of `joined`, which keep their given order within a
-        slot. The slots whose membership changed are un-ordered and returned.
+        `offsets` describes the given array and follows; `owner` already names the slots of `joined`.
+        They are inserted in post-order, as slots with only empty ones between them end at one index, and
+        keep their given order within a slot. The slots whose membership changed are un-ordered and returned.
         """
         cut = np.searchsorted(self.offsets, out, side="right") - 1
         self.offsets[1:] -= np.cumsum(np.bincount(cut, minlength=self.size))
+        joined = joined[np.argsort(self.rank[self.owner[joined]], kind="stable")]
         k = self.rank[self.owner[joined]]
         self.perm = np.insert(np.delete(perm, out), self.offsets[k + 1], joined)
         self.offsets[1:] += np.cumsum(np.bincount(k, minlength=self.size))

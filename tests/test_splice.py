@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import parth.synchronizer
 from parth import (
+    ABSENT,
     BallTooSmall,
     NodeMap,
     Parth,
@@ -32,7 +33,7 @@ from parth.assembler import assemble
 from parth.hgd import hgd_build
 from parth.ordering import MinDegreeEngine
 from parth.separator import LevelSetEngine
-from parth.synchronizer import node_change_synchronizer, synchronize
+from parth.synchronizer import ADDED, TreeEdgeChange, aggressive_reuse, node_change_synchronizer, synchronize
 from conftest import apply_edge_delta, blocks, has_edge
 
 
@@ -149,6 +150,8 @@ class TestSpliceEqualsScratch:
 
 
 class TestLayout:
+    """The arrays an assembly returns are the flat tree's own (the class keeps the name of the layout they replaced)."""
+
     def test_no_op_step_returns_the_previous_arrays(self):
         pattern, _ = grid_laplacian(10, 10)
         engine = Parth(ParthConfig(dim=1, target_leaf=8))
@@ -201,6 +204,8 @@ class TestLayout:
 
 
 class TestLayoutAudit:
+    """`validate_partition` audits the flat tree, and every writer leaves it valid."""
+
     @pytest.fixture
     def tree_and_graph(self):
         pattern, _ = grid_laplacian(8, 8)
@@ -261,3 +266,45 @@ class TestLayoutAudit:
                 n_nodes[0] = base.n_rows
                 engine.step(base, node_map)
         assert set(audited) == set(stages)
+
+    @staticmethod
+    def edgeless_tree():
+        # no edges, so every separator is empty: the leaves hold {0, 4}, {2, 6}, {1, 5}, {3, 7}
+        g = build_dual(SparsityPattern.from_coo(8, np.arange(8), np.arange(8)))
+        tree = hgd_build(g, 2, LevelSetEngine())
+        assert [tree.slot_nodes(i).tolist() for i in range(7)] == [[], [], [], [0, 4], [2, 6], [1, 5], [3, 7]]
+        return tree
+
+    def test_moves_into_slots_that_end_together(self):
+        # node 0 moves to the root, then node 1 to slot 2: both stretches end
+        # where slot 6's does, and each node must land in its own slot's
+        tree = self.edgeless_tree()
+        rows, cols = np.r_[np.arange(8), 0, 1, 1, 3], np.r_[np.arange(8), 1, 0, 3, 1]
+        g_new = build_dual(SparsityPattern.from_coo(8, rows, cols))
+        changes = [TreeEdgeChange(3, 5, ADDED, 0, 1), TreeEdgeChange(5, 6, ADDED, 1, 3)]
+        assert aggressive_reuse(tree, g_new, changes, 0.0) == ([], {0, 2, 3, 5})
+        tree.validate_partition(8)
+        assert [tree.slot_nodes(i).tolist() for i in (0, 2, 3, 5)] == [[0], [1], [4], [5]]
+
+    def test_added_nodes_into_slots_that_end_together(self):
+        # new node 0 is isolated and goes to the root, new node 9 joins old
+        # node 3 in slot 6; slot 2 and the root are empty, so all three end at 8
+        tree = self.edgeless_tree()
+        entries = np.array([ABSENT, *range(8), ABSENT])
+        g_new = build_dual(SparsityPattern.from_coo(10, np.r_[np.arange(10), 4, 9], np.r_[np.arange(10), 9, 4]))
+        assert node_change_synchronizer(tree, NodeMap(entries, 8), g_new) == {0, 6}
+        tree.validate_partition(10)
+        assert tree.slot_nodes(0).tolist() == [0] and tree.slot_nodes(6).tolist() == [4, 8, 9]
+
+    def test_edgeless_stream_keeps_the_invariant(self):
+        # the same moves through the engine, then a remesh onto the moved nodes
+        stream = Checked(ParthConfig(target_leaf=2, aggressive=True, theta=0.0))
+        base = SparsityPattern.from_coo(8, np.arange(8), np.arange(8))
+        stream.start(base)
+        contacts = apply_edge_delta(base, [(0, 1), (1, 3)], [])
+        dirty, _ = stream.step(contacts)
+        assert dirty.coarse == frozenset() and stream.engine.tree.owner[[0, 1]].tolist() == [0, 2]
+        entries = np.array([ABSENT, *range(8), ABSENT])
+        rows, cols = contacts.to_coo()
+        grown = SparsityPattern.from_coo(10, np.r_[rows + 1, 0, 9, 4, 9], np.r_[cols + 1, 0, 9, 9, 4])
+        stream.step(grown, NodeMap(entries, 8))
