@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -312,6 +313,12 @@ class SymGraph:
     def neighbors(self, i: int) -> np.ndarray:
         return self.adj[self.adj_starts[i] : self.adj_starts[i + 1]]
 
+    @cached_property
+    def _neighbor_lists(self) -> list[list[int]]:
+        """Every node's neighbours as a Python list, built on first use and kept: the graph never changes."""
+        starts, adj = self.adj_starts.tolist(), self.adj.tolist()
+        return [adj[a:b] for a, b in zip(starts, starts[1:])]
+
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """All edges as (u, v) arrays with u < v."""
         rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.adj_starts))
@@ -344,7 +351,9 @@ def bfs_distances(g: SymGraph, roots, blocked: np.ndarray | None = None) -> np.n
     - Up to `_LIST_BFS_MAX` nodes the search runs over Python lists, with
       a queue that claims each node once. At that size numpy's per-call
       overhead on every level costs more than the whole search does in
-      Python.
+      Python. It reads the graph's neighbour-list view,
+      `SymGraph._neighbor_lists`, built on the first such search and
+      shared by every later one of the same graph.
     - Above it the search is level-synchronous in numpy. Each new frontier
       is deduplicated by scattering its candidates' positions into `dist`
       itself and keeping the candidate whose position survived, one per
@@ -363,10 +372,10 @@ def bfs_distances(g: SymGraph, roots, blocked: np.ndarray | None = None) -> np.n
 
 
 def _list_bfs(g: SymGraph, queue: list[int], dist: list[int]) -> np.ndarray:
-    starts, adj = g.adj_starts.tolist(), g.adj.tolist()
+    nbrs = g._neighbor_lists
     for x in queue:  # the loop also visits the nodes appended while it runs
         d = dist[x] + 1
-        for y in adj[starts[x] : starts[x + 1]]:
+        for y in nbrs[x]:
             if dist[y] == -1:
                 dist[y] = d
                 queue.append(y)

@@ -16,9 +16,10 @@ from .errors import InvalidPermutation
 from .graph import SymGraph, _counts_to_starts, _gather_slices, _index_array, _rows_within, _run_heads
 
 # a batch of groups w words wide runs in lockstep from this many groups and
-# rows (64w a group), else over sets: on a 65k grid's tree slots lockstep
-# wins from 80 groups of one word, 12 of four and 4 to 8 of 16 or 32
-_LOCKSTEP_MIN_GROUPS, _LOCKSTEP_MIN_ROWS = 4, 5120
+# rows (64w a group), else over sets: lockstep won from about 72 groups of one
+# word, 16 of two, 12 of four, 8 of eight and 4 of 16 or 32; the README says
+# why the rows cut at 4 096, where no width's side was over 15 % slower
+_LOCKSTEP_MIN_GROUPS, _LOCKSTEP_MIN_ROWS = 4, 4096
 # a batch's bit rows take at most 2 MB; its neighbour lists are read this
 # many rows at a time, so that their int64 copies stay small too
 _BATCH_WORDS, _FILL_ROWS = 1 << 18, 1 << 12

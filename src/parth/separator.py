@@ -4,6 +4,9 @@
 pseudo-peripheral node, the most evenly splitting level as the boundary,
 then a greedy shrink pass. One `split` call splits many disjoint
 sub-graphs at once, named by a group label per node: a tree level's worth.
+Two searches find the root; a third, for the levels, runs only where the
+root is not the node the first started from (George & Liu's finder often
+comes back to it), since the first search already gave those levels.
 A stronger partitioner replaces it in place, behind the same `split(g,
 group)` method.
 """
@@ -90,8 +93,10 @@ class LevelSetEngine:
 
         Ties for the largest go to the smallest node, and only a component
         of 3 or more nodes, and so an edge to cut, is searched: two rounds
-        of farthest-node BFS from its smallest node (ties to the lowest
-        index) find a root, and a third gives the levels. Level t's score
+        of farthest-node BFS from its smallest node h (ties to the lowest
+        index) find a root r2, and the levels are the distances from r2.
+        Where r2 is h they are the first round's; a third search, from the
+        other components' r2 only, gives the rest. Level t's score
         is how far the nodes before its separator (the rest of level t
         included) differ in number from those after level t; the first
         level with the lowest score wins. Each component's levels are
@@ -107,16 +112,27 @@ class LevelSetEngine:
         member[big] = np.arange(k, dtype=np.int64)
         member = member[label]  # the index in `big` of each node's component, or -1
         del label
-        roots = big
-        for _ in range(3):
-            dist = bfs_distances(g, roots, ~live)
-            reached = np.flatnonzero(dist >= 0)
-            level, comp = dist[reached], member[reached]
+        dist = bfs_distances(g, big, ~live)
+        reached = np.flatnonzero(dist >= 0)  # the big components' nodes, from any roots
+        comp = member[reached]
+
+        def levels(dist):  # each reached node's level, each component's eccentricity and lowest farthest node
+            level = dist[reached]
             ecc = np.zeros(k, dtype=np.int64)
             np.maximum.at(ecc, comp, level)
             far = reached[level == ecc[comp]]
             roots = np.full(k, g.n_nodes, dtype=np.int64)
             np.minimum.at(roots, member[far], far)
+            return level, ecc, roots
+
+        level, ecc, roots = levels(dist)
+        roots = levels(bfs_distances(g, roots, ~live))[2]
+        away = roots != big  # a component whose search returns to its head has the head's levels
+        if away.any():
+            third = bfs_distances(g, roots[away], ~live)
+            np.copyto(dist, third, where=third >= 0)
+            del third
+            level, ecc, _ = levels(dist)
         # one pass over the adjacency: the nodes with a neighbour one level on
         nb = dist[g.adj]
         nb -= np.repeat(dist, np.diff(g.adj_starts))

@@ -112,6 +112,8 @@ def read_matrix_market(path) -> tuple[SparsityPattern, np.ndarray | None]:
     structural symmetry check. Entries are deduplicated (values summed).
     The entry block is parsed in one pass and checked as a whole; only
     when a check fails are its lines walked to report the first bad one.
+    A size above two rows per declared entry plus 2**20 is refused at the
+    size line, before anything of that size is allocated.
     """
     path = Path(path)
     text, lines = _read_lines(path)
@@ -146,6 +148,8 @@ def read_matrix_market(path) -> tuple[SparsityPattern, np.ndarray | None]:
         raise ParseError(f"matrix must be square, got {m}x{n}", path, size_no)
     if n > MAX_ROWS:
         raise ParseError(f"matrix size {n} exceeds the largest supported, {MAX_ROWS}", path, size_no)
+    if n > 2 * nnz + (1 << 20):  # two rows per entry and 2**20 more, or a few bytes would allocate O(n)
+        raise ParseError(f"matrix size {n} exceeds what {nnz} entries can back, {2 * nnz + (1 << 20)}", path, size_no)
 
     want = 3 if has_values else 2
     records = _load_records(text, lines, size_no, _VALUED_ENTRY if has_values else _PATTERN_ENTRY, "%")

@@ -1,5 +1,8 @@
 import operator
 from collections import deque
+from contextlib import contextmanager
+from functools import cached_property
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from parth import (
     SymGraph,
     build_dual,
     compress_by_dim,
+    grid_laplacian,
 )
+from parth import graph
 from parth.graph import (
     _LIST_BFS_MAX,
     _unique,
@@ -26,6 +31,8 @@ from parth.graph import (
     edge_set_diff,
     induced_subgraph,
 )
+from parth.hgd import hgd_build, hgd_redecompose
+from parth.separator import LevelSetEngine
 from conftest import (
     NINE_EDGES_FIRST,
     edge_pairs,
@@ -606,3 +613,64 @@ class TestTraversal:
         end = int(np.flatnonzero(np.diff(g.adj_starts) == 1)[0])
         dist = bfs_distances(g, end)
         assert dist.tolist() == reference_bfs(g, end) and dist.max() == n - 1
+
+
+class TestNeighborLists:
+    """`SymGraph._neighbor_lists`, the list view `bfs_distances` reads up to `_LIST_BFS_MAX` nodes."""
+
+    @staticmethod
+    def assert_rows(g: SymGraph) -> None:
+        assert g._neighbor_lists == [g.neighbors(i).tolist() for i in range(g.n_nodes)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_view_is_the_rows_of_every_kind_of_graph(self, seed):
+        # the public constructor, `_trusted` (build_dual), induced_subgraph, and _splice (a row-diff ingest)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        old = random_pattern(rng, n)
+        g = build_dual(old)
+        public = SymGraph(n, g.adj_starts.copy(), g.adj.copy())
+        sub, _ = induced_subgraph(g, rng.choice(n, size=int(rng.integers(0, n)), replace=False))
+        rows, cols = old.to_coo()
+        k = rng.choice(np.flatnonzero(rows != cols))
+        a, b = rows[k], cols[k]
+        drop = ((rows == a) & (cols == b)) | ((rows == b) & (cols == a))  # an edge gone: two rows change
+        new = SparsityPattern.from_coo(n, rows[~drop], cols[~drop])
+        with mock.patch.object(graph, "_splice", wraps=graph._splice) as splice:
+            spliced = build_dual(new, (old, g))
+        assert splice.called
+        for h in (g, public, sub, spliced):
+            self.assert_rows(h)
+
+    def test_built_once_per_graph_in_a_build(self):
+        g = build_dual(grid_laplacian(64, 64)[0])
+        with counted_views() as built:
+            tree = hgd_build(g, 4, LevelSetEngine())
+        assert len(built) == 1 and built[0] is g
+        region = tree.subtree_union(1)
+        with counted_views() as built:
+            hgd_redecompose(tree, 1, g, region, LevelSetEngine())
+        assert len(built) == 1 and built[0].n_nodes == region.size
+
+    def test_never_built_above_the_list_search(self):
+        g = build_dual(grid_laplacian(91, 91)[0])
+        assert g.n_nodes > _LIST_BFS_MAX
+        with counted_views() as built:
+            hgd_build(g, 3, LevelSetEngine())
+        assert built == [] and "_neighbor_lists" not in vars(g)
+
+
+@contextmanager
+def counted_views():
+    """Within the block, every build of a graph's neighbour-list view appends that graph to the yielded list."""
+    built, build = [], vars(SymGraph)["_neighbor_lists"].func
+
+    def counting(g: SymGraph) -> list[list[int]]:
+        built.append(g)
+        return build(g)
+
+    view = cached_property(counting)
+    view.__set_name__(SymGraph, "_neighbor_lists")
+    with mock.patch.object(SymGraph, "_neighbor_lists", view):
+        yield built

@@ -18,6 +18,7 @@ from parth import (
     write_matrix_market,
     write_node_map,
 )
+from parth import sequence_io
 from parth.cli import main
 from parth.graph import MAX_ROWS, sum_duplicates
 from parth.sequence_io import SequenceStep
@@ -402,6 +403,29 @@ class TestSizeBound:
         with pytest.raises(ParseError) as exc:
             read_matrix_market(f)
         assert exc.value.line == 2 and str(MAX_ROWS) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "size_line, entries",
+        [("4000000 4000000 0", ""), ("1048579 1048579 1", "1 2\n"), ("1000000000 1000000000 3", "1 2\n2 3\n3 4\n")],
+    )
+    def test_size_the_entries_cannot_back_is_refused_at_the_size_line(self, tmp_path, monkeypatch, size_line, entries):
+        # 2 * nnz + 2**20 rows at most: refused before sum_duplicates allocates O(n)
+        def never(*args):
+            raise AssertionError("sum_duplicates ran")
+
+        monkeypatch.setattr(sequence_io, "sum_duplicates", never)
+        f = tmp_path / "m.mtx"
+        f.write_text(f"%%MatrixMarket matrix coordinate pattern symmetric\n{size_line}\n{entries}")
+        with pytest.raises(ParseError) as exc:
+            read_matrix_market(f)
+        n, nnz = (int(t) for t in size_line.split()[1:])
+        assert exc.value.line == 2 and f"matrix size {n} exceeds what {nnz} entries can back" in str(exc.value)
+
+    def test_size_the_entries_back_is_read(self, tmp_path):
+        f = tmp_path / "m.mtx"
+        f.write_text(f"%%MatrixMarket matrix coordinate pattern symmetric\n{2**20 + 2} {2**20 + 2} 1\n1 2\n")
+        pattern, _ = read_matrix_market(f)
+        assert pattern.n_rows == 2**20 + 2 and pattern.nnz == 2
 
     def test_from_coo(self):
         empty = np.empty(0, dtype=np.int64)

@@ -6,11 +6,14 @@ depth-first recursion's slot by slot, and a grouped split must equal the
 per-group split of each group's induced subgraph.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parth import SymGraph, build_dual, grid_laplacian
+from parth import SymGraph, build_dual, grid_laplacian, separator
 from parth.graph import _LIST_BFS_MAX, induced_subgraph
 from parth.hgd import hgd_build, hgd_redecompose
 from parth.separator import LevelSetEngine
@@ -84,11 +87,7 @@ def grouped_graph(rng: np.random.Generator, n: int) -> tuple[SymGraph, np.ndarra
     return graph_from_edges(n, u[keep], v[keep]), group
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 200), st.integers(0, 2**32 - 1))
-def test_grouped_split_is_the_per_group_split(n, seed):
-    g, group = grouped_graph(np.random.default_rng(seed), n)
-    res = ENGINE.split(g, group)
+def assert_per_group_split(g: SymGraph, group: np.ndarray, res) -> None:
     parts = {"sep": [], "left": [], "right": []}
     for label in np.unique(group[group >= 0]).tolist():
         sub, to_global = induced_subgraph(g, np.flatnonzero(group == label))
@@ -98,6 +97,36 @@ def test_grouped_split_is_the_per_group_split(n, seed):
     for name, pieces in parts.items():
         want = np.sort(np.concatenate(pieces)) if pieces else np.empty(0, dtype=np.int64)
         assert np.array_equal(getattr(res, name), want), name
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 200), st.integers(0, 2**32 - 1))
+def test_grouped_split_is_the_per_group_split(n, seed):
+    g, group = grouped_graph(np.random.default_rng(seed), n)
+    assert_per_group_split(g, group, ENGINE.split(g, group))
+
+
+@pytest.mark.parametrize("side", [8, 91])  # 91 * 91 nodes: the numpy search, above _LIST_BFS_MAX
+@pytest.mark.parametrize("mixed", [False, True])
+def test_third_search_only_from_components_that_leave_their_head(side, mixed):
+    # group 0, a path from its head 0, and group 2, a grid from its corner
+    # 15, return to their heads: the head search already gives their levels.
+    # Group 1, 11 - 10 - 12 - 13 - 14, does not: head 10, farthest 14, then 11
+    path = ([0, 1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    vee = ([10, 10, 12, 13], [11, 12, 13, 14])
+    grid_u, grid_v = build_dual(grid_laplacian(side, side)[0]).edges()
+    n = 15 + side * side
+    u, v = np.concatenate([path[0], vee[0], grid_u + 15]), np.concatenate([path[1], vee[1], grid_v + 15])
+    g = graph_from_edges(n, u, v)
+    assert (n > _LIST_BFS_MAX) == (side == 91)
+    group = np.repeat([0, 1 if mixed else -1, 2], [10, 5, side * side])
+    with mock.patch.object(separator, "bfs_distances", wraps=separator.bfs_distances) as search:
+        res = ENGINE.split(g, group)
+    assert search.call_count == (3 if mixed else 2)
+    assert search.call_args_list[0].args[1].tolist() == ([0, 10, 15] if mixed else [0, 15])
+    if mixed:
+        assert search.call_args_list[2].args[1].tolist() == [11]
+    assert_per_group_split(g, group, res)
 
 
 def test_shrink_only_where_both_sides_filled():
