@@ -18,8 +18,10 @@ from .separator import LevelSetEngine
 from .synchronizer import DirtyState, synchronize
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParthConfig:
+    """Engine settings, checked at construction; frozen, so `dataclasses.replace` re-runs the checks."""
+
     dim: int = 1
     target_leaf: int = 256
     aggressive: bool = False
@@ -27,10 +29,10 @@ class ParthConfig:
 
     def __post_init__(self):
         for name in ("dim", "target_leaf"):
-            setattr(self, name, _checked_int(getattr(self, name), name, 1))
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name, 1))
         if not isinstance(self.aggressive, (bool, np.bool_)):
             raise InvalidArgument(f"aggressive must be a bool, got {self.aggressive!r}")
-        self.aggressive = bool(self.aggressive)
+        object.__setattr__(self, "aggressive", bool(self.aggressive))
         theta = self.theta
         # bool is an int to Python; numpy's bool is no numbers.Real
         if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not (

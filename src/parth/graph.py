@@ -223,8 +223,8 @@ def sum_duplicates(n: int, rows, cols, vals=None) -> tuple[SparsityPattern, np.n
         keys = _unique(keys)
     else:
         keys, inverse = _unique(keys, return_inverse=True)
-        summed = np.zeros(keys.size, dtype=np.float64)
-        np.add.at(summed, inverse, np.asarray(vals, dtype=np.float64))
+        # sums in entry order, as np.add.at does; with no entries bincount returns ints
+        summed = np.bincount(inverse, weights=vals, minlength=keys.size).astype(np.float64, copy=False)
     width = max(n, 1)
     starts = _counts_to_starts(np.bincount(keys // width, minlength=n))
     cols = keys % width

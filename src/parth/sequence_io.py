@@ -8,7 +8,7 @@ opened when their step is loaded. Node maps are one integer per line,
 
 from __future__ import annotations
 
-import re
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,26 +42,24 @@ def _is_data(line: str, comment: str) -> bool:
 def _load_records(text: str, lines: list[str], first: int, dtype, comment: str):
     """Parse lines[first:] as whitespace-separated records in one C-level pass.
 
-    Skips blank lines and lines that start, after blanks, with `comment`.
-    Returns a structured array with one record per remaining line, or None
-    when any record fails to parse or has the wrong number of fields. numpy
-    would also strip a comment that follows data on a line, which the
-    per-line rules reject as a malformed line, so that too returns None.
-    Either way, the caller then walks the lines to name the one at fault.
+    Skips blank lines and lines that start, after blanks, with `comment`;
+    the parse itself knows no comments, so one that follows data on a line,
+    which the per-line rules reject, fails it. Returns a structured array
+    with one record per remaining line, or None when any record fails to
+    parse or has the wrong number of fields; the caller then walks the
+    lines to name the one at fault.
     numpy 1.23-1.26 read a field such as "2.5" into int64 by truncation
     with only a DeprecationWarning; that warning is made an error here, so
     such a field fails the parse whatever the process's warning filters.
     """
-    offset = sum(len(ln) + 1 for ln in lines[:first])
-    if text.find(comment, offset) >= 0:
-        trailing = re.compile(rf"^[^\S\n]*[^{comment}\s][^\n]*{comment}", re.MULTILINE)
-        if trailing.search(text, offset):
-            return None
+    body = lines[first:]
+    if text.find(comment, sum(len(ln) + 1 for ln in lines[:first])) >= 0:
+        body = [ln for ln in body if not ln.lstrip().startswith(comment)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a block with no records
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            return np.loadtxt(lines[first:], dtype=dtype, comments=comment, ndmin=1)
+            return np.loadtxt(body, dtype=dtype, comments=None, ndmin=1)
         except (ValueError, DeprecationWarning):
             return None
 
@@ -261,11 +259,15 @@ def read_manifest(path) -> list[SequenceStep]:
 def write_manifest(path, steps: list[SequenceStep]) -> None:
     """Write steps with paths made relative to the manifest's directory."""
     path = Path(path)
+
+    def rel(p) -> str:
+        return Path(os.path.relpath(p, path.parent)).as_posix()
+
     with open(path, "w", encoding="utf-8") as fh:
         for stp in steps:
-            parts = [f"matrix={Path(stp.matrix_path).name}"]
+            parts = [f"matrix={rel(stp.matrix_path)}"]
             if stp.map_path is not None:
-                parts.append(f"map={Path(stp.map_path).name}")
+                parts.append(f"map={rel(stp.map_path)}")
             if stp.label:
                 parts.append(f"label={stp.label}")
             fh.write(";".join(parts) + "\n")

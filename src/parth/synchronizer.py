@@ -11,16 +11,17 @@ exactly its stretch of `perm` between stages: node sync is one gather of
 `perm` and one splice, `aggressive_reuse` splices all its moves at its end,
 and a rebuild writes its subtree's run once.
 
-An edge whose endpoints share one tree node lies inside one sub-graph: its
-local ordering must be recomputed, nothing structural changed. Such edges
-become fine marks as soon as they are mapped to the tree (map_edges_to_tree,
-aggressive_reuse), so classification only ever sees pairs with a != b:
+A slot's local ordering depends only on its own induced sub-graph, so three
+rules cover every changed edge (a, b), a and b the tree nodes of its ends:
+  * a == b: only that sub-graph changed; the slot becomes a fine mark as
+    soon as the edge is mapped (map_edges_to_tree, aggressive_reuse).
   * a and b on one root-to-leaf path: no separator can be broken by an edge
     between a separator and its own subtree, so the change is dismissed.
   * disjoint subtrees, edge added: the lowest common ancestor's separator no
     longer separates; its whole subtree is rebuilt.
-  * disjoint subtrees, edge removed: separators stay valid; both endpoint
-    sub-graphs are merely marked for reordering.
+A removed edge never joins disjoint subtrees: the tree separated the old
+graph, node sync keeps every survivor in its slot, and an aggressive move
+only lifts a node into an ancestor of its slot.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ class DirtyState:
 
     reuse_mask[i] is True when tree node i kept its local ordering. fine and
     coarse are the filtered dirty sets; dirty_node_total is the number of
-    graph nodes covered by them (the upper bound on reordering work).
+    graph nodes covered by them (the upper bound on reordering work). A
+    fine slot changed its members or its induced edges; a coarse root is
+    the LCA of an added edge, as a removed one never crosses subtrees.
     """
 
     reuse_mask: np.ndarray
@@ -103,16 +106,13 @@ def map_edges_to_tree(
 ) -> tuple[list[TreeEdgeChange], set[int]]:
     """Express graph-edge deltas as tree-node pairs.
 
-    Both edge arrays must use the current (new) graph indexing. Edges whose
-    endpoints share a tree node are returned separately as fine-grain marks
-    on that node.
+    Both edge arrays are (k, 2) int64 arrays in the current (new) graph
+    indexing. Edges whose endpoints share a tree node are returned
+    separately as fine-grain marks on that node.
     """
     changes: list[TreeEdgeChange] = []
     fine: set[int] = set()
-    for pairs, kind in ((added, ADDED), (removed, REMOVED)):
-        if len(pairs) == 0:
-            continue
-        uv = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    for uv, kind in ((added, ADDED), (removed, REMOVED)):
         ab = tree.owner[uv]
         same = ab[:, 0] == ab[:, 1]
         fine.update(ab[same, 0].tolist())
@@ -121,20 +121,9 @@ def map_edges_to_tree(
     return changes, fine
 
 
-def dirty_subgraph_detection(
-    tree: HgdTree, changes: list[TreeEdgeChange]
-) -> tuple[set[int], set[int]]:
-    """Classify tree-edge changes into fine and coarse dirty sets."""
-    fine: set[int] = set()
-    coarse: set[int] = set()
-    for ch in changes:
-        if _related(ch.a, ch.b):
-            continue
-        if ch.kind == ADDED:
-            coarse.add(lca_of(ch.a, ch.b))
-        else:
-            fine.update((ch.a, ch.b))
-    return fine, coarse
+def dirty_subgraph_detection(tree: HgdTree, changes: list[TreeEdgeChange]) -> set[int]:
+    """Coarse roots: the lowest common ancestor of each added change between disjoint subtrees."""
+    return {lca_of(ch.a, ch.b) for ch in changes if ch.kind == ADDED and not _related(ch.a, ch.b)}
 
 
 def filter_redundant_subgraphs(fine: set[int], coarse: set[int]) -> tuple[set[int], set[int]]:
@@ -174,10 +163,7 @@ def aggressive_reuse(
             continue
         ch = TreeEdgeChange(a, b, ch.kind, ch.u, ch.v)
         anc = lca_of(a, b)
-        if ch.kind != ADDED or anc in (a, b):
-            out.append(ch)
-            continue
-        if sizes[slice(*tree.subtree_run(anc))].sum() <= theta * owner.size:
+        if ch.kind != ADDED or anc in (a, b) or sizes[slice(*tree.subtree_run(anc))].sum() <= theta * owner.size:
             out.append(ch)
             continue
         if (sizes[rank[a]], ch.u) < (sizes[rank[b]], ch.v):
@@ -239,13 +225,10 @@ def synchronize(
     node_map.require_sizes(g_old.n_nodes, g_new.n_nodes)
     touched = node_change_synchronizer(tree, node_map, g_new)
     added, removed = edge_set_diff(g_old, g_new, node_map)
-    if removed.size:
-        removed = node_map.o2n[removed]
-    changes, fine_marks = map_edges_to_tree(tree, added, removed)
-    extra: set[int] = set()
+    changes, fine = map_edges_to_tree(tree, added, node_map.o2n[removed])
+    fine |= touched
     if theta is not None:
-        changes, extra = aggressive_reuse(tree, g_new, changes, theta)
-    fine, coarse = dirty_subgraph_detection(tree, changes)
-    fine |= fine_marks | touched | extra
-    fine, coarse = filter_redundant_subgraphs(fine, coarse)
+        changes, moved = aggressive_reuse(tree, g_new, changes, theta)
+        fine |= moved
+    fine, coarse = filter_redundant_subgraphs(fine, dirty_subgraph_detection(tree, changes))
     return mark_and_decompose(tree, g_new, fine, coarse, engine)

@@ -76,6 +76,31 @@ def tree_from_node_sets(max_level: int, sets, g: SymGraph | None = None) -> HgdT
     return tree
 
 
+def _induced_pairs(g: SymGraph, nodes: np.ndarray, label: np.ndarray) -> set[tuple[int, int]]:
+    inside = np.zeros(g.n_nodes, dtype=bool)
+    inside[nodes] = True
+    u, v = g.edges()
+    keep = inside[u] & inside[v]
+    a, b = label[u[keep]], label[v[keep]]
+    return set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+
+
+def unchanged_slots(tree: HgdTree, slots, before, g_old: SymGraph, g_new: SymGraph, o2n: np.ndarray) -> list[int]:
+    """The given slots that hold the same nodes and the same induced edges as before a step.
+
+    before[i] is slot i's nodes ahead of the step, in g_old's indices; o2n
+    takes them to g_new's (-1 for a removed node, which changes the slot).
+    """
+    same = []
+    for i in sorted(slots):
+        old, new = before[i], tree.slot_nodes(i)
+        if sorted(o2n[old].tolist()) == sorted(new.tolist()) and _induced_pairs(
+            g_old, old, o2n
+        ) == _induced_pairs(g_new, new, np.arange(g_new.n_nodes)):
+            same.append(i)
+    return same
+
+
 def verify_separator(g: SymGraph, result: SeparatorResult) -> bool:
     """Exhaustive check: partition, disjointness, and no left-right edge."""
     n = g.n_nodes

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import types
 
@@ -285,6 +286,23 @@ def test_theta_outside_unit_interval_rejected(theta):
         ParthConfig(aggressive=True, theta=theta)
     with pytest.raises(InvalidArgument):
         ParthConfig(theta=theta)  # checked whether or not aggressive reuse is on
+
+
+@pytest.mark.parametrize("field, value", [("theta", float("nan")), ("aggressive", "yes"), ("dim", 0)])
+def test_config_cannot_change_after_its_checks(field, value):
+    # a step would otherwise run with the unchecked value: theta NaN tries a move for every crossing change
+    engine = Parth(ParthConfig(aggressive=True, theta=0.3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(engine.config, field, value)
+    assert engine.config == ParthConfig(aggressive=True, theta=0.3)
+    with pytest.raises(InvalidArgument):
+        dataclasses.replace(engine.config, **{field: value})
+
+
+def test_config_replace_normalizes_like_construction():
+    config = dataclasses.replace(ParthConfig(), dim=np.int64(3), aggressive=np.bool_(True), theta=0.25)
+    assert config == ParthConfig(dim=3, aggressive=True, theta=0.25)
+    assert type(config.dim) is int and config.aggressive is True
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.4, 1.0])

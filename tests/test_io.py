@@ -232,6 +232,26 @@ class TestManifest:
         write_manifest(f, steps)
         assert read_manifest(f) == steps
 
+    def test_write_read_outside_the_manifest_directory(self, tmp_path):
+        # paths are written relative to the manifest's directory, not as bare file names
+        (tmp_path / "wm" / "sub").mkdir(parents=True)
+        (tmp_path / "other").mkdir()
+        steps = [
+            SequenceStep(tmp_path / "wm" / "sub" / "a.mtx", None, "base"),
+            SequenceStep(tmp_path / "other" / "b.mtx", tmp_path / "other" / "b.map", "patch"),
+        ]
+        for stp in steps:
+            for p in (stp.matrix_path, stp.map_path):
+                if p is not None:
+                    p.write_text(p.name)
+        f = tmp_path / "wm" / "manifest.txt"
+        write_manifest(f, steps)
+        assert f.read_text() == "matrix=sub/a.mtx;label=base\nmatrix=../other/b.mtx;map=../other/b.map;label=patch\n"
+        back = read_manifest(f)
+        assert [s.label for s in back] == ["base", "patch"]
+        assert [s.matrix_path.read_text() for s in back] == ["a.mtx", "b.mtx"]
+        assert back[0].map_path is None and back[1].map_path.read_text() == "b.map"
+
 
 # a valid 3x3 file; the cases below each break or bend one part of it
 VALID = ["%%MatrixMarket matrix coordinate real symmetric", "3 3 4", "1 1 1.0", "2 1 -0.5", "2 2 1.0", "3 3 2.0"]
@@ -389,6 +409,26 @@ class TestAgainstReference:
         with pytest.raises(ParseError) as exc:
             read_node_map(f, 2, 11)
         assert exc.value.line == 2
+
+
+class TestSumDuplicates:
+    def test_repeated_entries_sum_in_entry_order(self):
+        # magnitudes far apart make the sum depend on its order
+        rng = np.random.default_rng(3)
+        rows, cols = rng.integers(0, 4, size=200), rng.integers(0, 4, size=200)
+        vals = rng.standard_normal(200) * 10.0 ** rng.integers(-8, 9, size=200)
+        pattern, summed = sum_duplicates(4, rows, cols, vals)
+        want: dict[tuple[int, int], float] = {}
+        for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            want[r, c] = want.get((r, c), 0.0) + v
+        keys = sorted(want)
+        assert [(int(r), int(c)) for r, c in zip(*pattern.to_coo())] == keys
+        assert summed.dtype == np.float64 and summed.tobytes() == np.array([want[k] for k in keys]).tobytes()
+
+    def test_no_entries_gives_float_values(self):
+        empty = np.empty(0, dtype=np.int64)
+        pattern, summed = sum_duplicates(3, empty, empty, np.empty(0))
+        assert pattern.nnz == 0 and summed.dtype == np.float64 and summed.size == 0
 
 
 class TestSizeBound:

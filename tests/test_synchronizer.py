@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from parth import InvalidMap, NodeMap, Parth, ParthConfig, build_dual, grid_laplacian
+from parth import (
+    BallTooSmall,
+    InvalidMap,
+    NodeMap,
+    Parth,
+    ParthConfig,
+    build_dual,
+    grid_laplacian,
+    inject_contacts,
+    patch_remesh,
+)
 from parth.graph import edge_set_diff
-from parth.hgd import hgd_build
+from parth.hgd import hgd_build, lca_of
 from parth.separator import LevelSetEngine
 from parth.synchronizer import (
     ADDED,
@@ -26,6 +36,7 @@ from conftest import (
     random_pattern,
     total_nodes,
     tree_from_node_sets,
+    unchanged_slots,
 )
 
 
@@ -144,19 +155,18 @@ class TestDirtyDetection:
             TreeEdgeChange(2, 6, ADDED, 2, 8),
             TreeEdgeChange(5, 6, ADDED, 3, 8),
         ]
-        fine, coarse = dirty_subgraph_detection(tree, changes)
-        assert coarse == {2}
         # ancestor-related changes produce no dirt at all
-        assert fine == set()
+        assert dirty_subgraph_detection(tree, changes) == {2}
 
     def test_removed_cross_edge_marks_endpoints(self):
+        # no step produces one (a removed edge never crosses disjoint subtrees); were one
+        # to arrive, it would be dismissed like every change but an added crossing one
         tree = nine_tree()
-        fine, coarse = dirty_subgraph_detection(tree, [TreeEdgeChange(3, 4, REMOVED, 5, 7)])
-        assert coarse == set() and fine == {3, 4}
+        assert dirty_subgraph_detection(tree, [TreeEdgeChange(3, 4, REMOVED, 5, 7)]) == set()
 
     def test_no_changes(self):
         tree = nine_tree()
-        assert dirty_subgraph_detection(tree, []) == (set(), set())
+        assert dirty_subgraph_detection(tree, []) == set()
 
     def test_change_requires_endpoints(self):
         # aggressive_reuse looks the endpoints up; there is no placeholder for them
@@ -334,3 +344,84 @@ class TestSynchronize:
             synchronize(tree, g_old, g_new, NodeMap.identity(n), engine, theta=theta)
             assert tree.separator_violations(g_new) == []
             tree.validate_partition(n)
+
+
+def random_streams(config: ParthConfig, seeds, steps: int = 8):
+    """Streams of contacts, edge removals, remeshes and no-ops on small grids.
+
+    Yields after every step the engine, the step's DirtyState, each slot's
+    nodes and the graph from before the step, and the step's node map.
+    """
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        base, _ = grid_laplacian(int(rng.integers(4, 10)), int(rng.integers(4, 10)))
+        engine = Parth(config)
+        engine.start(base)
+        for kind in rng.choice(list("crmn"), size=steps):
+            node_map = NodeMap.identity(base.n_rows)
+            center = int(rng.integers(base.n_rows))
+            try:
+                if kind == "c":
+                    base = inject_contacts(base, center, 2, int(rng.integers(1, 6)), seed=int(rng.integers(2**31)))
+                elif kind == "r":
+                    eu, ev = build_dual(base).edges()
+                    picks = rng.choice(eu.size, size=min(int(rng.integers(1, 7)), eu.size), replace=False)
+                    base = apply_edge_delta(base, [], [(int(eu[i]), int(ev[i])) for i in picks])
+                elif kind == "m":
+                    base, node_map = patch_remesh(base, center, int(rng.integers(0, 2)),
+                                                  densify=float(rng.choice([0.5, 1.0, 1.5])),
+                                                  seed=int(rng.integers(2**31)))
+            except BallTooSmall:  # the step then repeats the pattern
+                pass
+            tree, g_old = engine.tree, engine.graph
+            before = [tree.slot_nodes(i).copy() for i in range(tree.size)]
+            dirty, _ = engine.step(base, node_map)
+            yield engine, dirty, before, g_old, node_map
+
+
+STREAM_CONFIGS = pytest.mark.parametrize(
+    "config",
+    [ParthConfig(target_leaf=4), ParthConfig(target_leaf=4, aggressive=True, theta=0.0),
+     ParthConfig(target_leaf=4, aggressive=True, theta=0.3)],
+    ids=["off", "theta0", "theta0.3"],
+)
+
+
+class TestRemovedEdgesStayInside:
+    """A removed edge never crosses disjoint subtrees, so it marks only the slot it lies in."""
+
+    @STREAM_CONFIGS
+    def test_removed_changes_classified_are_ancestor_related(self, monkeypatch, config):
+        removed = []
+        real = dirty_subgraph_detection
+
+        def spy(tree, changes):
+            removed.extend((ch.a, ch.b) for ch in changes if ch.kind == REMOVED)
+            return real(tree, changes)
+
+        monkeypatch.setattr("parth.synchronizer.dirty_subgraph_detection", spy)
+        for _ in random_streams(config, range(12)):
+            pass
+        assert removed, "no removed edge between two slots reached classification"
+        assert [(a, b) for a, b in removed if lca_of(a, b) not in (a, b)] == []
+
+    @STREAM_CONFIGS
+    def test_every_fine_slot_changed_members_or_edges(self, monkeypatch, config):
+        # an added node that node sync places and an aggressive move lifts out again
+        # leaves its first slot as it was, yet marked: that slot changed mid-step
+        synced = []
+        real = node_change_synchronizer
+
+        def spy(tree, node_map, g_new):
+            touched = real(tree, node_map, g_new)
+            synced[:] = [np.sort(tree.slot_nodes(i)) for i in range(tree.size)]
+            return touched
+
+        monkeypatch.setattr("parth.synchronizer.node_change_synchronizer", spy)
+        checked = 0
+        for engine, dirty, before, g_old, node_map in random_streams(config, range(12)):
+            unchanged = unchanged_slots(engine.tree, dirty.fine, before, g_old, engine.graph, node_map.o2n)
+            synced_unchanged = [i for i in unchanged if np.array_equal(synced[i], np.sort(node_map.o2n[before[i]]))]
+            assert synced_unchanged == [] and (unchanged == [] or config.aggressive)
+            checked += len(dirty.fine)
+        assert checked
