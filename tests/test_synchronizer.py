@@ -350,7 +350,8 @@ def random_streams(config: ParthConfig, seeds, steps: int = 8):
     """Streams of contacts, edge removals, remeshes and no-ops on small grids.
 
     Yields after every step the engine, the step's DirtyState, each slot's
-    nodes and the graph from before the step, and the step's node map.
+    nodes and the graph from before the step, and the step's node map (the
+    identity on a step that passes none).
     """
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -358,7 +359,7 @@ def random_streams(config: ParthConfig, seeds, steps: int = 8):
         engine = Parth(config)
         engine.start(base)
         for kind in rng.choice(list("crmn"), size=steps):
-            node_map = NodeMap.identity(base.n_rows)
+            node_map = None
             center = int(rng.integers(base.n_rows))
             try:
                 if kind == "c":
@@ -376,7 +377,7 @@ def random_streams(config: ParthConfig, seeds, steps: int = 8):
             tree, g_old = engine.tree, engine.graph
             before = [tree.slot_nodes(i).copy() for i in range(tree.size)]
             dirty, _ = engine.step(base, node_map)
-            yield engine, dirty, before, g_old, node_map
+            yield engine, dirty, before, g_old, NodeMap.identity(base.n_rows) if node_map is None else node_map
 
 
 STREAM_CONFIGS = pytest.mark.parametrize(
