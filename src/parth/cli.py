@@ -112,7 +112,11 @@ def cmd_run(args) -> int:
 
     out = "\n".join([CSV_HEADER] + rows) + "\n"
     if args.out_csv:
-        Path(args.out_csv).write_text(out, encoding="utf-8")
+        try:
+            Path(args.out_csv).write_text(out, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(out)
     return 0

@@ -47,14 +47,16 @@ def _checked_index_array(a, name: str) -> np.ndarray:
     return _index_array(arr)
 
 
-def _checked_int(value, name: str, least: int) -> int:
-    """`value` as a Python int; InvalidArgument unless it is an integer (`operator.index`) of at least `least`."""
+def _checked_int(value, name: str, least: int | None = None, error: type = InvalidArgument) -> int:
+    """`value` as a Python int; `error` unless it is an integer other than a bool (`operator.index`) and at least `least`."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
-        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise InvalidArgument(f"{name} must be >= {least}, got {value}")
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
     return value
 
 
@@ -319,11 +321,14 @@ class SymGraph:
         starts, adj = self.adj_starts.tolist(), self.adj.tolist()
         return [adj[a:b] for a, b in zip(starts, starts[1:])]
 
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """All edges as (u, v) arrays with u < v."""
-        rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.adj_starts))
-        mask = rows < self.adj
-        return rows[mask], self.adj[mask]
+    def edges(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Row-major (u, v) arrays of the u < v entries of the ascending `rows`: every edge once for None."""
+        if rows is None:
+            u, v = np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.adj_starts)), self.adj
+        else:
+            u, v = _row_entries(self.adj_starts, self.adj, rows)
+        mask = u < v
+        return u[mask], v[mask]
 
     @classmethod
     def _trusted(cls, n_nodes: int, adj_starts: np.ndarray, adj: np.ndarray) -> "SymGraph":
@@ -545,7 +550,7 @@ class NodeMap:
     is_identity: bool = field(init=False)
 
     def __post_init__(self):
-        e, n_old = _frozen_index_array(self.entries, "entries"), int(self.n_old)
+        e, n_old = _frozen_index_array(self.entries, "entries"), _checked_int(self.n_old, "n_old", error=InvalidMap)
         if n_old < 0:
             raise InvalidMap(f"previous graph of {n_old} nodes")
         is_identity = e.size == n_old and np.array_equal(e, np.arange(n_old))
@@ -600,52 +605,28 @@ def edge_set_diff(
     edges use new-graph indices, in new-graph edge order; removed edges use
     old-graph indices, sorted lexicographically. Edges incident to removed
     nodes are excluded from the removed set; every edge incident to an added
-    node shows up in the added set.
+    node shows up in the added set. Under the identity map only the rows
+    `changed_rows` finds are read, as both ends of a changed edge are among
+    them; under any other map, or when `changed_rows` gives up, every row.
     """
     node_map.require_sizes(g_old.n_nodes, g_new.n_nodes)
-    diff = _row_diff(g_old, g_new) if node_map.is_identity else None
-    if diff is not None:
-        return diff
-    o2n = node_map.o2n
-
-    # old edges come out row-major, so the survivors (and with them the
-    # removed set) are already in lexicographic old-index order
-    ou, ov = g_old.edges()
-    tu, tv = o2n[ou], o2n[ov]
-    survive = (tu >= 0) & (tv >= 0)
-    su, sv, tu, tv = ou[survive], ov[survive], tu[survive], tv[survive]
+    rows = None
+    if node_map.is_identity:
+        if g_old is g_new:
+            return np.empty((0, 2), np.int64), np.empty((0, 2), np.int64)
+        rows = changed_rows(g_old.adj_starts, g_old.adj, g_new.adj_starts, g_new.adj)
+    nu, nv = g_new.edges(rows)
+    ou, ov = tu, tv = g_old.edges(rows)
+    if not node_map.is_identity:
+        tu, tv = node_map.o2n[ou], node_map.o2n[ov]
+        survive = (tu >= 0) & (tv >= 0)
+        ou, ov, tu, tv = ou[survive], ov[survive], tu[survive], tv[survive]
+        tu, tv = np.minimum(tu, tv), np.maximum(tu, tv)
     n = np.int64(max(g_new.n_nodes, 1))
-    old_keys = np.minimum(tu, tv) * n + np.maximum(tu, tv)
-
-    nu, nv = g_new.edges()
-    new_keys = nu * n + nv  # row-major: strictly increasing
-
-    # a map that keeps the survivors in their old relative order keeps the
-    # translated keys sorted too; any other map needs one sort
-    kept = o2n[o2n >= 0]
-    order_preserving = bool(np.all(kept[1:] > kept[:-1]))
-    sorted_old = old_keys if order_preserving else np.sort(old_keys)
-    added_mask = ~_is_member(sorted_old, new_keys)
-    removed_mask = ~_is_member(new_keys, old_keys)
-    added = np.column_stack([nu[added_mask], nv[added_mask]])
-    removed = np.column_stack([su[removed_mask], sv[removed_mask]])
-    return added, removed
-
-
-def _row_diff(g_old: SymGraph, g_new: SymGraph) -> tuple[np.ndarray, np.ndarray] | None:
-    """`edge_set_diff` under the identity map, over the changed rows alone: both ends of a changed edge are in them.
-
-    None when `changed_rows` gives up.
-    """
-    if g_old is g_new:
-        return np.empty((0, 2), np.int64), np.empty((0, 2), np.int64)
-    changed = changed_rows(g_old.adj_starts, g_old.adj, g_new.adj_starts, g_new.adj)
-    if changed is None:
-        return None
-    n = np.int64(max(g_new.n_nodes, 1))
-    nu, nv = _row_entries(g_new.adj_starts, g_new.adj, changed)
-    ou, ov = _row_entries(g_old.adj_starts, g_old.adj, changed)
-    new_keys, old_keys = nu * n + nv, ou * n + ov
-    added = (nu < nv) & ~_is_member(old_keys, new_keys)
-    removed = (ou < ov) & ~_is_member(new_keys, old_keys)
+    # both sides come out row-major, so the removed set is in old-index order;
+    # the old keys are out of order only where the map reorders the survivors
+    new_keys, old_keys = nu * n + nv, tu * n + tv
+    sorted_old = old_keys if np.all(old_keys[1:] > old_keys[:-1]) else np.sort(old_keys)
+    added = ~_is_member(sorted_old, new_keys)
+    removed = ~_is_member(new_keys, old_keys)
     return np.column_stack([nu[added], nv[added]]), np.column_stack([ou[removed], ov[removed]])

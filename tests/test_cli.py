@@ -123,6 +123,14 @@ class TestRun:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "theta" in captured.err
 
+    def test_csv_into_missing_directory_is_one_line(self, tmp_path, grid_file, capsys):
+        manifest = tmp_path / "seq.txt"
+        write_manifest_lines(manifest, ["matrix=grid.mtx"])
+        assert main(["run", str(manifest), "--out-csv", str(tmp_path / "absent" / "run.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestCheck:
     def test_grid_passes_and_improves(self, grid_file, capsys):

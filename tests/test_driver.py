@@ -259,6 +259,7 @@ def test_start_after_steps_starts_fresh():
         {"target_leaf": 0}, {"dim": 0}, {"dim": -2}, {"dim": 2.0}, {"dim": "3"}, {"target_leaf": 2.5},
         {"theta": "0.5"}, {"theta": None}, {"theta": True}, {"theta": np.True_},
         {"aggressive": "no"}, {"aggressive": 1}, {"aggressive": None},
+        {"dim": True}, {"target_leaf": np.True_},
     ],
 )
 def test_config_bounds_checked_at_construction(kwargs):

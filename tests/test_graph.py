@@ -21,6 +21,8 @@ from parth import (
     build_dual,
     compress_by_dim,
     grid_laplacian,
+    inject_contacts,
+    patch_remesh,
 )
 from parth import graph
 from parth.graph import (
@@ -211,6 +213,51 @@ def perturbed_graph(rng: np.random.Generator, g_old: SymGraph, entries: np.ndarr
     return graph_from_edges(n_new, u, v)
 
 
+class TestEdgeDiffRows:
+    """`edge_set_diff` reads only the changed rows under the identity map and every row otherwise.
+
+    Both give the same sets, so only the rows handed to `SymGraph.edges` show the restriction.
+    """
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        """(rows passed to `SymGraph.edges`, number of `changed_rows` calls) of the diffs run under it."""
+        rows, calls = [], []
+        real_edges, real_changed = SymGraph.edges, graph.changed_rows
+        monkeypatch.setattr(SymGraph, "edges", lambda g, r=None: rows.append(r) or real_edges(g, r))
+        monkeypatch.setattr(graph, "changed_rows", lambda *a: calls.append(a) or real_changed(*a))
+        return rows, calls
+
+    @staticmethod
+    def diff(spied, old: SparsityPattern, new: SparsityPattern, node_map: NodeMap | None = None):
+        """The spy's record of one diff between the patterns' graphs, checked against the reference."""
+        g_old, g_new = build_dual(old), build_dual(new)
+        node_map = NodeMap.identity(g_old.n_nodes) if node_map is None else node_map
+        added, removed = edge_set_diff(g_old, g_new, node_map)
+        rows, calls = list(spied[0]), len(spied[1])
+        assert (added.tolist(), removed.tolist()) == reference_edge_diff(g_old, g_new, node_map.entries)
+        return rows, calls
+
+    def test_a_contact_step_reads_only_the_changed_rows(self, spied):
+        pattern, _ = grid_laplacian(12, 12)
+        rows, calls = self.diff(spied, pattern, inject_contacts(pattern, 70, 3, 12, seed=1))
+        assert calls == 1 and len(rows) == 2
+        assert all(r is not None and 0 < r.size < 144 for r in rows)
+        assert np.array_equal(rows[0], rows[1])
+
+    def test_a_map_step_reads_every_row(self, spied):
+        pattern, _ = grid_laplacian(12, 12)
+        assert self.diff(spied, pattern, *patch_remesh(pattern, 70, 1, 1.5, seed=1)) == ([None, None], 0)
+
+    def test_a_step_past_the_limit_reads_every_row(self, spied):
+        # (r, r + 2) in every row changes all 144 rows, past changed_rows' limit of 64
+        pattern, _ = grid_laplacian(12, 12)
+        rows, cols = pattern.to_coo()
+        extra = np.arange(142)
+        denser = SparsityPattern.from_coo(144, np.r_[rows, extra, extra + 2], np.r_[cols, extra + 2, extra])
+        assert self.diff(spied, pattern, denser) == ([None, None], 1)
+
+
 class TestInducedSubgraph:
     def test_path_endpoints(self):
         g = graph_from_edges(3, [0, 1], [1, 2])
@@ -314,19 +361,22 @@ class TestConstructorChecks:
             (lambda: SparsityPattern.from_coo(None, [], []), "n_rows must be an integer"),
             (lambda: SparsityPattern(-1, [0], []), "n_rows must be >= 0"),
             (lambda: SparsityPattern(2.0, [0, 0, 0], []), "n_rows must be an integer"),
+            (lambda: SparsityPattern(True, [0, 0], []), "n_rows must be an integer"),
+            (lambda: SparsityPattern.from_coo(np.True_, [], []), "n_rows must be an integer"),
         ],
         ids=[
             "float_columns", "float_offsets", "2d_columns", "string_columns", "bool_columns",
             "coo_one_column", "coo_one_row_short", "coo_float_rows", "coo_2d",
             "float_neighbors", "float_map", "2d_map",
             "coo_negative_n", "coo_float_n", "coo_string_n", "coo_none_n", "negative_n", "float_n",
+            "bool_n", "coo_bool_n",
         ],
     )
     def test_non_index_arrays_rejected(self, build, message):
         with pytest.raises(InvalidArgument, match=message):
             build()
 
-    @pytest.mark.parametrize("n_rows", [True, np.int64(3), np.uint8(3)])
+    @pytest.mark.parametrize("n_rows", [3, np.int64(3), np.uint8(3)])
     def test_row_count_is_stored_as_an_int(self, n_rows):
         n = operator.index(n_rows)
         pattern = SparsityPattern(n_rows, [0] * (n + 1), [])
@@ -400,6 +450,16 @@ class TestNodeMap:
             NodeMap(np.array([0, -2]), 3)
         with pytest.raises(InvalidMap, match="previous graph of -1 nodes"):
             NodeMap(np.array([], dtype=np.int64), -1)
+
+    @pytest.mark.parametrize("n_old", [3.7, "3", None, 3.0, True])
+    def test_non_integer_previous_size_rejected(self, n_old):
+        # int() would read 3.7 and "3" as 3, and build a 3-node identity map
+        with pytest.raises(InvalidMap, match="n_old must be an integer"):
+            NodeMap(np.arange(3), n_old)
+
+    def test_previous_size_takes_numpy_integers(self):
+        m = NodeMap(np.arange(3), np.int32(3))
+        assert type(m.n_old) is int and m.is_identity
 
 
 class TestTrustedGraphs:

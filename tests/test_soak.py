@@ -48,6 +48,8 @@ class Soak(RuleBasedStateMachine):
     @rule(picks=st.lists(PICKS, min_size=1, max_size=3), undo=st.booleans())
     def remove_edges(self, picks, undo):
         edges = sorted(pattern_edge_set(self.base))
+        if not edges:  # earlier removals took every edge: nothing left to remove
+            return self.step(self.base)
         if undo and self.contacts:
             gone = self.contacts.pop() & set(edges)
         else:
