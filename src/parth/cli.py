@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .driver import Parth, ParthConfig
-from .errors import ParthError
+from .errors import InvalidArgument, ParthError
 from .graph import block_count
 from .metrics import CSV_HEADER, RESET_RECOMMENDED, degradation_monitor, step_metrics
 from .oracle import symbolic_analyze
@@ -51,15 +51,10 @@ def _config_from_args(args, theta: float | None = None) -> ParthConfig:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = _config_from_args(args, args.aggressive_reuse)
-        steps = read_manifest(args.manifest)
-    except (ParthError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = _config_from_args(args, args.aggressive_reuse)
+    steps = read_manifest(args.manifest)
     if not steps:
-        print("error: manifest has no steps", file=sys.stderr)
-        return 1
+        raise InvalidArgument("manifest has no steps")
 
     parth = Parth(config)
     rows = []
@@ -112,34 +107,25 @@ def cmd_run(args) -> int:
 
     out = "\n".join([CSV_HEADER] + rows) + "\n"
     if args.out_csv:
-        try:
-            Path(args.out_csv).write_text(out, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        Path(args.out_csv).write_text(out, encoding="utf-8")
     else:
         sys.stdout.write(out)
     return 0
 
 
 def cmd_check(args) -> int:
-    try:
-        parth = Parth(_config_from_args(args))
-        pattern, _ = read_matrix_market(args.matrix)
-        state = parth.start(pattern)
-    except (ParthError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    parth = Parth(_config_from_args(args))
+    pattern, _ = read_matrix_market(args.matrix)
+    state = parth.start(pattern)
 
     tree, g = parth.tree, parth.graph
     failures = []
     try:
-        tree.validate_partition(g.n_nodes)
+        bad = tree.separator_violations(g)  # validates the partition first
+        if bad:
+            failures.append(f"separator property violated at tree nodes {bad}")
     except ParthError as exc:
         failures.append(f"partition: {exc}")
-    bad = tree.separator_violations(g)
-    if bad:
-        failures.append(f"separator property violated at tree nodes {bad}")
     if not is_permutation(state.graph_perm, g.n_nodes):
         failures.append("graph permutation is not a bijection")
     if not is_permutation(state.matrix_perm, pattern.n_rows):
@@ -157,12 +143,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        manifest = _generate(args)
-    except (ParthError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(manifest)
+    print(_generate(args))
     return 0
 
 
@@ -184,7 +165,8 @@ def _generate(args) -> Path:
         seed_s = int(rng.integers(2**31))
         node_map = None
         if kind == "contacts":
-            pattern = inject_contacts(pattern, center, radius, args.contacts, seed_s)
+            # a contact needs two nodes: on a small grid the fraction's radius is 0
+            pattern = inject_contacts(pattern, center, max(radius, 1), args.contacts, seed_s)
         else:
             pattern, node_map = patch_remesh(pattern, center, radius, args.densify, seed_s)
         built.append((pattern, None, node_map, kind))
@@ -250,8 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a failure outside a replayed step is one `error:` line and status 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParthError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

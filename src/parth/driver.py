@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -11,7 +9,7 @@ import numpy as np
 
 from .assembler import AssemblyState, assemble
 from .errors import InvalidArgument, InvalidMap, StateError
-from .graph import NodeMap, SparsityPattern, SymGraph, _checked_int, build_dual, compress_by_dim
+from .graph import NodeMap, SparsityPattern, SymGraph, _checked_int, _checked_real, build_dual, compress_by_dim
 from .hgd import HgdTree, default_max_level, hgd_build
 from .ordering import MinDegreeEngine
 from .separator import LevelSetEngine
@@ -33,12 +31,7 @@ class ParthConfig:
         if not isinstance(self.aggressive, (bool, np.bool_)):
             raise InvalidArgument(f"aggressive must be a bool, got {self.aggressive!r}")
         object.__setattr__(self, "aggressive", bool(self.aggressive))
-        theta = self.theta
-        # bool is an int to Python; numpy's bool is no numbers.Real
-        if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not (
-            math.isfinite(theta) and 0.0 <= theta <= 1.0
-        ):
-            raise InvalidArgument(f"theta must be a finite number in [0, 1], got {theta!r}")
+        object.__setattr__(self, "theta", _checked_real(self.theta, "theta", 0, 1))
 
 
 class Parth:

@@ -8,6 +8,7 @@ are deterministic linear scans.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,17 +48,30 @@ def _checked_index_array(a, name: str) -> np.ndarray:
     return _index_array(arr)
 
 
-def _checked_int(value, name: str, least: int | None = None, error: type = InvalidArgument) -> int:
-    """`value` as a Python int; `error` unless it is an integer other than a bool (`operator.index`) and at least `least`."""
+def _checked_int(value, name: str, least: int | None = None, error: type = InvalidArgument, below: int | None = None) -> int:
+    """`value` as a Python int; `error` unless it is an integer other than a bool (`operator.index`) and at least `least`.
+
+    With `below`, IndexOutOfBounds unless it lies in [least, below)."""
     try:
         if isinstance(value, (bool, np.bool_)):
             raise TypeError
         value = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+    if below is not None and not least <= value < below:
+        raise IndexOutOfBounds(f"{name} {value} outside [{least}, {below})")
     if least is not None and value < least:
         raise error(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def _checked_real(value, name: str, lo: float, hi: float, open_lo: bool = False) -> float:
+    """`value` as a float; InvalidArgument unless it is a real number other than a bool in [lo, hi], or (lo, hi] with `open_lo`."""
+    # bool is an int to Python and numpy's bool no numbers.Real; nan fails every comparison
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (lo < value <= hi if open_lo else lo <= value <= hi)):
+        raise InvalidArgument(f"{name} must be a finite number in {'(' if open_lo else '['}{lo}, {hi}], got {value!r}")
+    return float(value)
 
 
 def _frozen_index_array(a, name: str) -> np.ndarray:
@@ -304,6 +318,7 @@ class SymGraph:
     adj: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_nodes", _checked_int(self.n_nodes, "n_nodes", 0))
         object.__setattr__(self, "adj_starts", _frozen_index_array(self.adj_starts, "adj_starts"))
         object.__setattr__(self, "adj", _frozen_index_array(self.adj, "adj"))
         rows = _check_csr(self.n_nodes, self.adj_starts, self.adj, "adj_starts", "neighbor")
@@ -458,10 +473,7 @@ def build_dual(pattern: SparsityPattern, prev: tuple[SparsityPattern, SymGraph] 
 
 def block_count(n_rows: int, dim: int) -> int:
     """Graph nodes of n_rows rows at `dim` rows per node; raises DimMismatch unless the integer dim divides n_rows."""
-    try:
-        dim = operator.index(dim)
-    except TypeError:
-        raise InvalidArgument(f"dim must be an integer, got {dim!r}") from None
+    dim = _checked_int(dim, "dim")
     if dim < 1 or n_rows % dim != 0:
         raise DimMismatch(f"n_rows={n_rows} not divisible by dim={dim}")
     return n_rows // dim

@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 
-from .errors import BallTooSmall, IndexOutOfBounds, InvalidArgument
-from .graph import NodeMap, SparsityPattern, _is_member, _row_entries, bfs_distances, build_dual, sum_duplicates
+from .errors import BallTooSmall
+from .graph import (
+    NodeMap, SparsityPattern, _checked_int, _checked_real, _is_member, _row_entries, bfs_distances, build_dual, sum_duplicates
+)
 
 # a remeshed ball grows at most this many times; far beyond any refinement
 # a remesher produces, and it keeps a mistyped factor from allocating gigabytes
@@ -22,8 +24,7 @@ MAX_DENSIFY = 16.0
 
 def grid_laplacian(nx: int, ny: int) -> tuple[SparsityPattern, np.ndarray]:
     """5-point Laplacian on an nx-by-ny grid, shifted by 1e-3 to make it SPD."""
-    if nx < 2 or ny < 2:
-        raise InvalidArgument("grid_laplacian requires nx, ny >= 2")
+    nx, ny = _checked_int(nx, "nx", 2), _checked_int(ny, "ny", 2)
     n = nx * ny
     idx = np.arange(n, dtype=np.int64).reshape(ny, nx)
     right = np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
@@ -39,8 +40,7 @@ def grid_laplacian(nx: int, ny: int) -> tuple[SparsityPattern, np.ndarray]:
 
 def _hop_distances(pattern: SparsityPattern, center: int) -> np.ndarray:
     """Hop distances from center in the pattern's graph; IndexOutOfBounds unless center is a row."""
-    if not 0 <= center < pattern.n_rows:
-        raise IndexOutOfBounds(f"center {center} outside [0, {pattern.n_rows})")
+    center = _checked_int(center, "center", 0, below=pattern.n_rows)
     return bfs_distances(build_dual(pattern), center)
 
 
@@ -50,6 +50,7 @@ def hop_ball(pattern: SparsityPattern, center: int, radius: int) -> np.ndarray:
 
 
 def _ball(dist: np.ndarray, radius: int) -> np.ndarray:
+    radius = _checked_int(radius, "radius")
     return np.flatnonzero((dist >= 0) & (dist <= radius))
 
 
@@ -58,8 +59,7 @@ def radius_for_fraction(pattern: SparsityPattern, center: int, fraction: float) 
 
     When the whole reachable part fits, that is the centre's eccentricity.
     """
-    if not (math.isfinite(fraction) and 0.0 < fraction <= 1.0):
-        raise InvalidArgument(f"fraction must be a finite number in (0, 1], got {fraction}")
+    fraction = _checked_real(fraction, "fraction", 0, 1, open_lo=True)
     target = max(1, int(fraction * pattern.n_rows))
     dist = _hop_distances(pattern, center)
     # ball[r] = nodes within r hops; past the eccentricity the ball stops growing
@@ -72,11 +72,10 @@ def inject_contacts(
     pattern: SparsityPattern, center: int, radius: int, k: int, seed: int = 0
 ) -> SparsityPattern:
     """Add k random symmetric nonzeros between node pairs inside a hop-ball."""
-    if k < 0:
-        raise InvalidArgument("the number of contacts must be >= 0")
+    k, seed = _checked_int(k, "k", 0), _checked_int(seed, "seed", 0)
+    ball = hop_ball(pattern, center, radius)
     if k == 0:
         return pattern
-    ball = hop_ball(pattern, center, radius)
     if ball.size < 2:
         raise BallTooSmall(f"ball around {center} has {ball.size} node(s); need at least 2")
     ai, bi = np.triu_indices(ball.size, k=1)
@@ -106,8 +105,8 @@ def patch_remesh(
     attached to random boundary nodes. The map is checked when it is built,
     like any other, and its inverse relabels the surviving entries.
     """
-    if not (math.isfinite(densify) and 0.0 < densify <= MAX_DENSIFY):
-        raise InvalidArgument(f"densify must be a finite number in (0, {MAX_DENSIFY}], got {densify}")
+    densify = _checked_real(densify, "densify", 0, MAX_DENSIFY, open_lo=True)
+    seed = _checked_int(seed, "seed", 0)
     n = pattern.n_rows
     dist = _hop_distances(pattern, center)
     ball = _ball(dist, radius)

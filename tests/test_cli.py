@@ -193,6 +193,22 @@ class TestCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_partition_failure_is_reported(self, grid_file, capsys, monkeypatch):
+        build = parth.driver.hgd_build
+
+        def misowned_build(*args):
+            tree = build(*args)
+            tree.owner = tree.owner.copy()
+            tree.owner[0] = tree.owner[0] + 1  # node 0 now names a slot that does not hold it
+            return tree
+
+        monkeypatch.setattr(parth.driver, "hgd_build", misowned_build)
+        assert main(["check", str(grid_file), "--target-leaf", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "FAIL partition: owner array disagrees with the tree node sets\n"
+        assert captured.out.endswith("check: FAIL\n")
+
+
 class TestGen:
     @staticmethod
     def _gen_files(out_dir, seed):
@@ -225,12 +241,21 @@ class TestGen:
             assert float(row.split(",")[4]) > 0.0  # some reuse on every later step
 
     def test_generator_error_is_one_line(self, tmp_path, capsys):
-        # the default 2% patch of a 12x12 grid is a 2-node ball, too small for 16 contacts
-        argv = ["gen", "--out", str(tmp_path / "seq"), "--nx", "12", "--ny", "12", "--steps", "2"]
+        # step 1 (contacts) is fine; step 2 (remesh) refuses a ball grown past 16 times
+        argv = ["gen", "--out", str(tmp_path / "seq"), "--kind", "mixed", "--steps", "2", "--densify", "20"]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("nx", [8, 10, 12, 14])
+    def test_small_grid_generates_and_runs(self, tmp_path, capsys, nx):
+        # the default 2% patch is a one-node ball here; contact steps widen it to radius 1
+        out_dir = tmp_path / "seq"
+        assert main(["gen", "--out", str(out_dir), "--nx", str(nx), "--ny", str(nx), "--steps", "4"]) == 0
+        capsys.readouterr()
+        assert main(["run", str(out_dir / "manifest.txt")]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 6  # header + 5 steps
 
     @pytest.mark.parametrize(
         "flags",

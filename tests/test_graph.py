@@ -363,13 +363,19 @@ class TestConstructorChecks:
             (lambda: SparsityPattern(2.0, [0, 0, 0], []), "n_rows must be an integer"),
             (lambda: SparsityPattern(True, [0, 0], []), "n_rows must be an integer"),
             (lambda: SparsityPattern.from_coo(np.True_, [], []), "n_rows must be an integer"),
+            (lambda: SymGraph(3.0, [0, 0, 0, 0], []), "n_nodes must be an integer"),
+            (lambda: SymGraph("3", [0, 0, 0, 0], []), "n_nodes must be an integer"),
+            (lambda: SymGraph(True, [0, 0], []), "n_nodes must be an integer"),
+            (lambda: SymGraph(-1, [0], []), "n_nodes must be >= 0"),
+            (lambda: compress_by_dim(SparsityPattern(2, [0, 1, 2], [0, 1]), True), "dim must be an integer"),
         ],
         ids=[
             "float_columns", "float_offsets", "2d_columns", "string_columns", "bool_columns",
             "coo_one_column", "coo_one_row_short", "coo_float_rows", "coo_2d",
             "float_neighbors", "float_map", "2d_map",
             "coo_negative_n", "coo_float_n", "coo_string_n", "coo_none_n", "negative_n", "float_n",
-            "bool_n", "coo_bool_n",
+            "bool_n", "coo_bool_n", "graph_float_n", "graph_string_n", "graph_bool_n", "graph_negative_n",
+            "bool_dim",
         ],
     )
     def test_non_index_arrays_rejected(self, build, message):

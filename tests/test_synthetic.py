@@ -133,6 +133,26 @@ class TestPatchRemesh:
             (lambda p: radius_for_fraction(p, -1, 0.1), IndexOutOfBounds, "center -1 outside"),
             (lambda p: patch_remesh(p, 5, -1), BallTooSmall, "empty ball"),
             (lambda p: patch_remesh(p, 5, 6), BallTooSmall, "no boundary"),  # the ball is the grid
+            (lambda p: grid_laplacian(2.5, 3), InvalidArgument, "nx must be an integer"),
+            (lambda p: grid_laplacian("3", 3), InvalidArgument, "nx must be an integer"),
+            (lambda p: grid_laplacian(3, True), InvalidArgument, "ny must be an integer"),
+            (lambda p: hop_ball(p, 2.0, 1), InvalidArgument, "center must be an integer"),
+            (lambda p: inject_contacts(p, 1.5, 1, 2), InvalidArgument, "center must be an integer"),
+            (lambda p: patch_remesh(p, "a", 1), InvalidArgument, "center must be an integer"),
+            (lambda p: radius_for_fraction(p, True, 0.5), InvalidArgument, "center must be an integer"),
+            (lambda p: hop_ball(p, 5, 1.5), InvalidArgument, "radius must be an integer"),
+            (lambda p: patch_remesh(p, 5, "1"), InvalidArgument, "radius must be an integer"),
+            (lambda p: inject_contacts(p, 5, True, 2), InvalidArgument, "radius must be an integer"),
+            (lambda p: inject_contacts(p, 5, 1, k=2.5), InvalidArgument, "k must be an integer"),
+            (lambda p: inject_contacts(p, 5, 1, k="2"), InvalidArgument, "k must be an integer"),
+            (lambda p: inject_contacts(p, 5, 1, k=True), InvalidArgument, "k must be an integer"),
+            (lambda p: radius_for_fraction(p, 2, "x"), InvalidArgument, r"fraction must be a finite number in \(0, 1\]"),
+            (lambda p: radius_for_fraction(p, 2, True), InvalidArgument, "fraction must be a finite number"),
+            (lambda p: patch_remesh(p, 5, 1, "2"), InvalidArgument, r"densify must be a finite number in \(0, 16.0\]"),
+            (lambda p: patch_remesh(p, 5, 1, True), InvalidArgument, "densify must be a finite number"),
+            (lambda p: inject_contacts(p, 5, 1, 2, seed=2.5), InvalidArgument, "seed must be an integer"),
+            (lambda p: patch_remesh(p, 5, 1, seed="1"), InvalidArgument, "seed must be an integer"),
+            (lambda p: inject_contacts(p, 5, 1, 2, seed=True), InvalidArgument, "seed must be an integer"),
         ],
         ids=[
             "hop_ball_center_high",
@@ -141,6 +161,13 @@ class TestPatchRemesh:
             "radius_for_fraction_center_negative",
             "negative_radius",
             "no_boundary",
+            "nx_float", "nx_string", "ny_bool",
+            "hop_ball_center_float", "inject_contacts_center_float", "patch_remesh_center_string",
+            "radius_for_fraction_center_bool",
+            "radius_float", "radius_string", "radius_bool",
+            "k_float", "k_string", "k_bool",
+            "fraction_string", "fraction_bool", "densify_string", "densify_bool",
+            "seed_float", "seed_string", "seed_bool",
         ],
     )
     def test_ball_without_room_rejected(self, call, error, message):
@@ -159,6 +186,16 @@ class TestPatchRemesh:
         b, mb = patch_remesh(p, 44, 2, densify=1.0, seed=11)
         assert np.array_equal(a.col_indices, b.col_indices)
         assert np.array_equal(ma.entries, mb.entries)
+
+    def test_numpy_scalars_accepted(self):
+        p, _ = grid_laplacian(np.int64(10), np.uint8(10))
+        assert np.array_equal(hop_ball(p, np.int32(44), np.int64(2)), hop_ball(p, 44, 2))
+        assert radius_for_fraction(p, np.int64(44), np.float32(0.25)) == radius_for_fraction(p, 44, 0.25)
+        a, ma = patch_remesh(p, np.int64(44), np.int64(2), np.float64(1.0), np.int64(11))
+        b, mb = patch_remesh(p, 44, 2, densify=1.0, seed=11)
+        assert np.array_equal(a.col_indices, b.col_indices) and np.array_equal(ma.entries, mb.entries)
+        c = inject_contacts(p, np.int64(44), np.int64(2), np.int64(3), np.int64(5))
+        assert np.array_equal(c.col_indices, inject_contacts(p, 44, 2, 3, 5).col_indices)
 
 
 class TestRadiusForFraction:
