@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembler import AssemblyState, assemble
-from .errors import InvalidArgument, InvalidMap, StateError
+from .errors import InvalidArgument, StateError
 from .graph import NodeMap, SparsityPattern, SymGraph, _checked_int, _checked_real, build_dual, compress_by_dim
 from .hgd import HgdTree, default_max_level, hgd_build
 from .ordering import MinDegreeEngine
@@ -52,7 +52,7 @@ class Parth:
         self.graph: SymGraph | None = None
         self.tree: HgdTree | None = None
         self.state: AssemblyState | None = None
-        # the map of a step that brings none, kept while n stays the same
+        # the map of a step that brings none, rebuilt only when the node count changes
         self._identity = NodeMap.identity(0)
         self.last_sync_us = 0
         self.last_assemble_us = 0
@@ -80,19 +80,15 @@ class Parth:
     ) -> tuple[DirtyState, AssemblyState]:
         if self.tree is None or self.graph is None:
             raise StateError("step() called before start()")
-        if node_map is not None and not isinstance(node_map, NodeMap):
+        if node_map is None:
+            if self._identity.n_new != self.graph.n_nodes:
+                self._identity = NodeMap.identity(self.graph.n_nodes)
+            node_map = self._identity
+        elif not isinstance(node_map, NodeMap):
             raise InvalidArgument(f"node_map must be a NodeMap or None, got {type(node_map).__name__}")
         cfg = self.config
-        # with no map, only the rows that changed since the last pattern are checked and diffed
-        g_new = self._ingest(pattern, (self.pattern, self.graph) if node_map is None else None)
-        if node_map is None:
-            if g_new.n_nodes != self.graph.n_nodes:
-                raise InvalidMap(
-                    f"node count changed {self.graph.n_nodes} -> {g_new.n_nodes}; a node map is required"
-                )
-            if self._identity.n_new != g_new.n_nodes:
-                self._identity = NodeMap.identity(g_new.n_nodes)
-            node_map = self._identity
+        # an identity map, passed or implied, reads only the changed rows; synchronize refuses a size change
+        g_new = self._ingest(pattern, (self.pattern, self.graph) if node_map.is_identity else None)
         t0 = time.perf_counter_ns()
         dirty = synchronize(
             self.tree,

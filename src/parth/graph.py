@@ -45,11 +45,14 @@ def _checked_index_array(a, name: str) -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise InvalidArgument(f"{name} must be a 1-D integer array, got {arr.dtype} of shape {arr.shape}")
+    if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:  # the cast would wrap it
+        raise InvalidArgument(f"{name} holds values above int64's range")
     return _index_array(arr)
 
 
-def _checked_int(value, name: str, least: int | None = None, error: type = InvalidArgument, below: int | None = None) -> int:
-    """`value` as a Python int; `error` unless it is an integer other than a bool (`operator.index`) and at least `least`.
+def _checked_int(value, name: str, least: int | None = None, error: type = InvalidArgument,
+                 below: int | None = None, most: int | None = None) -> int:
+    """`value` as a Python int; `error` unless it is an integer other than a bool (`operator.index`) in [least, most].
 
     With `below`, IndexOutOfBounds unless it lies in [least, below)."""
     try:
@@ -62,6 +65,8 @@ def _checked_int(value, name: str, least: int | None = None, error: type = Inval
         raise IndexOutOfBounds(f"{name} {value} outside [{least}, {below})")
     if least is not None and value < least:
         raise error(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise error(f"{name} must be <= {most}, got {value}")
     return value
 
 
@@ -550,10 +555,11 @@ class NodeMap:
     entries[i] is the index of new node i in the previous graph of n_old
     nodes, or ABSENT (-1) for a node that did not exist before; previous
     indices not in the image are removed nodes. The constructor raises
-    InvalidMap unless entries are >= -1, below n_old and free of repeated
-    previous indices, and attaches the read-only inverse `o2n` (previous
-    index -> new index, -1 for a removed node) and `is_identity`. An
-    identity map is recognised first and is its own inverse.
+    InvalidMap unless n_old is in [0, MAX_ROWS] and entries are >= -1,
+    below n_old and free of repeated previous indices, and attaches the
+    read-only inverse `o2n` (previous index -> new index, -1 for a removed
+    node) and `is_identity`. An identity map is recognised first and is
+    its own inverse.
     """
 
     entries: np.ndarray
@@ -563,8 +569,8 @@ class NodeMap:
 
     def __post_init__(self):
         e, n_old = _frozen_index_array(self.entries, "entries"), _checked_int(self.n_old, "n_old", error=InvalidMap)
-        if n_old < 0:
-            raise InvalidMap(f"previous graph of {n_old} nodes")
+        if not 0 <= n_old <= MAX_ROWS:  # before anything of size n_old is allocated
+            raise InvalidMap(f"previous graph of {n_old} nodes, outside [0, {MAX_ROWS}]")
         is_identity = e.size == n_old and np.array_equal(e, np.arange(n_old))
         if is_identity:
             o2n = e
@@ -589,7 +595,7 @@ class NodeMap:
 
     @classmethod
     def identity(cls, n: int) -> "NodeMap":
-        return cls(np.arange(n, dtype=np.int64), n)
+        return cls(np.arange(_checked_int(n, "n", error=InvalidMap, most=MAX_ROWS), dtype=np.int64), n)
 
     def require_sizes(self, n_old: int, n_new: int) -> None:
         """Raise InvalidMap unless this map takes n_old nodes to n_new."""

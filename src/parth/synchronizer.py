@@ -13,8 +13,8 @@ and a rebuild writes its subtree's run once.
 
 A slot's local ordering depends only on its own induced sub-graph, so three
 rules cover every changed edge (a, b), a and b the tree nodes of its ends:
-  * a == b: only that sub-graph changed; the slot becomes a fine mark as
-    soon as the edge is mapped (map_edges_to_tree, aggressive_reuse).
+  * a == b: only that sub-graph changed; the slot is a fine mark, set as
+    the edge is mapped or by the move that put both ends in it.
   * a and b on one root-to-leaf path: no separator can be broken by an edge
     between a separator and its own subtree, so the change is dismissed.
   * disjoint subtrees, edge added: the lowest common ancestor's separator no
@@ -158,9 +158,6 @@ def aggressive_reuse(
     out: list[TreeEdgeChange] = []
     for ch in changes:
         a, b = int(owner[ch.u]), int(owner[ch.v])
-        if a == b:
-            extra.add(a)
-            continue
         ch = TreeEdgeChange(a, b, ch.kind, ch.u, ch.v)
         anc = lca_of(a, b)
         if ch.kind != ADDED or anc in (a, b) or sizes[slice(*tree.subtree_run(anc))].sum() <= theta * owner.size:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BallTooSmall
 from .graph import (
-    NodeMap, SparsityPattern, _checked_int, _checked_real, _is_member, _row_entries, bfs_distances, build_dual, sum_duplicates
+    MAX_ROWS, NodeMap, SparsityPattern, _checked_int, _checked_real, _is_member, _row_entries, bfs_distances, build_dual, sum_duplicates
 )
 
 # a remeshed ball grows at most this many times; far beyond any refinement
@@ -25,7 +25,7 @@ MAX_DENSIFY = 16.0
 def grid_laplacian(nx: int, ny: int) -> tuple[SparsityPattern, np.ndarray]:
     """5-point Laplacian on an nx-by-ny grid, shifted by 1e-3 to make it SPD."""
     nx, ny = _checked_int(nx, "nx", 2), _checked_int(ny, "ny", 2)
-    n = nx * ny
+    n = _checked_int(nx * ny, "nx * ny", most=MAX_ROWS)  # before anything of size n is allocated
     idx = np.arange(n, dtype=np.int64).reshape(ny, nx)
     right = np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
     down = np.column_stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])

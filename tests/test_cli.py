@@ -272,6 +272,7 @@ class TestGen:
             ["--patch-frac", "-5"],
             ["--patch-frac", "0"],
             ["--patch-frac", "1.5"],
+            ["--nx", "10000000000", "--ny", "10000000000"],
         ],
     )
     def test_bad_generator_argument_is_one_line(self, tmp_path, capsys, flags):

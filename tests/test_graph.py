@@ -26,6 +26,7 @@ from parth import (
 )
 from parth import graph
 from parth.graph import (
+    MAX_ROWS,
     _LIST_BFS_MAX,
     _unique,
     bfs_distances,
@@ -368,6 +369,12 @@ class TestConstructorChecks:
             (lambda: SymGraph(True, [0, 0], []), "n_nodes must be an integer"),
             (lambda: SymGraph(-1, [0], []), "n_nodes must be >= 0"),
             (lambda: compress_by_dim(SparsityPattern(2, [0, 1, 2], [0, 1]), True), "dim must be an integer"),
+            # an int64 cast would wrap these to negative indices
+            (lambda: NodeMap(np.array([0, 1, 2**64 - 1], np.uint64), 2), "entries holds values above int64"),
+            (lambda: NodeMap(np.array([0, 2**63], np.uint64), 3), "entries holds values above int64"),
+            (lambda: SparsityPattern(2, [0, 1, 2], np.array([0, 2**64 - 1], np.uint64)), "col_indices holds values above"),
+            (lambda: SparsityPattern.from_coo(2, np.array([2**64 - 1], np.uint64), [0]), "rows holds values above"),
+            (lambda: SymGraph(2, np.array([0, 1, 2], np.uint64), np.array([1, 2**63], np.uint64)), "adj holds values above"),
         ],
         ids=[
             "float_columns", "float_offsets", "2d_columns", "string_columns", "bool_columns",
@@ -376,6 +383,7 @@ class TestConstructorChecks:
             "coo_negative_n", "coo_float_n", "coo_string_n", "coo_none_n", "negative_n", "float_n",
             "bool_n", "coo_bool_n", "graph_float_n", "graph_string_n", "graph_bool_n", "graph_negative_n",
             "bool_dim",
+            "uint64_map_wraps", "uint64_map_high", "uint64_columns", "uint64_coo_rows", "uint64_neighbors",
         ],
     )
     def test_non_index_arrays_rejected(self, build, message):
@@ -388,6 +396,11 @@ class TestConstructorChecks:
         pattern = SparsityPattern(n_rows, [0] * (n + 1), [])
         assert type(pattern.n_rows) is int and pattern.n_rows == n
         assert type(SparsityPattern.from_coo(n_rows, [], []).n_rows) is int
+
+    def test_small_unsigned_arrays_accepted(self):
+        assert NodeMap(np.array([0, 1, 2], np.uint8), 3).is_identity
+        assert NodeMap(np.array([2, 0], np.uint64), 3).o2n.tolist() == [1, -1, 0]
+        assert SymGraph(2, np.array([0, 1, 2], np.uint64), np.array([1, 0], np.uint64)).n_nodes == 2
 
     def test_empty_arrays_of_any_dtype_accepted(self):
         assert SparsityPattern(0, [0], []).nnz == 0
@@ -456,6 +469,11 @@ class TestNodeMap:
             NodeMap(np.array([0, -2]), 3)
         with pytest.raises(InvalidMap, match="previous graph of -1 nodes"):
             NodeMap(np.array([], dtype=np.int64), -1)
+        # refused before anything of that size is allocated
+        with pytest.raises(InvalidMap, match=rf"previous graph of {10**30} nodes, outside \[0, {MAX_ROWS}\]"):
+            NodeMap(np.array([0]), 10**30)
+        with pytest.raises(InvalidMap, match=f"n must be <= {MAX_ROWS}"):
+            NodeMap.identity(10**30)
 
     @pytest.mark.parametrize("n_old", [3.7, "3", None, 3.0, True])
     def test_non_integer_previous_size_rejected(self, n_old):

@@ -1,4 +1,4 @@
-"""A step with no node map checks and diffs only the rows that changed.
+"""A step under an identity node map, passed or implied, checks and diffs only the rows that changed.
 
 Each result is compared with the full path: the whole-pattern symmetry
 check, `build_dual` / `compress_by_dim` of the new pattern alone, and a
@@ -27,7 +27,7 @@ from parth import (
     inject_contacts,
 )
 from parth.graph import changed_rows, is_structurally_symmetric
-from conftest import random_pattern, reference_edge_diff
+from conftest import apply_edge_delta, blocks, random_pattern, reference_edge_diff
 
 
 def reference_changed_rows(old: SparsityPattern, new: SparsityPattern) -> list[int]:
@@ -179,8 +179,38 @@ class TestNoMapStep:
         assert engine.graph is g  # no row changed: the graph is kept as it was
         engine.step(changed)
         assert calls == [pattern]
-        engine.step(changed, NodeMap.identity(g.n_nodes))
-        assert calls == [pattern, changed]
+        engine.step(changed, NodeMap.identity(g.n_nodes))  # an identity map is no map: the row diff
+        assert calls == [pattern]
+
+    @pytest.mark.parametrize("aggressive", [False, True])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_an_identity_map_steps_as_no_map_does(self, dim, aggressive):
+        # on a stream of contacts, edge removals and no-ops, an explicit
+        # identity map gives what no map gives, and a step that changes
+        # nothing keeps the graph it had, as a step with no map does
+        rng = np.random.default_rng(7)
+        base, _ = grid_laplacian(12, 12)
+        n = base.n_rows
+        config = ParthConfig(dim=dim, target_leaf=8, aggressive=aggressive, theta=0.0)
+        bare, mapped = Parth(config), Parth(config)
+        bare.start(blocks(base, dim))
+        mapped.start(blocks(base, dim))
+        for kind in "crncrn":
+            if kind == "c":
+                base = inject_contacts(base, int(rng.integers(n)), 3, 4, seed=int(rng.integers(2**31)))
+            elif kind == "r":
+                eu, ev = build_dual(base).edges()
+                picks = rng.choice(eu.size, 3, replace=False)
+                base = apply_edge_delta(base, [], [(int(eu[i]), int(ev[i])) for i in picks])
+            pattern = blocks(base, dim)
+            g = mapped.graph
+            dirty_bare, state_bare = bare.step(pattern)
+            dirty_mapped, state_mapped = mapped.step(pattern, NodeMap.identity(n))
+            assert np.array_equal(state_mapped.matrix_perm, state_bare.matrix_perm)
+            assert np.array_equal(dirty_mapped.reuse_mask, dirty_bare.reuse_mask)
+            assert (dirty_mapped.fine, dirty_mapped.coarse) == (dirty_bare.fine, dirty_bare.coarse)
+            if kind == "n":
+                assert mapped.graph is g
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_a_step_changing_many_rows_checks_the_whole_pattern(self, dim, whole_checks, monkeypatch):

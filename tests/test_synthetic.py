@@ -136,6 +136,8 @@ class TestPatchRemesh:
             (lambda p: grid_laplacian(2.5, 3), InvalidArgument, "nx must be an integer"),
             (lambda p: grid_laplacian("3", 3), InvalidArgument, "nx must be an integer"),
             (lambda p: grid_laplacian(3, True), InvalidArgument, "ny must be an integer"),
+            # refused before anything of that size is allocated
+            (lambda p: grid_laplacian(10**10, 10**10), InvalidArgument, r"nx \* ny must be <= 3037000499"),
             (lambda p: hop_ball(p, 2.0, 1), InvalidArgument, "center must be an integer"),
             (lambda p: inject_contacts(p, 1.5, 1, 2), InvalidArgument, "center must be an integer"),
             (lambda p: patch_remesh(p, "a", 1), InvalidArgument, "center must be an integer"),
@@ -161,7 +163,7 @@ class TestPatchRemesh:
             "radius_for_fraction_center_negative",
             "negative_radius",
             "no_boundary",
-            "nx_float", "nx_string", "ny_bool",
+            "nx_float", "nx_string", "ny_bool", "grid_too_large",
             "hop_ball_center_float", "inject_contacts_center_float", "patch_remesh_center_string",
             "radius_for_fraction_center_bool",
             "radius_float", "radius_string", "radius_bool",
