@@ -4,8 +4,9 @@
 the package and solves A x = b with it. It shares the package's checked
 set-up (`parth.oracle._setup`: the permutation check, the permuted lower
 triangle and its elimination tree), but collects the factor's row patterns
-with its own row-subtree walk, so its factor size is an independent check
-of `symbolic_analyze`. It verifies orderings; it is not meant to be fast.
+with its own row-subtree walk, where `symbolic_analyze` counts them from
+the tree by lowest common ancestors, so its factor size is an independent
+check of `symbolic_analyze`. It verifies orderings; it is not meant to be fast.
 """
 
 from __future__ import annotations
@@ -21,22 +22,22 @@ class NotPositiveDefinite(ArithmeticError):
     """The numeric factorization hit a nonpositive pivot."""
 
 
-def factor_row_patterns(n: int, starts: list[int], cols: list[int], parent: np.ndarray) -> list[list[int]]:
-    """Column indices of each row of the strict lower factor, ascending, by row-subtree traversal."""
+def factor_row_patterns(n: int, rows: np.ndarray, cols: np.ndarray, parent: np.ndarray) -> list[list[int]]:
+    """Column indices of each row of the strict lower factor, ascending, by row-subtree traversal.
+
+    `rows` and `cols` are the strict lower triangle's entries in row order.
+    """
     up = parent.tolist()
-    mark = [-1] * n
-    rows = []
-    for i in range(n):
-        mark[i] = i
-        row = []
-        for k in cols[starts[i] : starts[i + 1]]:
-            while mark[k] != i:
-                mark[k] = i
-                row.append(k)
-                k = up[k]
+    mark = list(range(n))  # mark[k] == i: k is already in row i
+    patterns: list[list[int]] = [[] for _ in range(n)]
+    for i, k in zip(rows.tolist(), cols.tolist()):
+        while mark[k] != i:
+            mark[k] = i
+            patterns[i].append(k)
+            k = up[k]
+    for row in patterns:
         row.sort()
-        rows.append(row)
-    return rows
+    return patterns
 
 
 def numeric_cholesky_solve(
@@ -51,12 +52,12 @@ def numeric_cholesky_solve(
     storage). Raises NotPositiveDefinite on a nonpositive pivot.
     """
     n = pattern.n_rows
-    perm, inv, lower_starts, lower_cols, parent = _setup(pattern, perm)
+    perm, inv, lower_rows, lower_cols, parent, _ = _setup(pattern, perm)
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (pattern.nnz,):
         raise InvalidArgument(f"expected {pattern.nnz} values, got {values.shape}")
     b = np.asarray(b, dtype=np.float64)
-    row_patterns = factor_row_patterns(n, lower_starts, lower_cols, parent)
+    row_patterns = factor_row_patterns(n, lower_rows, lower_cols, parent)
 
     rows, cols = pattern.to_coo()
     pr, pc = inv[rows], inv[cols]

@@ -8,6 +8,7 @@ import parth.oracle
 from parth import (
     InvalidArgument,
     InvalidPermutation,
+    Parth,
     SparsityPattern,
     fill_deviation,
     grid_laplacian,
@@ -130,6 +131,83 @@ class TestSymbolicAnalyze:
             assert stats.nnz_l >= n
 
 
+def walked_stats(pattern, perm):
+    """nnz(L) and the flop estimate from `reference_cholesky`'s row-subtree walk."""
+    _, _, rows, cols, parent, _ = _setup(pattern, perm)
+    walked = factor_row_patterns(pattern.n_rows, rows, cols, parent)
+    counts = 1 + np.bincount([k for row in walked for k in row], minlength=pattern.n_rows)
+    return int(counts.sum()), int(np.sum(counts * counts))
+
+
+def ring_of_two_paths(half):
+    """Two paths of `half` nodes, ordered one after the other, joined at both ends.
+
+    In the natural ordering the last row's two columns are the paths' first
+    nodes, whose lowest common ancestor is `half` levels above them.
+    """
+    top, bottom = 2 * half, 2 * half + 1
+    edges = [(i, i + 1) for i in range(half - 1)] + [(i, i + 1) for i in range(half, 2 * half - 1)]
+    edges += [(half - 1, top), (2 * half - 1, top), (0, bottom), (half, bottom)]
+    return pattern_from_edges(2 * half + 2, edges)
+
+
+def forest_with_isolated_nodes():
+    """Three components (a 6x6 grid, a 200-node path, a 50-leaf star) and 20 isolated nodes."""
+    grid, _ = grid_laplacian(6, 6)
+    r, c = grid.to_coo()
+    edges = [(int(a), int(b)) for a, b in zip(r, c) if a < b]
+    edges += [(36 + i, 37 + i) for i in range(199)]
+    edges += [(236, 237 + i) for i in range(50)]
+    return pattern_from_edges(36 + 200 + 51 + 20, edges)
+
+
+def scale_cases():
+    rng = np.random.default_rng(31)
+    for side in (32, 48):
+        grid, _ = grid_laplacian(side, side)
+        n = grid.n_rows
+        yield f"grid{side}-start", grid, Parth().start(grid).matrix_perm
+        yield f"grid{side}-natural", grid, np.arange(n)
+        yield f"grid{side}-random", grid, rng.permutation(n)
+    path = pattern_from_edges(3000, [(i, i + 1) for i in range(2999)])
+    yield "path3000-natural", path, np.arange(3000)
+    yield "path3000-reversed", path, np.arange(3000)[::-1].copy()
+    ring = ring_of_two_paths(1500)
+    yield "ring3002-natural", ring, np.arange(ring.n_rows)
+    star = pattern_from_edges(801, [(0, j) for j in range(1, 801)])
+    yield "star801-hub-last", star, np.array(list(range(1, 801)) + [0])
+    yield "star801-random", star, rng.permutation(801)
+    forest = forest_with_isolated_nodes()
+    yield "forest-random", forest, rng.permutation(forest.n_rows)
+
+
+SCALE_CASES = list(scale_cases())
+
+
+class TestAtScale:
+    """Sizes past the dense property test, against the row-subtree walk."""
+
+    @pytest.mark.parametrize("case", SCALE_CASES, ids=[c[0] for c in SCALE_CASES])
+    def test_matches_the_walk(self, case):
+        _, pattern, perm = case
+        stats = symbolic_analyze(pattern, perm)
+        assert (stats.nnz_l, stats.flop_estimate) == walked_stats(pattern, perm)
+
+    @pytest.mark.parametrize(
+        "side, ordering, expected",
+        [
+            (64, "start", (70_189, 2_706_247)),
+            (128, "start", (376_934, 24_897_520)),
+            (64, "natural", (262_207, 16_952_125)),
+        ],
+    )
+    def test_pinned_grid_counts(self, side, ordering, expected):
+        grid, _ = grid_laplacian(side, side)
+        perm = Parth().start(grid).matrix_perm if ordering == "start" else np.arange(grid.n_rows)
+        stats = symbolic_analyze(grid, perm)
+        assert (stats.nnz_l, stats.flop_estimate) == expected
+
+
 GRID_3, _ = grid_laplacian(3, 3)
 
 # every public entry point that takes a permutation, on the 3x3 grid
@@ -183,8 +261,8 @@ class TestNumericCholesky:
         pattern, values = grid_laplacian(8, 8)
         rng = np.random.default_rng(2)
         perm = rng.permutation(pattern.n_rows)
-        _, _, starts, cols, parent = _setup(pattern, perm)
-        rows = factor_row_patterns(pattern.n_rows, starts, cols, parent)
+        _, _, lower_rows, lower_cols, parent, _ = _setup(pattern, perm)
+        rows = factor_row_patterns(pattern.n_rows, lower_rows, lower_cols, parent)
         produced = pattern.n_rows + sum(len(r) for r in rows)
         assert produced == symbolic_analyze(pattern, perm).nnz_l
 
