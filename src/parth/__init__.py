@@ -22,7 +22,6 @@ from .errors import (
     InvalidPermutation,
     ParseError,
     ParthError,
-    RegionMismatch,
     StaleTree,
     StateError,
 )

@@ -25,10 +25,6 @@ class InvalidMap(ParthError):
     """Node map violates its invariants (length, duplicates, range)."""
 
 
-class RegionMismatch(ParthError):
-    """Re-decomposition region does not match the current subtree contents."""
-
-
 class StaleTree(ParthError):
     """Decomposition tree is inconsistent with the graph it is applied to."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -190,6 +190,19 @@ def _check_csr(n: int, starts: np.ndarray, idx: np.ndarray, starts_name: str, it
     return rows
 
 
+def _trusted(cls, n: int, starts: np.ndarray, idx: np.ndarray):
+    """A `cls`, SparsityPattern or SymGraph, around int64 CSR arrays that already meet its invariants, unchecked.
+
+    Only for objects this module builds from checked input, as the public constructors check in full.
+    The arrays are kept and frozen, not copied."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), (int(n), starts, idx)):
+        object.__setattr__(obj, f.name, value)
+    starts.setflags(write=False)
+    idx.setflags(write=False)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class SparsityPattern:
     """CSR-style structural pattern of a square matrix.
@@ -230,10 +243,12 @@ class SparsityPattern:
 
 
 def sum_duplicates(n: int, rows, cols, vals=None) -> tuple[SparsityPattern, np.ndarray | None]:
-    """Pattern of in-range COO entries with repeated (row, col) pairs merged.
+    """Pattern of COO entries in [0, n) with repeated (row, col) pairs merged.
 
-    Values, when given, are summed over repeats and returned in the
-    pattern's row-major entry order; otherwise the second item is None.
+    `from_coo` and `read_matrix_market` check that range and `grid_laplacian`
+    builds in it; sorted, distinct keys make valid CSR, so the pattern is built
+    unchecked. Values, when given, are summed over repeats and returned in
+    the pattern's row-major entry order; otherwise the second item is None.
     Raises InvalidArgument when n > MAX_ROWS, where the keys would overflow.
     """
     if n > MAX_ROWS:
@@ -248,10 +263,7 @@ def sum_duplicates(n: int, rows, cols, vals=None) -> tuple[SparsityPattern, np.n
         summed = np.bincount(inverse, weights=vals, minlength=keys.size).astype(np.float64, copy=False)
     width = max(n, 1)
     starts = _counts_to_starts(np.bincount(keys // width, minlength=n))
-    cols = keys % width
-    starts.setflags(write=False)  # read-only, these fresh arrays are kept without a copy
-    cols.setflags(write=False)
-    return SparsityPattern(n, starts, cols), summed
+    return _trusted(SparsityPattern, n, starts, keys % width), summed
 
 
 def _is_symmetric_coo(rows: np.ndarray, cols: np.ndarray, n: int) -> bool:
@@ -349,21 +361,6 @@ class SymGraph:
             u, v = _row_entries(self.adj_starts, self.adj, rows)
         mask = u < v
         return u[mask], v[mask]
-
-    @classmethod
-    def _trusted(cls, n_nodes: int, adj_starts: np.ndarray, adj: np.ndarray) -> "SymGraph":
-        """Wrap int64 arrays that already satisfy every invariant, unchecked.
-
-        Only for graphs this module derives from validated input; the public
-        constructor keeps the full checks.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "n_nodes", int(n_nodes))
-        object.__setattr__(g, "adj_starts", adj_starts)
-        object.__setattr__(g, "adj", adj)
-        adj_starts.setflags(write=False)
-        adj.setflags(write=False)
-        return g
 
 
 def bfs_distances(g: SymGraph, roots, blocked: np.ndarray | None = None) -> np.ndarray:
@@ -468,7 +465,7 @@ def _splice(g: SymGraph, nodes: np.ndarray, rows: np.ndarray, cols: np.ndarray) 
         pieces += (g.adj[kept : g.adj_starts[node]], cols[a:b])
         kept = g.adj_starts[node + 1]
     pieces.append(g.adj[kept:])
-    return SymGraph._trusted(g.n_nodes, _counts_to_starts(counts), np.concatenate(pieces))
+    return _trusted(SymGraph, g.n_nodes, _counts_to_starts(counts), np.concatenate(pieces))
 
 
 def build_dual(pattern: SparsityPattern, prev: tuple[SparsityPattern, SymGraph] | None = None) -> SymGraph:
@@ -499,7 +496,7 @@ def compress_by_dim(
     changed = _checked_changes(pattern, prev)
     if changed is None:
         rb, cb = _block_pairs(*require_symmetric(pattern), dim, n_blocks)
-        return SymGraph._trusted(n_blocks, _counts_to_starts(np.bincount(rb, minlength=n_blocks)), cb)
+        return _trusted(SymGraph, n_blocks, _counts_to_starts(np.bincount(rb, minlength=n_blocks)), cb)
     if changed.size == 0:
         return prev[1]
     blocks = _unique(changed // dim)
@@ -537,7 +534,7 @@ def induced_subgraph(g: SymGraph, nodes) -> tuple[SymGraph, np.ndarray]:
     pos = np.full(g.n_nodes, -1, dtype=np.int64)
     pos[nodes] = np.arange(nodes.size, dtype=np.int64)
     # pos is monotone on sorted nodes, so per-row sortedness is preserved
-    return SymGraph._trusted(nodes.size, *_rows_within(g, nodes, pos >= 0, pos)), nodes
+    return _trusted(SymGraph, nodes.size, *_rows_within(g, nodes, pos >= 0, pos)), nodes
 
 
 def _rows_within(g: SymGraph, nodes: np.ndarray, label: np.ndarray, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import RegionMismatch, StaleTree
+from .errors import StaleTree
 from .graph import _EMPTY, SymGraph, _unique, induced_subgraph
 from .separator import LevelSetEngine
 
@@ -205,16 +205,11 @@ def hgd_build(g: SymGraph, max_level: int, engine: LevelSetEngine) -> HgdTree:
 def hgd_redecompose(tree: HgdTree, root_index: int, g: SymGraph, region, engine: LevelSetEngine) -> None:
     """Rebuild the subtree at root_index over `region`, in place.
 
-    The region must equal the union of node sets currently stored in that
-    subtree. Only the subtree's run of `perm` is rewritten (in a copy if
-    the last assembly returned it), so every slot outside it is untouched.
+    The caller passes `tree.subtree_union(root_index)`, the nodes the
+    subtree holds now; it is not checked again. Only the subtree's run of
+    `perm` is rewritten (in a copy if the last assembly returned it), so
+    every slot outside it is untouched.
     """
-    region = _unique(np.asarray(region, dtype=np.int64))
-    current = tree.subtree_union(root_index)
-    if not np.array_equal(region, current):
-        raise RegionMismatch(
-            f"region ({region.size} nodes) differs from subtree {root_index} contents ({current.size} nodes)"
-        )
     if not tree.perm.flags.writeable:
         tree.perm = tree.perm.copy()
     sub, to_global = induced_subgraph(g, region)

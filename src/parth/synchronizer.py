@@ -54,8 +54,8 @@ class DirtyState:
     """Outcome of one synchronization.
 
     reuse_mask[i] is True when tree node i kept its local ordering. fine and
-    coarse are the filtered dirty sets; dirty_node_total is the number of
-    graph nodes covered by them (the upper bound on reordering work). A
+    coarse are the filtered dirty sets; dirty_node_total counts the graph
+    nodes of the slots the mask clears (the bound on reordering work). A
     fine slot changed its members or its induced edges; a coarse root is
     the LCA of an added edge, as a removed one never crosses subtrees.
     """
@@ -190,15 +190,13 @@ def mark_and_decompose(
 ) -> DirtyState:
     """Rebuild coarse regions, clear the fine marks' orderings, and report the reuse mask."""
     reuse_mask = np.ones(tree.size, dtype=bool)
-    total = 0
     for root in sorted(coarse):
-        region = tree.subtree_union(root)
-        total += int(region.size)
-        hgd_redecompose(tree, root, g_new, region, engine)
+        hgd_redecompose(tree, root, g_new, tree.subtree_union(root), engine)
         reuse_mask[tree.post_order[slice(*tree.subtree_run(root))]] = False
     for f in fine:
         tree.ordered[f] = reuse_mask[f] = False
-        total += tree.slot_nodes(f).size
+    # with no mark nothing is cleared: a no-op step skips these numpy passes
+    total = int(np.diff(tree.offsets)[~reuse_mask[tree.post_order]].sum()) if fine or coarse else 0
     return DirtyState(reuse_mask, frozenset(fine), frozenset(coarse), total)
 
 

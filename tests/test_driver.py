@@ -34,7 +34,7 @@ PUBLIC_NAMES = {
     "SparsityPattern", "SymGraph", "NodeMap", "ABSENT", "build_dual", "compress_by_dim", "is_permutation",
     # errors
     "ParthError", "InvalidArgument", "AsymmetricPattern", "IndexOutOfBounds", "DimMismatch", "InvalidMap",
-    "RegionMismatch", "StaleTree", "InvalidPermutation", "BallTooSmall", "ParseError", "StateError",
+    "StaleTree", "InvalidPermutation", "BallTooSmall", "ParseError", "StateError",
     # files
     "SequenceStep", "read_manifest", "read_matrix_market", "read_node_map",
     "write_manifest", "write_matrix_market", "write_node_map",
@@ -53,7 +53,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exposed == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 42
 
 
 def test_start_then_fixed_point():

@@ -10,7 +10,6 @@ import reference_tree as walk
 from parth import (
     Parth,
     ParthConfig,
-    RegionMismatch,
     StaleTree,
     SymGraph,
     build_dual,
@@ -213,12 +212,6 @@ class TestRedecompose:
         assert tree.slot_nodes(5).tolist() == [2]
         assert tree.slot_nodes(6).tolist() == [8]
         assert tree.separator_violations(g2) == []
-
-    def test_region_mismatch(self, engine):
-        g, _ = nine_node_graphs()
-        tree = tree_from_node_sets(2, NINE_TREE_SETS, g=g)
-        with pytest.raises(RegionMismatch):
-            hgd_redecompose(tree, 2, g, np.array([2, 3]), engine)
 
     def test_untouched_outside_subtree(self, engine):
         g, _ = nine_node_graphs()

@@ -1,7 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parth import (
     AsymmetricPattern,
@@ -18,7 +21,7 @@ from parth import (
     write_matrix_market,
     write_node_map,
 )
-from parth import sequence_io
+from parth import graph, sequence_io
 from parth.cli import main
 from parth.graph import MAX_ROWS, sum_duplicates
 from parth.sequence_io import SequenceStep
@@ -424,6 +427,35 @@ class TestSumDuplicates:
         keys = sorted(want)
         assert [(int(r), int(c)) for r, c in zip(*pattern.to_coo())] == keys
         assert summed.dtype == np.float64 and summed.tobytes() == np.array([want[k] for k in keys]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 12), st.booleans(), st.data())
+    def test_pattern_is_valid_csr_built_unchecked(self, n, with_vals, data):
+        index = st.integers(0, max(n - 1, 0))
+        pairs = data.draw(st.lists(st.tuples(index, index), max_size=40 if n else 0))
+        pairs += pairs[::-2]  # repeats, out of order
+        rows = np.array([r for r, _ in pairs], dtype=np.int64)
+        cols = np.array([c for _, c in pairs], dtype=np.int64)
+        vals = None
+        if with_vals:
+            vals = np.array(data.draw(st.lists(st.floats(-1e9, 1e9), min_size=len(pairs), max_size=len(pairs))))
+        with mock.patch.object(graph, "_check_csr", side_effect=AssertionError("checked")):
+            pattern, summed = sum_duplicates(n, rows, cols, vals)
+        for arr in (pattern.row_starts, pattern.col_indices):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+        public = SparsityPattern(pattern.n_rows, pattern.row_starts, pattern.col_indices)
+        assert public.n_rows == n and type(pattern.n_rows) is int
+        assert np.array_equal(public.row_starts, pattern.row_starts)
+        assert np.array_equal(public.col_indices, pattern.col_indices)
+        want: dict[tuple[int, int], float] = {}
+        for i, key in enumerate(pairs):
+            want[key] = want.get(key, 0.0) + (vals[i] if with_vals else 0.0)
+        keys = sorted(want)
+        assert [(int(r), int(c)) for r, c in zip(*pattern.to_coo())] == keys
+        if with_vals:
+            assert summed.dtype == np.float64 and summed.tobytes() == np.array([want[k] for k in keys]).tobytes()
+        else:
+            assert summed is None
 
     def test_no_entries_gives_float_values(self):
         empty = np.empty(0, dtype=np.int64)

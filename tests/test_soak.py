@@ -3,7 +3,8 @@
 A hypothesis state machine drives one engine through 100 steps of contacts,
 edge removals (some undoing earlier contacts), remeshes with node maps and
 no-ops. After every step it checks the partition, the separator property,
-both permutations, work against dirty coverage, that every slot reported as
+both permutations, work against dirty coverage, that dirty coverage is the
+size of the slots the reuse mask clears, that every slot reported as
 reused kept its nodes and its induced edges, and, on steps without a map and
 without aggressive reuse, that every separator the change broke was marked.
 An aggressive move can mend a broken separator by lifting a node out of a
@@ -87,6 +88,7 @@ class Soak(RuleBasedStateMachine):
         assert tree.separator_violations(g_new) == []
         assert is_permutation(state.graph_perm, n) and is_permutation(state.matrix_perm, n * dim)
         assert n - state.reused_nodes <= dirty.dirty_node_total
+        assert dirty.dirty_node_total == sum(tree.slot_nodes(i).size for i in np.flatnonzero(~dirty.reuse_mask))
         assert broken <= set(np.flatnonzero(~dirty.reuse_mask).tolist())
         self.base = new
 
