@@ -98,7 +98,8 @@ def cmd_run(args) -> int:
                 t_assemble_us=parth.last_assemble_us,
                 t_baseline_us=t_baseline,
             )
-            history.append(m.fill_dev)
+            if baseline_perm is not None:  # else fill_dev is NaN, which the monitor skips
+                history.append(m.fill_dev)
             m.reset_recommended = degradation_monitor(history) == RESET_RECOMMENDED
             rows.append(m.csv_row())
         except (ParthError, OSError) as exc:

@@ -64,6 +64,11 @@ class Parth:
         return build_dual(pattern, prev) if cfg.dim == 1 else compress_by_dim(pattern, cfg.dim, prev)
 
     def start(self, pattern: SparsityPattern) -> AssemblyState:
+        """Build the tree of `pattern` from scratch and order every node; returns the assembly.
+
+        Raises InvalidArgument unless `pattern` is a SparsityPattern, AsymmetricPattern unless it is
+        structurally symmetric, and DimMismatch unless `config.dim` divides its row count.
+        """
         cfg = self.config
         g = self._ingest(pattern)
         t0 = time.perf_counter_ns()
@@ -78,6 +83,14 @@ class Parth:
     def step(
         self, pattern: SparsityPattern, node_map: NodeMap | None = None
     ) -> tuple[DirtyState, AssemblyState]:
+        """Fold the changed `pattern` into the tree; returns what was re-ordered and the new assembly.
+
+        `node_map` takes the last accepted pattern's graph nodes to the new ones; a missing map means
+        the identity map. Raises StateError before `start`, InvalidArgument for a pattern that is no
+        SparsityPattern or a map that is no NodeMap, InvalidMap unless the map takes the old node count
+        to the new one, and AsymmetricPattern or DimMismatch as `start` does. A step that raises leaves
+        the last accepted pattern, its graph and the tree in place.
+        """
         if self.tree is None or self.graph is None:
             raise StateError("step() called before start()")
         if node_map is None:

@@ -94,27 +94,19 @@ def _counts_to_starts(counts: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _unique(a: np.ndarray, return_inverse: bool = False):
+def _unique(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-D int64 array, as `np.unique` returns them.
 
     numpy 2's `np.unique` hashes; on int64 arrays of 128 to 65k values one
     sort plus a neighbour compare measured 3-30x faster (numpy 2.4.6, 2-core
-    x86 host). Input that is already strictly increasing is returned as is,
-    with no sort and no copy, so pass an array the caller does not keep.
+    x86 host). Input that is already strictly increasing is returned as is;
+    any other is sorted in place. Either way, pass an array the caller does
+    not keep.
     """
-    if np.all(a[1:] > a[:-1]):
-        return (a, np.arange(a.size, dtype=np.int64)) if return_inverse else a
-    if return_inverse:
-        order = np.argsort(a)
-        s = a[order]
-    else:
-        s = np.sort(a)
-    first = _run_heads(s)
-    if not return_inverse:
-        return s[first]
-    inverse = np.empty(a.size, dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return s[first], inverse
+    if not np.all(a[1:] > a[:-1]):
+        a.sort()
+        a = a[_run_heads(a)]
+    return a
 
 
 def _run_heads(a: np.ndarray) -> np.ndarray:
@@ -245,10 +237,11 @@ class SparsityPattern:
 def sum_duplicates(n: int, rows, cols, vals=None) -> tuple[SparsityPattern, np.ndarray | None]:
     """Pattern of COO entries in [0, n) with repeated (row, col) pairs merged.
 
-    `from_coo` and `read_matrix_market` check that range and `grid_laplacian`
-    builds in it; sorted, distinct keys make valid CSR, so the pattern is built
-    unchecked. Values, when given, are summed over repeats and returned in
-    the pattern's row-major entry order; otherwise the second item is None.
+    `from_coo` and `read_matrix_market` check that range and the generators
+    of `synthetic` build in it; sorted, distinct keys make valid CSR, so the
+    pattern is built unchecked. Values, when given, are summed over repeats
+    and returned in the pattern's row-major entry order; otherwise the
+    second item is None.
     Raises InvalidArgument when n > MAX_ROWS, where the keys would overflow.
     """
     if n > MAX_ROWS:
@@ -258,9 +251,13 @@ def sum_duplicates(n: int, rows, cols, vals=None) -> tuple[SparsityPattern, np.n
     if vals is None:
         keys = _unique(keys)
     else:
-        keys, inverse = _unique(keys, return_inverse=True)
-        # sums in entry order, as np.add.at does; with no entries bincount returns ints
-        summed = np.bincount(inverse, weights=vals, minlength=keys.size).astype(np.float64, copy=False)
+        # a stable sort keeps each key's entries in entry order, and bincount adds them in that
+        # order, as np.add.at does (np.add.reduceat may not); with no entries it returns ints
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = _run_heads(keys)
+        summed = np.bincount(np.cumsum(first) - 1, weights=vals[order]).astype(np.float64, copy=False)
+        keys = keys[first]
     width = max(n, 1)
     starts = _counts_to_starts(np.bincount(keys // width, minlength=n))
     return _trusted(SparsityPattern, n, starts, keys % width), summed

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import islice
 from statistics import median
 
 import numpy as np
@@ -86,9 +87,10 @@ def step_metrics(
 def degradation_monitor(history) -> str:
     """Flag a recommended reset when the trailing-median deviation drifts high.
 
-    The reset itself is left to the caller; this only reports.
+    `history` is a sequence of fill deviations, NaN where none was measured, read from its end up to
+    the last RESET_WINDOW measured values. The reset itself is left to the caller; this only reports.
     """
-    values = [v for v in history if not math.isnan(v)]
+    values = list(islice((v for v in reversed(history) if not math.isnan(v)), RESET_WINDOW))
     if not values:
         return OK
-    return RESET_RECOMMENDED if median(values[-RESET_WINDOW:]) > RESET_THRESHOLD else OK
+    return RESET_RECOMMENDED if median(values) > RESET_THRESHOLD else OK

@@ -175,21 +175,17 @@ def read_matrix_market(path) -> tuple[SparsityPattern, np.ndarray | None]:
 
 def write_matrix_market(path, pattern: SparsityPattern, values: np.ndarray | None = None) -> None:
     """Write the lower triangle of a symmetric pattern in coordinate format."""
-    path = Path(path)
     rows, cols = pattern.to_coo()
     keep = rows >= cols
-    rows, cols = rows[keep], cols[keep]
-    field = "pattern" if values is None else "real"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate {field} symmetric\n")
-        fh.write(f"{pattern.n_rows} {pattern.n_rows} {rows.size}\n")
-        if values is None:
-            for i, j in zip(rows, cols):
-                fh.write(f"{i + 1} {j + 1}\n")
-        else:
-            vals = np.asarray(values, dtype=np.float64)[keep]
-            for i, j, v in zip(rows, cols, vals):
-                fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+    rows, cols = (rows[keep] + 1).tolist(), (cols[keep] + 1).tolist()
+    if values is None:
+        field, entries = "pattern", (f"{i} {j}\n" for i, j in zip(rows, cols))
+    else:
+        vals = np.asarray(values, dtype=np.float64)[keep].tolist()
+        field, entries = "real", (f"{i} {j} {v!r}\n" for i, j, v in zip(rows, cols, vals))
+    header = f"%%MatrixMarket matrix coordinate {field} symmetric\n{pattern.n_rows} {pattern.n_rows} {len(rows)}\n"
+    with open(Path(path), "w", encoding="utf-8") as fh:
+        fh.write(header + "".join(entries))
 
 
 _MAP_ENTRY = np.dtype([("e", np.int64)])
@@ -219,8 +215,7 @@ def read_node_map(path, n_new: int, n_old: int) -> NodeMap:
 
 def write_node_map(path, node_map: NodeMap) -> None:
     with open(Path(path), "w", encoding="utf-8") as fh:
-        for e in node_map.entries:
-            fh.write(f"{int(e)}\n")
+        fh.write("".join(f"{e}\n" for e in node_map.entries.tolist()))
 
 
 def read_manifest(path) -> list[SequenceStep]:

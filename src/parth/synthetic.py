@@ -27,14 +27,12 @@ def grid_laplacian(nx: int, ny: int) -> tuple[SparsityPattern, np.ndarray]:
     nx, ny = _checked_int(nx, "nx", 2), _checked_int(ny, "ny", 2)
     n = _checked_int(nx * ny, "nx * ny", most=MAX_ROWS)  # before anything of size n is allocated
     idx = np.arange(n, dtype=np.int64).reshape(ny, nx)
-    right = np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
-    down = np.column_stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])
-    eu = np.concatenate([right[:, 0], down[:, 0]])
-    ev = np.concatenate([right[:, 1], down[:, 1]])
-    deg = np.bincount(np.concatenate([eu, ev]), minlength=n).astype(np.float64)
-    rows = np.concatenate([eu, ev, np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([ev, eu, np.arange(n, dtype=np.int64)])
-    vals = np.concatenate([-np.ones(eu.size), -np.ones(eu.size), deg + 1e-3])
+    eu = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    ev = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    diag = np.arange(n, dtype=np.int64)
+    rows, cols = np.concatenate([eu, ev, diag]), np.concatenate([ev, eu, diag])
+    deg = np.bincount(rows[: 2 * eu.size], minlength=n)
+    vals = np.concatenate([np.full(2 * eu.size, -1.0), deg + 1e-3])
     return sum_duplicates(n, rows, cols, vals)
 
 
@@ -89,10 +87,9 @@ def inject_contacts(
         return pattern
     rng = np.random.default_rng(seed)
     pick = rng.choice(cu.size, size=min(k, cu.size), replace=False)
+    cu, cv = cu[pick], cv[pick]
     rows, cols = pattern.to_coo()
-    new_rows = np.concatenate([rows, cu[pick], cv[pick]])
-    new_cols = np.concatenate([cols, cv[pick], cu[pick]])
-    return SparsityPattern.from_coo(pattern.n_rows, new_rows, new_cols)
+    return sum_duplicates(pattern.n_rows, np.concatenate([rows, cu, cv]), np.concatenate([cols, cv, cu]))[0]
 
 
 def patch_remesh(
@@ -126,12 +123,8 @@ def patch_remesh(
     fresh = survivors.size + np.arange(n_added, dtype=np.int64)
     boundary = new_of_old[boundary_old]
 
-    rows, cols = pattern.to_coo()
-    keep = ~in_ball[rows] & ~in_ball[cols]
-    eu = [new_of_old[rows[keep]]]
-    ev = [new_of_old[cols[keep]]]
-
     rng = np.random.default_rng(seed)
+    eu, ev = [], []  # the new edges, each once
     if n_added > 1:
         eu.append(fresh[:-1])
         ev.append(fresh[1:])
@@ -139,11 +132,10 @@ def patch_remesh(
         att = rng.choice(boundary, size=min(2, boundary.size), replace=False)
         eu.append(np.full(att.size, u, dtype=np.int64))
         ev.append(att)
-    eu.append(fresh)  # fresh nodes carry a diagonal entry
-    ev.append(fresh)
 
-    u = np.concatenate(eu)
-    v = np.concatenate(ev)
-    all_rows = np.concatenate([u, v])
-    all_cols = np.concatenate([v, u])
-    return SparsityPattern.from_coo(n_new, all_rows, all_cols), node_map
+    # the surviving entries are symmetric already, and fresh nodes carry a diagonal entry
+    rows, cols = pattern.to_coo()
+    keep = ~in_ball[rows] & ~in_ball[cols]
+    rows = np.concatenate([new_of_old[rows[keep]], fresh] + eu + ev)
+    cols = np.concatenate([new_of_old[cols[keep]], fresh] + ev + eu)
+    return sum_duplicates(n_new, rows, cols)[0], node_map

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from parth import grid_laplacian, write_matrix_market
+import parth.cli
 import parth.driver
 from parth.cli import main
 from parth.graph import MAX_ROWS
@@ -57,6 +58,14 @@ class TestRun:
         assert main(["run", str(manifest), "--baseline", "none"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert all(r.split(",")[5] == "" for r in rows)
+
+    def test_baseline_none_hands_the_monitor_no_history(self, tmp_path, grid_file, monkeypatch):
+        seen = []
+        monkeypatch.setattr(parth.cli, "degradation_monitor", lambda history: seen.append(len(history)) or "ok")
+        manifest = tmp_path / "seq.txt"
+        write_manifest_lines(manifest, ["matrix=grid.mtx"] * 3)
+        assert main(["run", str(manifest), "--baseline", "none", "--out-csv", str(tmp_path / "run.csv")]) == 0
+        assert seen == [0, 0, 0]
 
     def test_invalid_map_names_step(self, tmp_path, grid_file, capsys):
         bad_map = tmp_path / "bad.map"

@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 
 from parth import NodeMap, Parth, ParthConfig, SparsityPattern, grid_laplacian, inject_contacts, patch_remesh
+from parth.cli import main
 from parth.synthetic import radius_for_fraction
 
 GRID = 48
@@ -175,3 +176,24 @@ START_GOLDEN = [
 
 def test_start_is_bit_identical():
     assert start_digests() == START_GOLDEN
+
+
+# the files of `parth gen --nx 32 --ny 32 --kind mixed --steps 4 --seed 0`: the
+# generators' patterns and values and the writers' text, byte for byte
+GEN_GOLDEN = {
+    "manifest.txt": "d0285d3dc4a92ee09065b38e049fff2f1816775596c0328b65f28963aace2556",
+    "step000.mtx": "6f3d0dec059ca2100b3be49a68268b2b601fd67d0ffa95326a207bb73b71f265",
+    "step001.mtx": "f79bab57d232d1a28e610877ea2c3136b470930103a38f8f31cabcfdac289673",
+    "step002.map": "4f911b86f228f5abea4c57493d638b0aa6e1a7819a29a554c29d0ca773695b97",
+    "step002.mtx": "f44f78279392df6ff5d3192831b79f2f3bbaabb91da4533a9b49953f8b0e0941",
+    "step003.mtx": "de49795425b7baacd6163583ef915a78034e3a19392a4c2589e1bfe933674068",
+    "step004.map": "bec0070fc8fd04d0894942054fae9e701d420a173ec77befb8321c6edce7bf2c",
+    "step004.mtx": "7afe79c36a03d71c27d4e461f365923c8e1c70e10feec078ec0e7edf11244f36",
+}
+
+
+def test_generated_files_are_byte_identical(tmp_path, capsys):
+    argv = ["gen", "--out", str(tmp_path), "--nx", "32", "--ny", "32", "--kind", "mixed", "--steps", "4", "--seed", "0"]
+    assert main(argv) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert got == GEN_GOLDEN

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from parth import (
     AsymmetricPattern,
+    BallTooSmall,
     DimMismatch,
     IndexOutOfBounds,
     InvalidArgument,
@@ -33,6 +34,7 @@ from parth.graph import (
     component_labels,
     edge_set_diff,
     induced_subgraph,
+    is_structurally_symmetric,
 )
 from parth.hgd import hgd_build, hgd_redecompose
 from parth.separator import LevelSetEngine
@@ -290,18 +292,18 @@ class TestUnique:
     @settings(max_examples=200, deadline=None)
     def test_matches_np_unique(self, values):
         a = np.array(values, dtype=np.int64)
-        want, want_inverse = np.unique(a, return_inverse=True)
+        want = np.unique(a)
         got = _unique(a)
         assert got.dtype == np.int64 and got.tolist() == want.tolist()
-        got, inverse = _unique(a, return_inverse=True)
-        assert got.tolist() == want.tolist()
-        assert inverse.tolist() == want_inverse.tolist()
 
     def test_strictly_increasing_input_is_returned_as_is(self):
         a = np.array([-3, 0, 7, 9], dtype=np.int64)
         assert _unique(a) is a
-        got, inverse = _unique(a, return_inverse=True)
-        assert got is a and inverse.tolist() == [0, 1, 2, 3]
+
+    def test_input_may_come_back_sorted_in_place(self):
+        a = np.array([7, -3, 7, 0, -3], dtype=np.int64)
+        assert _unique(a).tolist() == [-3, 0, 7]
+        assert a.tolist() == [-3, -3, 0, 7, 7]
 
     def test_induced_subgraph_keeps_no_reference_to_sorted_nodes(self):
         g = graph_from_edges(4, [0, 1, 2], [1, 2, 3])
@@ -525,6 +527,29 @@ class TestTrustedGraphs:
         self.assert_valid(sub)
         inside = {int(x): i for i, x in enumerate(nodes)}
         assert edge_pairs(sub) == {(inside[a], inside[b]) for a, b in edge_pairs(g) if a in inside and b in inside}
+
+
+class TestGeneratedPatterns:
+    """The generators build their patterns unchecked; every one must pass the public validation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9), st.integers(2, 9), st.data())
+    def test_contacts_and_remesh_validate(self, nx, ny, data):
+        pattern, _ = grid_laplacian(nx, ny)
+        for kind in data.draw(st.lists(st.sampled_from(["contacts", "remesh"]), min_size=1, max_size=4)):
+            center, radius = data.draw(st.integers(0, pattern.n_rows - 1)), data.draw(st.integers(0, 4))
+            seed = data.draw(st.integers(0, 2**31 - 1))
+            try:
+                if kind == "contacts":
+                    pattern = inject_contacts(pattern, center, radius, data.draw(st.integers(0, 20)), seed)
+                else:
+                    pattern, _ = patch_remesh(pattern, center, radius, data.draw(st.floats(0.1, 3.0)), seed)
+            except BallTooSmall:
+                continue
+            again = SparsityPattern(pattern.n_rows, pattern.row_starts.copy(), pattern.col_indices.copy())
+            assert np.array_equal(again.row_starts, pattern.row_starts)
+            assert np.array_equal(again.col_indices, pattern.col_indices)
+            assert is_structurally_symmetric(pattern)
 
 
 def reference_bfs(g: SymGraph, root: int) -> list[int]:

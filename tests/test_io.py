@@ -457,6 +457,31 @@ class TestSumDuplicates:
         else:
             assert summed is None
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.booleans(), st.data())
+    def test_repeat_runs_sum_as_add_at_does(self, n, shuffled, data):
+        # runs of 8 and more are where a pairwise sum (np.add.reduceat) would part from entry order
+        index = st.integers(0, max(n - 1, 0))
+        runs = data.draw(st.lists(st.tuples(index, index, st.sampled_from([1, 8, 9, 128, 1000])), max_size=6 if n else 0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        counts = [k for _, _, k in runs]
+        rows = np.repeat(np.array([r for r, _, _ in runs], dtype=np.int64), counts)
+        cols = np.repeat(np.array([c for _, c, _ in runs], dtype=np.int64), counts)
+        if shuffled:
+            order = rng.permutation(rows.size)
+            rows, cols = rows[order], cols[order]
+        vals = rng.standard_normal(rows.size) * 10.0 ** rng.integers(-8, 9, size=rows.size)
+        keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+        want = np.zeros(keys.size)
+        np.add.at(want, inverse.ravel(), vals)
+        pattern, summed = sum_duplicates(n, rows, cols, vals)
+        assert summed.dtype == np.float64 and summed.tobytes() == want.tobytes()
+        got_rows, got_cols = pattern.to_coo()
+        assert np.array_equal(got_rows * n + got_cols, keys)
+        public = SparsityPattern(pattern.n_rows, pattern.row_starts, pattern.col_indices)
+        assert np.array_equal(public.row_starts, pattern.row_starts)
+        assert np.array_equal(public.col_indices, pattern.col_indices)
+
     def test_no_entries_gives_float_values(self):
         empty = np.empty(0, dtype=np.int64)
         pattern, summed = sum_duplicates(3, empty, empty, np.empty(0))

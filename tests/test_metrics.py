@@ -1,4 +1,5 @@
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from parth import (
     inject_contacts,
     step_metrics,
 )
-from parth.metrics import OK, RESET_RECOMMENDED
+from parth.metrics import OK, RESET_RECOMMENDED, RESET_WINDOW
 from parth.synchronizer import DirtyState
 
 
@@ -76,3 +77,25 @@ class TestDegradationMonitor:
 
     def test_nan_ignored(self):
         assert degradation_monitor([float("nan"), 0.01]) == OK
+
+    def test_window_counts_measured_values_only(self):
+        nan = float("nan")
+        assert degradation_monitor([0.0] * 3 + [0.2, nan] * RESET_WINDOW) == RESET_RECOMMENDED
+        assert degradation_monitor([0.2] * 3 + [0.0, nan] * RESET_WINDOW) == OK
+
+    def test_reads_only_the_trailing_window(self):
+        class Counted(Sequence):
+            def __init__(self, values):
+                self.values, self.reads = values, 0
+
+            def __len__(self):
+                return len(self.values)
+
+            def __getitem__(self, i):
+                self.reads += 1
+                return self.values[i]
+
+        nan = float("nan")
+        history = Counted([0.5] * 100_000 + [0.0] * RESET_WINDOW + [nan] * 3)
+        assert degradation_monitor(history) == OK
+        assert history.reads <= RESET_WINDOW + 3
